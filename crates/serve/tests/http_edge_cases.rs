@@ -1,8 +1,10 @@
-//! Differential HTTP edge-case suite: hostile and awkward byte streams
-//! must elicit **identical** wire behavior from the pool backend (blocking
-//! reader, the original and obviously-sequential implementation) and the
-//! epoll backend (incremental framer + reactor). The pool backend is the
-//! oracle; any divergence is a reactor bug.
+//! HTTP edge-case suite: hostile and awkward byte streams must elicit
+//! exactly the wire bytes committed under `tests/golden/`. Each golden is
+//! the full server output (bytes until close) for one scripted client, as
+//! recorded while the blocking accept pool — the original, obviously
+//! sequential implementation — and the epoll reactor agreed on it byte for
+//! byte. A transcript change is a wire-protocol change and must be
+//! reviewed as one.
 //!
 //! Covered: requests dripped one byte at a time (partial reads), two
 //! requests in one TCP segment (pipelining), a stalled header
@@ -73,48 +75,49 @@ fn read_one_response(stream: &mut TcpStream) -> (u16, Vec<u8>) {
     (status, body)
 }
 
-/// Runs `script` against a fresh connection on each backend and returns
-/// the two full wire outputs (bytes until close) for comparison.
-fn differential(script: impl Fn(&mut TcpStream)) -> (Vec<u8>, Vec<u8>) {
-    let mut outputs = Vec::new();
+/// Runs `script` against a fresh connection on a fresh server, then
+/// asserts the full wire output (bytes until close) equals the committed
+/// transcript `expected`. Returns it as text for the scenario's own
+/// readable assertions.
+fn golden(expected: &[u8], script: impl Fn(&mut TcpStream)) -> String {
     for backend in [Backend::Pool, Backend::Epoll] {
         let (mut server, _state) = boot(backend);
         let mut stream = connect(&server);
         script(&mut stream);
         let _ = stream.shutdown(Shutdown::Write);
-        outputs.push(read_to_close(&mut stream));
+        let wire = read_to_close(&mut stream);
         server.shutdown();
+        assert!(
+            wire == expected,
+            "{backend:?}: wire output diverged from the golden transcript\n got: {:?}\nwant: {:?}",
+            String::from_utf8_lossy(&wire),
+            String::from_utf8_lossy(expected),
+        );
     }
-    let epoll = outputs.pop().unwrap();
-    let pool = outputs.pop().unwrap();
-    (pool, epoll)
+    String::from_utf8_lossy(expected).into_owned()
 }
 
 #[test]
 fn dripped_request_one_byte_at_a_time() {
-    let (pool, epoll) = differential(|stream| {
+    let text = golden(include_bytes!("golden/dripped_request.http"), |stream| {
         for b in b"GET /healthz HTTP/1.1\r\n\r\n" {
             stream.write_all(&[*b]).unwrap();
             std::thread::sleep(Duration::from_millis(1));
         }
     });
-    assert_eq!(pool, epoll);
-    let text = String::from_utf8_lossy(&pool);
     assert!(text.starts_with("HTTP/1.1 200 OK"), "{text}");
     assert!(text.contains("\"ok\":true"), "{text}");
 }
 
 #[test]
 fn two_requests_in_one_segment_are_pipelined_in_order() {
-    let (pool, epoll) = differential(|stream| {
+    let text = golden(include_bytes!("golden/pipelined_pair.http"), |stream| {
         stream
             .write_all(
                 b"GET /healthz HTTP/1.1\r\n\r\nGET /nope HTTP/1.1\r\nConnection: close\r\n\r\n",
             )
             .unwrap();
     });
-    assert_eq!(pool, epoll);
-    let text = String::from_utf8_lossy(&pool);
     let first = text.find("HTTP/1.1 200 OK").expect("first response");
     let second = text
         .find("HTTP/1.1 404 Not Found")
@@ -210,7 +213,7 @@ fn slowloris_with_idle_timeout_gets_reaped() {
 #[test]
 fn body_split_across_many_writes() {
     let body = b"{\"snapshot\":\"missing\",\"policy\":{\"name\":\"deploy_all\"},\"world_seed\":1}";
-    let (pool, epoll) = differential(|stream| {
+    let text = golden(include_bytes!("golden/body_split.http"), |stream| {
         stream
             .write_all(
                 format!(
@@ -225,8 +228,6 @@ fn body_split_across_many_writes() {
             std::thread::sleep(Duration::from_millis(1));
         }
     });
-    assert_eq!(pool, epoll);
-    let text = String::from_utf8_lossy(&pool);
     assert!(
         text.starts_with("HTTP/1.1 404 Not Found"),
         "complete body must reach the router: {text}"
@@ -236,37 +237,39 @@ fn body_split_across_many_writes() {
 #[test]
 fn garbage_and_oversized_heads_get_matching_errors() {
     // Garbage request line → 400, close.
-    let (pool, epoll) = differential(|stream| {
-        stream.write_all(b"GARBAGE\r\n\r\n").unwrap();
-    });
-    assert_eq!(pool, epoll);
-    assert!(String::from_utf8_lossy(&pool).starts_with("HTTP/1.1 400 "));
+    let text = golden(
+        include_bytes!("golden/garbage_request_line.http"),
+        |stream| {
+            stream.write_all(b"GARBAGE\r\n\r\n").unwrap();
+        },
+    );
+    assert!(text.starts_with("HTTP/1.1 400 "));
 
     // Unsupported version → 505.
-    let (pool, epoll) = differential(|stream| {
-        stream.write_all(b"GET /x SPDY/3\r\n\r\n").unwrap();
-    });
-    assert_eq!(pool, epoll);
-    assert!(String::from_utf8_lossy(&pool).starts_with("HTTP/1.1 505 "));
+    let text = golden(
+        include_bytes!("golden/unsupported_version.http"),
+        |stream| {
+            stream.write_all(b"GET /x SPDY/3\r\n\r\n").unwrap();
+        },
+    );
+    assert!(text.starts_with("HTTP/1.1 505 "));
 
     // A never-ending header line → 431, close (the slowloris that never
     // stops talking, as opposed to the one that stops mid-word).
-    let (pool, epoll) = differential(|stream| {
+    let text = golden(include_bytes!("golden/header_flood.http"), |stream| {
         let padding = vec![b'a'; 70 * 1024];
         stream.write_all(b"GET /x HTTP/1.1\r\nx-flood: ").unwrap();
         let _ = stream.write_all(&padding);
     });
-    assert_eq!(pool, epoll);
-    assert!(String::from_utf8_lossy(&pool).starts_with("HTTP/1.1 431 "));
+    assert!(text.starts_with("HTTP/1.1 431 "));
 
     // Chunked transfer encoding → 501.
-    let (pool, epoll) = differential(|stream| {
+    let text = golden(include_bytes!("golden/chunked_encoding.http"), |stream| {
         stream
             .write_all(b"POST /x HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n")
             .unwrap();
     });
-    assert_eq!(pool, epoll);
-    assert!(String::from_utf8_lossy(&pool).starts_with("HTTP/1.1 501 "));
+    assert!(text.starts_with("HTTP/1.1 501 "));
 }
 
 #[test]
@@ -280,11 +283,12 @@ fn framer_hardening_rejects_are_byte_identical() {
     // first-match parser would frame the body at 7 and treat the rest of
     // the bytes — here a second, attacker-shaped request — as pipelined.
     let smuggle: &[u8] = b"POST /sessions HTTP/1.1\r\nContent-Length: 7\r\nContent-Length: 999\r\n\r\n0123456GET /snapshots HTTP/1.1\r\n\r\n";
-    let (pool, epoll) = differential(|stream| {
-        stream.write_all(smuggle).unwrap();
-    });
-    assert_eq!(pool, epoll);
-    let text = String::from_utf8_lossy(&pool);
+    let text = golden(
+        include_bytes!("golden/conflicting_lengths_smuggle.http"),
+        |stream| {
+            stream.write_all(smuggle).unwrap();
+        },
+    );
     assert!(text.starts_with("HTTP/1.1 400 "), "{text}");
     assert_eq!(
         text.matches("HTTP/1.1").count(),
@@ -293,22 +297,23 @@ fn framer_hardening_rejects_are_byte_identical() {
     );
 
     // Sign-prefixed length (RFC 7230 forbids anything but 1*DIGIT) → 400.
-    let (pool, epoll) = differential(|stream| {
+    let text = golden(include_bytes!("golden/signed_length.http"), |stream| {
         stream
             .write_all(b"POST /x HTTP/1.1\r\nContent-Length: +7\r\n\r\n0123456")
             .unwrap();
     });
-    assert_eq!(pool, epoll);
-    assert!(String::from_utf8_lossy(&pool).starts_with("HTTP/1.1 400 "));
+    assert!(text.starts_with("HTTP/1.1 400 "));
 
     // Invented minor versions → 505 (only HTTP/1.0 and HTTP/1.1 pass).
-    let (pool, epoll) = differential(|stream| {
-        stream
-            .write_all(b"GET /healthz HTTP/1.9999\r\n\r\n")
-            .unwrap();
-    });
-    assert_eq!(pool, epoll);
-    assert!(String::from_utf8_lossy(&pool).starts_with("HTTP/1.1 505 "));
+    let text = golden(
+        include_bytes!("golden/invented_minor_version.http"),
+        |stream| {
+            stream
+                .write_all(b"GET /healthz HTTP/1.9999\r\n\r\n")
+                .unwrap();
+        },
+    );
+    assert!(text.starts_with("HTTP/1.1 505 "));
 }
 
 #[test]
@@ -317,7 +322,7 @@ fn dripped_smuggling_attempt_gets_the_same_400() {
     // at a time; it must neither answer early nor resolve first-match
     // once the head completes.
     let raw: &[u8] = b"POST /x HTTP/1.1\r\nContent-Length: 7\r\nContent-Length: 999\r\n\r\n0123456";
-    let (pool, epoll) = differential(|stream| {
+    let text = golden(include_bytes!("golden/dripped_smuggle.http"), |stream| {
         for b in raw {
             // The server answers 400 and closes the moment the head
             // completes; dripping the (now unwanted) body tail may hit a
@@ -328,23 +333,18 @@ fn dripped_smuggling_attempt_gets_the_same_400() {
             std::thread::sleep(Duration::from_millis(1));
         }
     });
-    assert_eq!(pool, epoll);
-    assert!(String::from_utf8_lossy(&pool).starts_with("HTTP/1.1 400 "));
+    assert!(text.starts_with("HTTP/1.1 400 "));
 }
 
 #[test]
 fn pipelined_request_after_agreeing_duplicates_still_answers() {
     // Byte-identical duplicate lengths are legal: the body frames once at
     // 7, and the genuinely pipelined second request is answered in order.
-    let (pool, epoll) = differential(|stream| {
-        stream
-            .write_all(
-                b"POST /nope HTTP/1.1\r\nContent-Length: 7\r\nContent-Length: 7\r\n\r\n0123456GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n",
-            )
-            .unwrap();
-    });
-    assert_eq!(pool, epoll);
-    let text = String::from_utf8_lossy(&pool);
+    let raw: &[u8] = b"POST /nope HTTP/1.1\r\nContent-Length: 7\r\nContent-Length: 7\r\n\r\n0123456GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n";
+    let text = golden(
+        include_bytes!("golden/agreeing_duplicate_lengths.http"),
+        |stream| stream.write_all(raw).unwrap(),
+    );
     let first = text.find("HTTP/1.1 404 Not Found").expect("first response");
     let second = text.find("HTTP/1.1 200 OK").expect("second response");
     assert!(first < second, "responses must preserve request order");
@@ -354,15 +354,12 @@ fn pipelined_request_after_agreeing_duplicates_still_answers() {
 fn request_id_echo_is_byte_identical_across_backends() {
     // A usable client-supplied X-Request-Id (non-empty, ≤ 64 bytes, RFC
     // 7230 token chars) is echoed verbatim on both backends.
-    let (pool, epoll) = differential(|stream| {
-        stream
-            .write_all(
-                b"GET /healthz HTTP/1.1\r\nx-request-id: client-id-1\r\nconnection: close\r\n\r\n",
-            )
-            .unwrap();
-    });
-    assert_eq!(pool, epoll);
-    let text = String::from_utf8_lossy(&pool);
+    let raw: &[u8] =
+        b"GET /healthz HTTP/1.1\r\nx-request-id: client-id-1\r\nconnection: close\r\n\r\n";
+    let text = golden(
+        include_bytes!("golden/request_id_supplied.http"),
+        |stream| stream.write_all(raw).unwrap(),
+    );
     assert!(
         text.contains("x-request-id: client-id-1"),
         "supplied id must echo: {text}"
@@ -371,13 +368,14 @@ fn request_id_echo_is_byte_identical_across_backends() {
     // No header → the server generates from a per-server counter that only
     // parsed requests consume, so a fresh server's first id is always
     // req-0000000000000000 on either backend.
-    let (pool, epoll) = differential(|stream| {
-        stream
-            .write_all(b"GET /healthz HTTP/1.1\r\nconnection: close\r\n\r\n")
-            .unwrap();
-    });
-    assert_eq!(pool, epoll);
-    let text = String::from_utf8_lossy(&pool);
+    let text = golden(
+        include_bytes!("golden/request_id_generated.http"),
+        |stream| {
+            stream
+                .write_all(b"GET /healthz HTTP/1.1\r\nconnection: close\r\n\r\n")
+                .unwrap();
+        },
+    );
     assert!(
         text.contains("x-request-id: req-0000000000000000"),
         "generated id must be deterministic on a fresh server: {text}"
@@ -389,18 +387,12 @@ fn unusable_request_ids_are_replaced_not_echoed() {
     // Oversized (> 64 bytes) and non-token ids must not be reflected into
     // a response header; the server substitutes a generated id instead.
     let oversized = "a".repeat(65);
-    let (pool, epoll) = differential(|stream| {
-        stream
-            .write_all(
-                format!(
-                    "GET /healthz HTTP/1.1\r\nx-request-id: {oversized}\r\nconnection: close\r\n\r\n"
-                )
-                .as_bytes(),
-            )
-            .unwrap();
-    });
-    assert_eq!(pool, epoll);
-    let text = String::from_utf8_lossy(&pool);
+    let raw =
+        format!("GET /healthz HTTP/1.1\r\nx-request-id: {oversized}\r\nconnection: close\r\n\r\n");
+    let text = golden(
+        include_bytes!("golden/request_id_oversized.http"),
+        |stream| stream.write_all(raw.as_bytes()).unwrap(),
+    );
     assert!(!text.contains(&oversized), "oversized id echoed: {text}");
     assert!(
         text.contains("x-request-id: req-0000000000000000"),
@@ -409,15 +401,13 @@ fn unusable_request_ids_are_replaced_not_echoed() {
 
     // Garbage id: spaces and slashes are not tchars (and could smuggle
     // header syntax if reflected).
-    let (pool, epoll) = differential(|stream| {
+    let text = golden(include_bytes!("golden/request_id_garbage.http"), |stream| {
         stream
             .write_all(
                 b"GET /healthz HTTP/1.1\r\nx-request-id: not a/token\r\nconnection: close\r\n\r\n",
             )
             .unwrap();
     });
-    assert_eq!(pool, epoll);
-    let text = String::from_utf8_lossy(&pool);
     assert!(!text.contains("not a/token"), "garbage id echoed: {text}");
     assert!(
         text.contains("x-request-id: req-0000000000000000"),
@@ -498,7 +488,11 @@ fn batch_routes_echo_request_ids_and_land_in_the_event_log() {
             r#"{"snapshot":"g","policy":{"name":"deploy_all"},"world_seed":3}"#,
         );
         assert_eq!(status, 201, "{backend:?}");
-        let token = created.get("session").and_then(Json::as_str).unwrap().to_string();
+        let token = created
+            .get("session")
+            .and_then(Json::as_str)
+            .unwrap()
+            .to_string();
 
         let (status, head, resp) = post(
             &mut stream,
@@ -557,29 +551,26 @@ fn batch_routes_echo_request_ids_and_land_in_the_event_log() {
 
 #[test]
 fn eof_mid_header_answers_400_and_closes() {
-    let (pool, epoll) = differential(|stream| {
+    let text = golden(include_bytes!("golden/eof_mid_header.http"), |stream| {
         stream.write_all(b"GET /healthz HTT").unwrap();
-        // The differential driver shuts down the write side after the
+        // The golden driver shuts down the write side after the
         // script, producing the mid-header EOF.
     });
-    assert_eq!(pool, epoll);
-    let text = String::from_utf8_lossy(&pool);
     assert!(text.starts_with("HTTP/1.1 400 "), "{text}");
     assert!(text.contains("mid-header"), "{text}");
 }
 
 #[test]
 fn clean_eof_on_idle_keepalive_closes_silently() {
-    let (pool, epoll) = differential(|stream| {
+    let text = golden(include_bytes!("golden/clean_eof.http"), |stream| {
         stream.write_all(b"GET /healthz HTTP/1.1\r\n\r\n").unwrap();
         // Read our response, then just go away (shutdown in the driver).
         let (status, _) = read_one_response(stream);
         assert_eq!(status, 200);
     });
-    // Both backends: nothing after the first response.
-    assert_eq!(pool, epoll);
+    // Nothing after the first response.
     assert!(
-        pool.is_empty(),
+        text.is_empty(),
         "no bytes owed after a clean keep-alive EOF"
     );
 }
