@@ -6,9 +6,6 @@
 //!
 //! flags: --quick                smoke configuration (CI serve-smoke job)
 //!        --addr HOST:PORT       drive an external server (default: boot one)
-//!        --backend epoll|pool   self-booted server transport (default epoll)
-//!        --boot-workers N       self-booted worker threads
-//!                               (default: 4 for epoll; max level + 1 for pool)
 //!        --levels a,b,c         concurrent-session levels   (default 1,2,4)
 //!        --sessions N           sessions per level          (default 16)
 //!        --rate R               ALSO run open-loop: R session arrivals/s
@@ -36,8 +33,8 @@ fn main() {
         Err(e) => {
             eprintln!("error: {e}");
             eprintln!(
-                "usage: atpm-loadgen [--quick] [--addr HOST:PORT] [--backend epoll|pool] \
-                 [--boot-workers N] [--levels a,b,c] [--sessions N] [--rate R] \
+                "usage: atpm-loadgen [--quick] [--addr HOST:PORT] \
+                 [--levels a,b,c] [--sessions N] [--rate R] \
                  [--open-sessions N] [--open-workers N] [--mix p=w,...] \
                  [--batch-size a,b] [--crash-every N] [--scale F] [--k N] [--rr-theta N] \
                  [--seed S] [--json PATH | --no-json]"
@@ -56,7 +53,7 @@ fn main() {
         cfg.k,
         match &cfg.addr {
             Some(a) => a.clone(),
-            None => format!("(self-booted {} server)", cfg.backend.as_str()),
+            None => "(self-booted server)".to_string(),
         },
     );
     let t0 = std::time::Instant::now();

@@ -15,12 +15,11 @@
 //! | `fig7`     | Fig. 7 — HATP vs NDG, predefined cost (LiveJournal) |
 //! | `fig8`     | Fig. 8 — HATP vs NSG, predefined cost (LiveJournal) |
 //! | `fig9`     | Fig. 9 — NSG/NDG sample-size sweep (Epinions) |
-//! | `ablation` | design-choice ablations called out in DESIGN.md |
+//! | `ablation` | design-choice ablations: hybrid vs additive error, HATP's error schedule, RR batch generation |
 //! | `all`      | everything above |
 //!
 //! The default configuration is laptop-sized (reduced scales, 5 worlds,
 //! trimmed k-grid); `--paper` lifts every knob to the paper's settings.
-//! EXPERIMENTS.md records paper-vs-measured per artifact.
 
 pub mod config;
 pub mod loadgen;

@@ -15,12 +15,10 @@
 //!   reported alongside request latency.
 //!
 //! By default the generator boots its own server on an ephemeral loopback
-//! port (one process, zero setup — what the CI `serve-smoke` job runs);
-//! `--backend {epoll,pool}` picks the self-booted server's transport
-//! (epoll boots a fixed 4 workers however high the level — the whole point
-//! of the reactor; pool sizes its accept pool to the biggest level, since
-//! it physically cannot serve more connections than workers). `--addr`
-//! points at an externally started server instead.
+//! port (one process, zero setup — what the CI `serve-smoke` job runs)
+//! with the server's default worker count, however high the level: the
+//! reactor multiplexes connections, so workers need not track them.
+//! `--addr` points at an externally started server instead.
 //!
 //! The client half of the overload/durability contract lives here too:
 //! every request runs through [`RetryClient`], which backs off and retries
@@ -50,7 +48,7 @@ use atpm_serve::protocol::{
     ApiError, CreateSessionReq, Ledger, ObserveBatchReq, ObserveReq, PolicySpec, SnapshotReq,
     SnapshotSource,
 };
-use atpm_serve::server::{AppState, Backend, ServeConfig, Server};
+use atpm_serve::server::{AppState, ServeConfig, Server};
 use atpm_serve::snapshot::Snapshot;
 
 /// Loadgen knobs.
@@ -58,11 +56,6 @@ use atpm_serve::snapshot::Snapshot;
 pub struct LoadgenConfig {
     /// Address of a running server; `None` boots one in-process.
     pub addr: Option<String>,
-    /// Transport backend for the self-booted server.
-    pub backend: Backend,
-    /// Worker threads for the self-booted server; `None` = 4 for epoll,
-    /// `max(levels)+1` for pool (which needs a thread per connection).
-    pub boot_workers: Option<usize>,
     /// Concurrent-session levels to sweep (one measurement each).
     pub levels: Vec<usize>,
     /// Full sessions to run per level (split across the connections).
@@ -112,8 +105,6 @@ impl Default for LoadgenConfig {
     fn default() -> Self {
         LoadgenConfig {
             addr: None,
-            backend: Backend::Epoll,
-            boot_workers: None,
             levels: vec![1, 2, 4],
             sessions_per_level: 16,
             rate: None,
@@ -165,7 +156,6 @@ impl LoadgenConfig {
                     let keep = (
                         cfg.json_path.clone(),
                         cfg.addr.clone(),
-                        cfg.backend,
                         cfg.rate,
                         cfg.batch_sizes.clone(),
                         cfg.crash_every,
@@ -174,25 +164,12 @@ impl LoadgenConfig {
                     (
                         cfg.json_path,
                         cfg.addr,
-                        cfg.backend,
                         cfg.rate,
                         cfg.batch_sizes,
                         cfg.crash_every,
                     ) = keep;
                 }
                 "--addr" => cfg.addr = Some(value_of("--addr")?),
-                "--backend" => {
-                    let v = value_of("--backend")?;
-                    cfg.backend = Backend::parse(&v)
-                        .ok_or_else(|| format!("bad --backend '{v}' (expected epoll | pool)"))?;
-                }
-                "--boot-workers" => {
-                    cfg.boot_workers = Some(
-                        value_of("--boot-workers")?
-                            .parse()
-                            .map_err(|e| format!("bad --boot-workers: {e}"))?,
-                    );
-                }
                 "--rate" => {
                     let r: f64 = value_of("--rate")?
                         .parse()
@@ -814,22 +791,6 @@ pub fn snapshot_req(cfg: &LoadgenConfig) -> SnapshotReq {
     }
 }
 
-/// Worker count for a self-booted server: the epoll backend serves any
-/// number of connections from a small fixed pool (that's the point); the
-/// pool backend physically needs a thread per concurrent connection.
-fn boot_workers(cfg: &LoadgenConfig) -> usize {
-    if let Some(w) = cfg.boot_workers {
-        return w;
-    }
-    match cfg.backend {
-        Backend::Epoll => 4,
-        Backend::Pool => {
-            let top_level = cfg.levels.iter().copied().max().unwrap_or(1);
-            top_level.max(cfg.open_workers * usize::from(cfg.rate.is_some())) + 1
-        }
-    }
-}
-
 /// Runs the sweep (and the open-loop phase if `--rate` is set). Boots an
 /// in-process server unless `cfg.addr` is set. Returns one report per
 /// measurement; writes `cfg.json_path` if set.
@@ -843,8 +804,6 @@ pub fn run(cfg: &LoadgenConfig) -> Result<Vec<LevelReport>, String> {
                 AppState::new(),
                 &ServeConfig {
                     addr: "127.0.0.1:0".into(),
-                    workers: boot_workers(cfg),
-                    backend: cfg.backend,
                     ..ServeConfig::default()
                 },
             )
@@ -1511,47 +1470,24 @@ mod tests {
     }
 
     #[test]
-    fn parse_backend_rate_and_open_flags() {
+    fn parse_rate_and_open_flags() {
         let cfg = LoadgenConfig::parse(&s(&[
-            "--backend",
-            "pool",
             "--rate",
             "2.5",
             "--open-sessions",
             "9",
             "--open-workers",
             "3",
-            "--boot-workers",
-            "7",
         ]))
         .unwrap();
-        assert_eq!(cfg.backend, Backend::Pool);
         assert_eq!(cfg.rate, Some(2.5));
         assert_eq!(cfg.open_sessions, 9);
         assert_eq!(cfg.open_workers, 3);
-        assert_eq!(cfg.boot_workers, Some(7));
-        assert!(LoadgenConfig::parse(&s(&["--backend", "nope"])).is_err());
         assert!(LoadgenConfig::parse(&s(&["--rate", "0"])).is_err());
         assert!(LoadgenConfig::parse(&s(&["--rate", "1", "--open-workers", "0"])).is_err());
-        // --quick keeps an explicitly chosen backend and rate.
-        let cfg =
-            LoadgenConfig::parse(&s(&["--backend", "pool", "--rate", "4", "--quick"])).unwrap();
-        assert_eq!(cfg.backend, Backend::Pool);
+        // --quick keeps an explicitly chosen rate.
+        let cfg = LoadgenConfig::parse(&s(&["--rate", "4", "--quick"])).unwrap();
         assert_eq!(cfg.rate, Some(4.0));
-    }
-
-    #[test]
-    fn boot_workers_decouple_from_levels_only_on_epoll() {
-        let mut cfg = LoadgenConfig {
-            levels: vec![1, 64],
-            ..Default::default()
-        };
-        cfg.backend = Backend::Epoll;
-        assert_eq!(boot_workers(&cfg), 4, "epoll: fixed small pool");
-        cfg.backend = Backend::Pool;
-        assert_eq!(boot_workers(&cfg), 65, "pool: a thread per connection");
-        cfg.boot_workers = Some(2);
-        assert_eq!(boot_workers(&cfg), 2, "explicit override wins");
     }
 
     #[test]
@@ -1797,12 +1733,9 @@ mod tests {
     }
 
     #[test]
-    fn smoke_run_against_pool_backend_oracle() {
-        // The pool backend stays runnable as a differential oracle: same
-        // driver, worker pool sized to the level. The mix doubles as the
-        // threshold_batch wire-policy smoke.
+    fn smoke_run_threshold_batch_wire_policy() {
+        // ThresholdBatch sessions driven over the wire next to DeployAll.
         let cfg = LoadgenConfig {
-            backend: Backend::Pool,
             levels: vec![2],
             sessions_per_level: 2,
             scale: 0.005,

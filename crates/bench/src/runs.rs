@@ -295,7 +295,8 @@ fn lambda_quantile(g: &Graph, lambda: u64, seed: u64, threads: usize) -> f64 {
 /// for Fig. 7 and NSG for Fig. 8; both cost splits are reported.
 ///
 /// λ values are quantile-calibrated to the stand-in graph (see
-/// [`lambda_quantile`]); EXPERIMENTS.md documents the substitution.
+/// [`lambda_quantile`]): the paper's absolute λ would make every user, or
+/// none, profitable at laptop scale.
 pub fn fig78(cfg: &ExpConfig, selector: TargetSelector) -> String {
     let d = Dataset::LiveJournal;
     let graph = dataset_graph(d, cfg);
@@ -415,7 +416,8 @@ pub fn fig9(cfg: &ExpConfig) -> String {
     out
 }
 
-/// Design-choice ablations called out in DESIGN.md §4.
+/// Design-choice ablations: hybrid vs additive error (§IV-A), HATP's error
+/// schedule vs a fixed decay, and RR batch generation.
 pub fn ablation(cfg: &ExpConfig) -> String {
     use std::fmt::Write;
     let mut out = String::new();

@@ -152,7 +152,9 @@ impl<'a> AdaptiveSession<'a> {
     /// is the low-adaptivity gap batching accepts).
     pub fn select_batch(&mut self, seeds: &[Node]) -> Vec<Node> {
         self.validate_batch(seeds);
-        let cascade = self.engine.observe(&self.residual, &self.realization, seeds);
+        let cascade = self
+            .engine
+            .observe(&self.residual, &self.realization, seeds);
         self.apply_observations(seeds, &cascade);
         cascade
     }

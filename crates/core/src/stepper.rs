@@ -219,11 +219,7 @@ mod tests {
     fn batched_run_finishes_in_fewer_rounds() {
         let mut b = GraphBuilder::new(8);
         b.add_edge(0, 4, 0.5).unwrap();
-        let inst = TpmInstance::new(
-            b.build(),
-            vec![0, 1, 2, 3],
-            &[1.0, 1.0, 1.0, 1.0],
-        );
+        let inst = TpmInstance::new(b.build(), vec![0, 1, 2, 3], &[1.0, 1.0, 1.0, 1.0]);
         let mut s1 = AdaptiveSession::new(&inst, 3);
         run_stepper(&mut TakeAll { idx: 0 }, &mut s1);
         let mut s2 = AdaptiveSession::new(&inst, 3);

@@ -259,8 +259,7 @@ pub fn lt_rr_set<V: GraphView, R: rand::Rng + ?Sized>(
         // through the same quantized leg the forward cascade runs on.
         let (sources, _, _) = g.in_slice(v);
         let draw: u32 = rng.gen();
-        let chosen =
-            select_in_band(g.in_thresholds(v), g.in_meta(v), draw).map(|i| sources[i]);
+        let chosen = select_in_band(g.in_thresholds(v), g.in_meta(v), draw).map(|i| sources[i]);
         match chosen {
             Some(u) if view.is_alive(u) && !out.contains(&u) => {
                 out.push(u);

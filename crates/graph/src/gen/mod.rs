@@ -3,7 +3,9 @@
 //! The paper evaluates on four SNAP datasets (Table II) that cannot be
 //! shipped with this repository; [`presets`] provides deterministic synthetic
 //! stand-ins matched on directedness, node/edge counts, average degree and
-//! heavy-tailed degree skew (see DESIGN.md §3 for the substitution argument).
+//! heavy-tailed degree skew — the properties that drive RR-set sizes and
+//! cascade spreads, and so the relative profit and running-time of the
+//! policies the paper compares.
 //! The individual generator families are public so tests and ablations can
 //! build graphs with controlled structure:
 //!

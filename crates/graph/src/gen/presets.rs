@@ -4,8 +4,9 @@
 //! each preset deterministically generates a synthetic stand-in matched on
 //! directedness, node count, edge count and average degree, with
 //! heavy-tailed degree skew (BA for the collaboration networks, Chung–Lu
-//! power-law for the social/trust networks). See DESIGN.md §3 for why this
-//! substitution preserves the paper's comparisons.
+//! power-law for the social/trust networks). Those are the properties that
+//! drive RR-set sizes and cascade spreads, so the substitution preserves
+//! the paper's policy comparisons, though not its absolute numbers.
 //!
 //! | Dataset     | n     | m     | Type       | Avg. deg |
 //! |-------------|-------|-------|------------|----------|

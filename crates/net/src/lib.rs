@@ -53,8 +53,8 @@ pub use timer::{TimerId, TimerWheel};
 pub use wake::Waker;
 
 /// Whether the epoll shims work on this target (linux x86_64/aarch64).
-/// When `false`, [`Reactor::new`] fails with `Unsupported` and servers
-/// should fall back to blocking IO.
+/// When `false`, [`Reactor::new`] fails with `Unsupported` (and so does
+/// every server built on it).
 pub const fn supported() -> bool {
     sys::supported()
 }

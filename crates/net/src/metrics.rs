@@ -1,12 +1,9 @@
 //! Reactor-plane metrics: counters a server registers into *its own*
 //! [`Registry`] and hands to each reactor shard.
 //!
-//! The handles are per-server rather than process-global so two servers in
-//! one process (the pool-vs-epoll differential tests) keep independent
-//! numbers, and so the pool backend can tick the same counters at the
-//! equivalent points of its blocking loop — which is what keeps the
-//! `/metrics` bodies of the two backends byte-identical under identical
-//! traffic. Fault-injection tallies are the exception: they live in
+//! The handles are per-server rather than process-global so several servers
+//! in one process (the serve crate's integration tests boot many) keep
+//! independent numbers. Fault-injection tallies are the exception: they live in
 //! [`crate::fault`] next to the injection gate (see
 //! [`crate::fault::injected_total`]) and reach the exposition as
 //! render-time callbacks.
@@ -15,13 +12,11 @@ use std::sync::Arc;
 
 use atpm_obs::{Counter, Registry};
 
-/// Connection-plane counters shared by a server's reactor shards (or
-/// mirrored by its blocking accept pool).
+/// Connection-plane counters shared by a server's reactor shards.
 pub struct NetMetrics {
     /// Connections accepted and registered.
     pub accepts: Arc<Counter>,
-    /// Complete frames handed to `Driver::dispatch` (or executed inline by
-    /// a blocking backend).
+    /// Complete frames handed to `Driver::dispatch`.
     pub dispatches: Arc<Counter>,
     /// Connections closed (any reason: peer EOF, error, idle timeout).
     pub conns_closed: Arc<Counter>,

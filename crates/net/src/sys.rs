@@ -11,7 +11,7 @@
 //!
 //! Supported targets are `linux` on `x86_64` and `aarch64`; everywhere else
 //! the shims compile to stubs returning `Unsupported`, and
-//! [`supported`] reports `false` so callers can fall back to blocking IO.
+//! [`supported`] reports `false`.
 //!
 //! # The sampling profiler ([`profiler_arm`])
 //!
@@ -287,7 +287,7 @@ mod arch {
 }
 
 /// Whether this build has working epoll shims. `false` means every call in
-/// this module returns `Unsupported` and callers should use blocking IO.
+/// this module returns `Unsupported`.
 pub const fn supported() -> bool {
     cfg!(all(
         target_os = "linux",
@@ -686,8 +686,7 @@ mod tests {
     #[test]
     fn this_repo_targets_a_supported_platform() {
         // The build container and CI are linux x86_64; if this ever fails
-        // the serve layer silently falls back to the pool backend, which is
-        // worth knowing about.
+        // the serve layer cannot start at all.
         assert!(supported());
     }
 

@@ -4,16 +4,13 @@
 //! cargo run -p atpm-serve --release --bin atpm-served -- [flags]
 //!
 //! flags: --addr HOST:PORT      bind address          (default 127.0.0.1:8080)
-//!        --backend epoll|pool  transport backend     (default epoll)
 //!        --workers N           request workers       (default 4)
 //!        --shards N            epoll reactor shards  (default 2)
 //!        --session-ttl SECS    evict sessions idle this long (default: never)
-//!        --idle-timeout SECS   close idle connections (epoll; default 60,
-//!                              0 = never — note: reaping idle connections
-//!                              departs from the pool oracle's byte-identical
-//!                              behavior, which never reaps)
-//!        --max-queue N         shed 503 past N queued jobs (epoll; default
-//!                              1024, 0 = never shed)
+//!        --idle-timeout SECS   close connections idle this long (default
+//!                              60; must be at least 1)
+//!        --max-queue N         shed 503 past N queued jobs (default 1024,
+//!                              0 = never shed)
 //!        --journal PATH        append-only session journal, replayed
 //!                              (checkpoint + tail) on restart (default: none)
 //!        --fsync POLICY        journal durability: shutdown | group:MS |
@@ -40,18 +37,27 @@
 //!
 //! Without `--preset`/`--graph` the server starts with an empty store;
 //! load snapshots over the API (`POST /snapshots`). Runs until killed.
-//! Under the default epoll backend, `--workers` bounds CPU concurrency
-//! only — connection count is limited by fds, not threads; `--backend
-//! pool` restores the original one-connection-per-worker accept pool.
+//! `--workers` bounds CPU concurrency only — connection count is limited
+//! by fds, not threads. The transport is epoll-based: Linux x86_64/aarch64
+//! only; elsewhere the server refuses to start (exit 1).
 
 use atpm_serve::journal::FsyncPolicy;
 use atpm_serve::protocol::{SnapshotReq, SnapshotSource};
-use atpm_serve::server::{AppState, Backend, ServeConfig, Server};
+use atpm_serve::server::{AppState, ServeConfig, Server};
 use atpm_serve::snapshot::Snapshot;
 
+#[derive(Debug)]
 struct Args {
     cfg: ServeConfig,
     snapshot: Option<SnapshotReq>,
+}
+
+/// Parses a seconds flag into milliseconds. A count whose milliseconds
+/// overflow `u64` is a usage error rather than a silent wrap.
+fn secs_to_ms(flag: &str, value: &str) -> Result<u64, String> {
+    let secs: u64 = value.parse().map_err(|e| format!("bad {flag}: {e}"))?;
+    secs.checked_mul(1_000)
+        .ok_or_else(|| format!("bad {flag}: {secs} seconds is out of range"))
 }
 
 fn parse(args: &[String]) -> Result<Args, String> {
@@ -76,11 +82,6 @@ fn parse(args: &[String]) -> Result<Args, String> {
                     .parse()
                     .map_err(|e| format!("bad --workers: {e}"))?;
             }
-            "--backend" => {
-                let v = value_of("--backend")?;
-                cfg.backend = Backend::parse(&v)
-                    .ok_or_else(|| format!("bad --backend '{v}' (expected epoll | pool)"))?;
-            }
             "--shards" => {
                 cfg.shards = value_of("--shards")?
                     .parse()
@@ -90,16 +91,14 @@ fn parse(args: &[String]) -> Result<Args, String> {
                 }
             }
             "--session-ttl" => {
-                let secs: u64 = value_of("--session-ttl")?
-                    .parse()
-                    .map_err(|e| format!("bad --session-ttl: {e}"))?;
-                cfg.session_ttl_ms = (secs > 0).then_some(secs * 1_000);
+                let ms = secs_to_ms("--session-ttl", &value_of("--session-ttl")?)?;
+                cfg.session_ttl_ms = (ms > 0).then_some(ms);
             }
             "--idle-timeout" => {
-                let secs: u64 = value_of("--idle-timeout")?
-                    .parse()
-                    .map_err(|e| format!("bad --idle-timeout: {e}"))?;
-                cfg.idle_timeout_ms = (secs > 0).then_some(secs * 1_000);
+                cfg.idle_timeout_ms = secs_to_ms("--idle-timeout", &value_of("--idle-timeout")?)?;
+                if cfg.idle_timeout_ms == 0 {
+                    return Err("--idle-timeout must be at least 1 second".into());
+                }
             }
             "--max-queue" => {
                 cfg.max_queue = value_of("--max-queue")?
@@ -113,10 +112,8 @@ fn parse(args: &[String]) -> Result<Args, String> {
                     FsyncPolicy::parse(&v).map_err(|e| format!("bad --fsync '{v}': {e}"))?;
             }
             "--checkpoint-every" => {
-                let secs: u64 = value_of("--checkpoint-every")?
-                    .parse()
-                    .map_err(|e| format!("bad --checkpoint-every: {e}"))?;
-                cfg.checkpoint_every_ms = secs * 1_000;
+                cfg.checkpoint_every_ms =
+                    secs_to_ms("--checkpoint-every", &value_of("--checkpoint-every")?)?;
             }
             "--trace" => cfg.trace_path = Some(value_of("--trace")?),
             "--profile-hz" => {
@@ -134,7 +131,10 @@ fn parse(args: &[String]) -> Result<Args, String> {
                 let mb: usize = value_of("--snapshot-budget")?
                     .parse()
                     .map_err(|e| format!("bad --snapshot-budget: {e}"))?;
-                cfg.snapshot_budget_bytes = (mb > 0).then_some(mb * 1024 * 1024);
+                let bytes = mb
+                    .checked_mul(1024 * 1024)
+                    .ok_or_else(|| format!("bad --snapshot-budget: {mb} MB is out of range"))?;
+                cfg.snapshot_budget_bytes = (bytes > 0).then_some(bytes);
             }
             "--preset" => {
                 source = Some(SnapshotSource::Preset {
@@ -198,7 +198,7 @@ fn main() {
         Err(e) => {
             eprintln!("error: {e}");
             eprintln!(
-                "usage: atpm-served [--addr HOST:PORT] [--backend epoll|pool] \
+                "usage: atpm-served [--addr HOST:PORT] \
                  [--workers N] [--shards N] [--session-ttl SECS] \
                  [--idle-timeout SECS] [--max-queue N] [--journal PATH] \
                  [--fsync shutdown|group:MS|always] [--checkpoint-every SECS] \
@@ -243,9 +243,8 @@ fn main() {
     match Server::start(state, &args.cfg) {
         Ok(mut server) => {
             eprintln!(
-                "# atpm-served listening on http://{} ({} backend, {} workers{}); Ctrl-C to stop",
+                "# atpm-served listening on http://{} ({} workers{}); Ctrl-C to stop",
                 server.addr(),
-                server.backend().as_str(),
                 args.cfg.workers,
                 match args.cfg.session_ttl_ms {
                     Some(ttl) => format!(", session TTL {}s", ttl / 1_000),
@@ -280,8 +279,66 @@ fn main() {
             }
         }
         Err(e) => {
-            eprintln!("error: cannot bind {}: {e}", args.cfg.addr);
+            eprintln!("error: cannot start server on {}: {e}", args.cfg.addr);
             std::process::exit(1);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse_flags(flags: &[&str]) -> Result<Args, String> {
+        parse(&flags.iter().map(|f| f.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn duration_and_size_flags_scale_normal_values() {
+        let args = parse_flags(&[
+            "--session-ttl",
+            "30",
+            "--idle-timeout",
+            "5",
+            "--checkpoint-every",
+            "2",
+            "--snapshot-budget",
+            "3",
+        ])
+        .unwrap();
+        assert_eq!(args.cfg.session_ttl_ms, Some(30_000));
+        assert_eq!(args.cfg.idle_timeout_ms, 5_000);
+        assert_eq!(args.cfg.checkpoint_every_ms, 2_000);
+        assert_eq!(args.cfg.snapshot_budget_bytes, Some(3 * 1024 * 1024));
+        // Zero still means "off" where the flag documents it.
+        let args = parse_flags(&["--session-ttl", "0", "--checkpoint-every", "0"]).unwrap();
+        assert_eq!(args.cfg.session_ttl_ms, None);
+        assert_eq!(args.cfg.checkpoint_every_ms, 0);
+    }
+
+    #[test]
+    fn overflowing_flag_values_are_usage_errors() {
+        let secs = (u64::MAX / 1_000 + 1).to_string();
+        for flag in ["--session-ttl", "--idle-timeout", "--checkpoint-every"] {
+            let err = parse_flags(&[flag, &secs]).unwrap_err();
+            assert!(err.contains(flag) && err.contains("out of range"), "{err}");
+        }
+        // The largest value that fits still parses.
+        let max = (u64::MAX / 1_000).to_string();
+        let args = parse_flags(&["--checkpoint-every", &max]).unwrap();
+        assert_eq!(args.cfg.checkpoint_every_ms, u64::MAX / 1_000 * 1_000);
+
+        let mb = (usize::MAX / (1024 * 1024) + 1).to_string();
+        let err = parse_flags(&["--snapshot-budget", &mb]).unwrap_err();
+        assert!(
+            err.contains("--snapshot-budget") && err.contains("out of range"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn idle_timeout_zero_is_rejected() {
+        let err = parse_flags(&["--idle-timeout", "0"]).unwrap_err();
+        assert!(err.contains("--idle-timeout"), "{err}");
     }
 }

@@ -1,27 +1,26 @@
-//! The epoll backend: reactor shards multiplexing thousands of keep-alive
-//! connections over a small request-executing worker pool.
+//! The server transport: reactor shards multiplexing thousands of
+//! keep-alive connections over a small request-executing worker pool.
 //!
 //! Topology: `shards` reactor threads each own an epoll instance and a
 //! clone of the shared listener (registered `EPOLLEXCLUSIVE`, so the
 //! kernel wakes one shard per connect). A reactor never executes a
 //! request — its [`HttpDriver`] frame-cuts the receive buffer with
 //! [`frame_request`](crate::http::frame_request) and posts the complete
-//! frame to the worker pool over an mpsc channel. Workers — the same
-//! one-[`CoverageScratch`]-per-thread discipline as the pool backend —
-//! parse, dispatch through [`route`](crate::server::route) via
-//! [`respond`](crate::server::respond), encode the response, and push it
-//! into the owning shard's [`ReplyQueue`]; the queue's eventfd waker pulls
-//! the reactor out of `epoll_wait` to write it, resuming across partial
-//! writes.
+//! frame to the worker pool over an mpsc channel. Workers — each owning
+//! one [`CoverageScratch`] for its whole life — parse, dispatch through
+//! [`route`](crate::server::route) via [`respond`](crate::server::respond),
+//! encode the response, and push it into the owning shard's
+//! [`ReplyQueue`]; the queue's eventfd waker pulls the reactor out of
+//! `epoll_wait` to write it, resuming across partial writes.
 //!
-//! The request pipeline is therefore identical to the pool backend's
-//! (`read → parse → respond → write`, one in-flight request per
-//! connection, pipelined requests served in order) — only the threading
-//! changed, which is why `tests/e2e_equivalence.rs` passes unmodified
-//! against either backend. Worker count bounds CPU concurrency; connection
-//! count is bounded only by fds; the reactor→worker queue is bounded by
-//! overload shedding (dispatches past `max_queue` waiting jobs answer
-//! `503 Retry-After` straight from the reactor thread, counted in
+//! The request pipeline is the sequential `read → parse → respond → write`
+//! of a blocking server — one in-flight request per connection, pipelined
+//! requests served in order — only spread over threads; the wire bytes it
+//! produces for awkward clients are pinned by the golden transcripts in
+//! `tests/http_edge_cases.rs`. Worker count bounds CPU concurrency;
+//! connection count is bounded only by fds; the reactor→worker queue is
+//! bounded by overload shedding (dispatches past `max_queue` waiting jobs
+//! answer `503 Retry-After` straight from the reactor thread, counted in
 //! `/healthz`).
 //!
 //! Shard 0's reactor tick doubles as the session-expiry sweeper when a TTL
@@ -63,7 +62,7 @@ fn error_bytes(status: u16, message: &str) -> Vec<u8> {
 /// request, but an overloaded rejection should still echo the caller's id
 /// so it can be correlated client-side. Only a valid id (per
 /// [`valid_request_id`]) is returned; the generated-id counter is never
-/// consumed here, keeping generated sequences identical across backends.
+/// consumed here, so sheds leave no gaps in the generated sequence.
 fn shed_request_id(frame: &[u8]) -> Option<&str> {
     let head_end = frame.windows(4).position(|w| w == b"\r\n\r\n")?;
     for line in frame[..head_end].split(|&b| b == b'\n') {
@@ -139,9 +138,9 @@ impl Driver for HttpDriver {
     }
 
     fn eof_reply(&mut self, head_complete: bool) -> Option<Vec<u8>> {
-        // Mid-header EOF answers 400 like the blocking reader; mid-body EOF
-        // closes silently (the blocking path's read_exact fails the same
-        // way).
+        // Mid-header EOF answers 400; mid-body EOF closes silently — the
+        // head was valid, so there is no protocol error to report, only an
+        // abandoned request.
         (!head_complete).then(|| error_bytes(400, "connection closed mid-header"))
     }
 
@@ -156,9 +155,9 @@ impl Driver for HttpDriver {
     }
 }
 
-fn worker_loop(rx: &Mutex<mpsc::Receiver<Job>>, state: &AppState) {
-    // One scratch per worker for its whole life — the same zero-allocation
-    // steady state the pool backend keeps.
+fn run_worker(rx: &Mutex<mpsc::Receiver<Job>>, state: &AppState) {
+    // One scratch per worker for its whole life: the coverage oracle's
+    // steady state allocates nothing.
     let mut scratch = CoverageScratch::new();
     loop {
         // Holding the lock across `recv` is the standard shared-receiver
@@ -176,10 +175,9 @@ fn worker_loop(rx: &Mutex<mpsc::Receiver<Job>>, state: &AppState) {
         let reply = match http::parse_frame(&job.frame) {
             Ok(req) => {
                 // Latency (and the queue wait measured above) record
-                // strictly after respond — same discipline as the pool
-                // backend, so a /metrics scrape never counts itself, a
-                // /debug/events tail never lists its own request, and an
-                // at-rest exposition is byte-identical across backends.
+                // strictly after respond, so a /metrics scrape never counts
+                // itself and a /debug/events tail never lists its own
+                // request.
                 let rid = request_id(state, &req);
                 let t0 = Instant::now();
                 let (status, body) = respond(state, &req, &mut scratch);
@@ -193,8 +191,7 @@ fn worker_loop(rx: &Mutex<mpsc::Receiver<Job>>, state: &AppState) {
                     t0.elapsed(),
                 );
                 let keep = !req.wants_close();
-                // 503s (degraded journal) always carry Retry-After; header
-                // order matches the pool backend byte-for-byte.
+                // 503s (degraded journal) always carry Retry-After.
                 let mut extra = vec![("x-request-id", rid.as_str())];
                 if status == 503 {
                     extra.push(("retry-after", "1"));
@@ -227,7 +224,7 @@ fn worker_loop(rx: &Mutex<mpsc::Receiver<Job>>, state: &AppState) {
     }
 }
 
-/// A running epoll backend: shard reactors + worker pool.
+/// The running transport: shard reactors + worker pool.
 pub(crate) struct EpollBackend {
     shards: Vec<JoinHandle<()>>,
     queues: Vec<Arc<ReplyQueue>>,
@@ -237,7 +234,7 @@ pub(crate) struct EpollBackend {
 impl EpollBackend {
     /// Spawns `cfg.shards` reactors over clones of `listener` and
     /// `cfg.workers` request executors. Fails with `Unsupported` where the
-    /// epoll shims don't exist (the caller falls back to the pool backend).
+    /// epoll shims don't exist.
     pub(crate) fn start(
         state: Arc<AppState>,
         cfg: &ServeConfig,
@@ -262,7 +259,7 @@ impl EpollBackend {
                     read_limit: http::MAX_HEAD + http::MAX_BODY + 1024,
                     write_backpressure: 1 << 20,
                     tick_ms: 50,
-                    idle_timeout_ms: cfg.idle_timeout_ms,
+                    idle_timeout_ms: Some(cfg.idle_timeout_ms),
                     max_conns: 65_536,
                     drain_ms: cfg.drain_ms,
                 },
@@ -275,7 +272,7 @@ impl EpollBackend {
             .map(|_| {
                 let rx = rx.clone();
                 let state = state.clone();
-                std::thread::spawn(move || worker_loop(&rx, &state))
+                std::thread::spawn(move || run_worker(&rx, &state))
             })
             .collect();
 

@@ -7,21 +7,21 @@
 //! Header and body sizes are capped so a misbehaving client cannot balloon
 //! a worker's memory.
 //!
-//! Two entry points share one head parser, so the two server backends
-//! cannot diverge on protocol semantics:
+//! Requests are cut incrementally: [`frame_request`] scans a connection's
+//! receive buffer on the reactor thread and says whether a complete
+//! request is present (and how long it is) without blocking;
+//! [`parse_frame`] then parses the complete frame on a worker thread. Both
+//! funnel into the same [`parse_head`]. The tests keep a blocking
+//! line-at-a-time reader (`read_request`) over the same `parse_head` as
+//! the obviously-sequential reference the framer must agree with on every
+//! prefix of every request.
 //!
-//! * [`read_request`] — the blocking path (pool backend, `HttpClient`
-//!   responses): pulls lines off a `BufRead` until the head completes,
-//!   then `read_exact`s the body.
-//! * [`frame_request`] + [`parse_frame`] — the incremental path (epoll
-//!   backend): [`frame_request`] scans a connection's receive buffer and
-//!   says whether a complete request is present (and how long it is)
-//!   without blocking; [`parse_frame`] then parses the complete frame on a
-//!   worker thread. Both funnel into the same [`parse_head`], so a given
-//!   byte stream yields the same request — or the same error status — on
-//!   either backend.
+//! Responses are encoded into a byte vector ([`encode_response`] and
+//! friends) that the reactor writes out.
 
-use std::io::{self, BufRead, Write};
+use std::io::Write;
+#[cfg(test)]
+use std::io::{self, BufRead};
 
 /// Longest accepted request head (request line + headers), bytes.
 pub const MAX_HEAD: usize = 64 * 1024;
@@ -77,6 +77,7 @@ impl Request {
 }
 
 /// Outcome of reading one request off a connection.
+#[cfg(test)]
 pub enum ReadOutcome {
     /// A complete request.
     Ok(Request),
@@ -91,8 +92,8 @@ pub enum ReadOutcome {
 /// Parses a completed head (request line + header lines, terminators
 /// stripped) into a body-less [`Request`] plus the declared
 /// `Content-Length`. This is the single source of truth for head
-/// semantics: both the blocking reader and the incremental framer call it,
-/// with identical error statuses.
+/// semantics: the framer, the frame parser, and the blocking reference
+/// reader in the tests all call it, with identical error statuses.
 fn parse_head(lines: &[Vec<u8>]) -> Result<(Request, Option<usize>), (u16, String)> {
     let request_line = String::from_utf8_lossy(&lines[0]).into_owned();
     let mut parts = request_line.split_ascii_whitespace();
@@ -163,8 +164,8 @@ fn parse_head(lines: &[Vec<u8>]) -> Result<(Request, Option<usize>), (u16, Strin
 ///   parsing strictly would frame differently (`+7` → error vs 7). Only
 ///   ASCII digits are accepted here.
 ///
-/// Both server backends funnel through this one function, so the rejects
-/// are byte-identical on the wire.
+/// Framing and parsing both funnel through this one function, so a reject
+/// is decided once, before any body byte is read.
 fn parse_content_length(req: &Request) -> Result<Option<usize>, (u16, String)> {
     let mut resolved: Option<(&str, usize)> = None;
     for (name, value) in &req.headers {
@@ -197,7 +198,9 @@ fn parse_content_length(req: &Request) -> Result<Option<usize>, (u16, String)> {
     }
 }
 
-/// Reads one HTTP/1.1 request from `stream`.
+/// Reads one HTTP/1.1 request from `stream`: the blocking reference the
+/// incremental framer is tested against.
+#[cfg(test)]
 pub fn read_request<R: BufRead>(stream: &mut R) -> io::Result<ReadOutcome> {
     // Request line + headers, byte-capped (including any single oversized
     // line — the budget is bytes consumed so far, not line count).
@@ -348,9 +351,9 @@ fn scan_head(buf: &[u8]) -> HeadScan {
 }
 
 /// Decides, without blocking or consuming, whether `buf` starts with a
-/// complete HTTP/1.1 request. Used by the epoll backend's reactor to cut
-/// frames off a connection's receive buffer; the statuses match
-/// [`read_request`] byte by byte.
+/// complete HTTP/1.1 request. Used by the reactor to cut frames off a
+/// connection's receive buffer; the statuses match the blocking reference
+/// reader's byte by byte.
 ///
 /// Cost discipline (this runs on the reactor thread, once per readiness
 /// event): while the head is incomplete the call is a single
@@ -416,6 +419,7 @@ pub fn parse_frame(frame: &[u8]) -> Result<Request, (u16, String)> {
 /// Reads one CRLF- (or bare-LF-) terminated line into `out` (terminator
 /// stripped). Returns bytes consumed; 0 means EOF. Errors if the line
 /// exceeds `limit`.
+#[cfg(test)]
 fn read_line_crlf<R: BufRead>(
     stream: &mut R,
     out: &mut Vec<u8>,
@@ -449,78 +453,29 @@ fn read_line_crlf<R: BufRead>(
     }
 }
 
-/// Writes a JSON response. `keep_alive` controls the `Connection` header;
-/// the caller decides whether to actually keep reading.
-pub fn write_response<W: Write>(
-    stream: &mut W,
-    status: u16,
-    body: &[u8],
-    keep_alive: bool,
-) -> io::Result<()> {
-    write_response_with(stream, status, body, keep_alive, &[])
-}
-
-/// [`write_response`] plus caller-supplied extra headers (name must be
-/// lowercase; emitted between the fixed headers and the blank line). Used
-/// for `Retry-After` on overload sheds.
-pub fn write_response_with<W: Write>(
-    stream: &mut W,
-    status: u16,
-    body: &[u8],
-    keep_alive: bool,
-    extra: &[(&str, &str)],
-) -> io::Result<()> {
-    write_response_ct(stream, status, "application/json", body, keep_alive, extra)
-}
-
-/// The fully general response writer: JSON callers go through
-/// [`write_response_with`] (which pins the historical `application/json`
-/// header bytes); `GET /metrics` supplies the Prometheus exposition
-/// content type.
-pub fn write_response_ct<W: Write>(
-    stream: &mut W,
-    status: u16,
-    content_type: &str,
-    body: &[u8],
-    keep_alive: bool,
-    extra: &[(&str, &str)],
-) -> io::Result<()> {
-    write!(
-        stream,
-        "HTTP/1.1 {status} {}\r\ncontent-type: {content_type}\r\ncontent-length: {}\r\nconnection: {}\r\n",
-        reason(status),
-        body.len(),
-        if keep_alive { "keep-alive" } else { "close" },
-    )?;
-    for (name, value) in extra {
-        write!(stream, "{name}: {value}\r\n")?;
-    }
-    stream.write_all(b"\r\n")?;
-    stream.write_all(body)?;
-    stream.flush()
-}
-
-/// [`write_response`] into a fresh byte vector — the form worker threads
-/// hand back to the reactor as a [`Reply`](atpm_net::Reply).
+/// Encodes a JSON response — the form worker threads hand back to the
+/// reactor as a [`Reply`](atpm_net::Reply). `keep_alive` controls the
+/// `Connection` header; the caller decides whether to actually keep
+/// reading.
 pub fn encode_response(status: u16, body: &[u8], keep_alive: bool) -> Vec<u8> {
     encode_response_with(status, body, keep_alive, &[])
 }
 
-/// [`encode_response`] with extra headers (see [`write_response_with`]).
+/// [`encode_response`] plus caller-supplied extra headers (name must be
+/// lowercase; emitted between the fixed headers and the blank line). Used
+/// for `X-Request-Id` and for `Retry-After` on 503s.
 pub fn encode_response_with(
     status: u16,
     body: &[u8],
     keep_alive: bool,
     extra: &[(&str, &str)],
 ) -> Vec<u8> {
-    let mut out = Vec::with_capacity(body.len() + 96);
-    write_response_with(&mut out, status, body, keep_alive, extra)
-        .expect("writing to a Vec cannot fail");
-    out
+    encode_response_ct(status, "application/json", body, keep_alive, extra)
 }
 
-/// [`encode_response`] with an explicit content type (see
-/// [`write_response_ct`]).
+/// The fully general response encoder: JSON callers go through
+/// [`encode_response_with`] (which pins the `application/json` header
+/// bytes); `GET /metrics` supplies the Prometheus exposition content type.
 pub fn encode_response_ct(
     status: u16,
     content_type: &str,
@@ -529,8 +484,19 @@ pub fn encode_response_ct(
     extra: &[(&str, &str)],
 ) -> Vec<u8> {
     let mut out = Vec::with_capacity(body.len() + 96);
-    write_response_ct(&mut out, status, content_type, body, keep_alive, extra)
-        .expect("writing to a Vec cannot fail");
+    write!(
+        out,
+        "HTTP/1.1 {status} {}\r\ncontent-type: {content_type}\r\ncontent-length: {}\r\nconnection: {}\r\n",
+        reason(status),
+        body.len(),
+        if keep_alive { "keep-alive" } else { "close" },
+    )
+    .expect("writing to a Vec cannot fail");
+    for (name, value) in extra {
+        write!(out, "{name}: {value}\r\n").expect("writing to a Vec cannot fail");
+    }
+    out.extend_from_slice(b"\r\n");
+    out.extend_from_slice(body);
     out
 }
 
@@ -746,18 +712,19 @@ mod tests {
 
     #[test]
     fn response_wire_format() {
-        let mut out = Vec::new();
-        write_response(&mut out, 200, b"{}", true).unwrap();
-        let text = String::from_utf8(out).unwrap();
+        let text = String::from_utf8(encode_response(200, b"{}", true)).unwrap();
         assert!(text.starts_with("HTTP/1.1 200 OK\r\n"));
         assert!(text.contains("content-length: 2\r\n"));
         assert!(text.contains("connection: keep-alive\r\n"));
         assert!(text.ends_with("\r\n\r\n{}"));
+        let closing = String::from_utf8(encode_response(410, b"{}", false)).unwrap();
+        assert!(closing.starts_with("HTTP/1.1 410 Gone\r\n"));
+        assert!(closing.contains("connection: close\r\n"));
     }
 
     #[test]
     fn framer_matches_blocking_reader_on_every_prefix() {
-        // The equivalence property the two backends rest on: for any byte
+        // The framer's equivalence with the blocking reference: for any byte
         // stream, the incremental framer must (a) stay Partial on every
         // strict prefix of a request, (b) cut the same frame the blocking
         // reader consumes, and (c) produce the same parse.
@@ -855,14 +822,6 @@ mod tests {
             frame_request(post),
             FrameStatus::Complete { len } if len == post.len()
         ));
-    }
-
-    #[test]
-    fn encode_response_matches_write_response() {
-        let mut via_writer = Vec::new();
-        write_response(&mut via_writer, 410, b"{}", false).unwrap();
-        assert_eq!(encode_response(410, b"{}", false), via_writer);
-        assert!(String::from_utf8(via_writer).unwrap().contains("410 Gone"));
     }
 
     #[test]

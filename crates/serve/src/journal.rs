@@ -237,8 +237,7 @@ impl Record {
             "next_batch" => Ok(Record::NextBatch {
                 token: token(v)?,
                 seeds: nodes_field(v, "seeds")?,
-                k: v
-                    .get("k")
+                k: v.get("k")
                     .and_then(Json::as_u64)
                     .ok_or_else(|| ApiError::bad_request("next_batch record missing 'k'"))?
                     as usize,
@@ -247,12 +246,14 @@ impl Record {
                     .and_then(Json::as_bool)
                     .ok_or_else(|| ApiError::bad_request("next_batch record missing 'done'"))?,
             }),
-            "observe_batch" => Ok(Record::ObserveBatch {
-                token: token(v)?,
-                req: ObserveBatchReq::from_json(v.get("req").ok_or_else(|| {
-                    ApiError::bad_request("observe_batch record missing 'req'")
-                })?)?,
-            }),
+            "observe_batch" => {
+                Ok(Record::ObserveBatch {
+                    token: token(v)?,
+                    req: ObserveBatchReq::from_json(v.get("req").ok_or_else(|| {
+                        ApiError::bad_request("observe_batch record missing 'req'")
+                    })?)?,
+                })
+            }
             "delete" => Ok(Record::Delete { token: token(v)? }),
             other => Err(ApiError::bad_request(format!(
                 "unknown journal op '{other}'"
@@ -585,8 +586,7 @@ impl RoundRec {
     fn from_json(v: &Json) -> Result<RoundRec, ApiError> {
         if let Some(req) = v.get("req") {
             return Ok(RoundRec {
-                k: v
-                    .get("k")
+                k: v.get("k")
                     .and_then(Json::as_u64)
                     .ok_or_else(|| ApiError::bad_request("round missing 'k'"))?
                     as usize,

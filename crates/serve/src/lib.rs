@@ -22,14 +22,11 @@
 //!   With a [`journal`] attached, every committed transition is appended
 //!   to an `ATPMJNL1` checksummed log and replayed on restart, so a crash
 //!   loses at most the record being written;
-//! * [`server`] — two transport backends behind one [`server::Server`]:
-//!   the default **epoll** backend (reactor shards from `atpm-net`
-//!   multiplexing any number of keep-alive connections over a small worker
-//!   pool) and the original fixed accept **pool** (one blocking worker per
-//!   connection, kept as the differential oracle). Both share the same
-//!   router, the same per-worker reusable [`atpm_ris::CoverageScratch`],
-//!   and the same [`http`] parser and [`json`] codec underneath, so their
-//!   wire behavior is identical — including `GET /metrics`, the Prometheus
+//! * [`server`] — the router and the [`server::Server`] transport:
+//!   reactor shards from `atpm-net` multiplexing any number of keep-alive
+//!   connections over a small worker pool, each worker with its own
+//!   reusable [`atpm_ris::CoverageScratch`], over the [`http`] framer and
+//!   [`json`] codec. Its routes include `GET /metrics`, the Prometheus
 //!   text exposition of the server's [`metrics`] registry (latency
 //!   histograms, overload/lifecycle counters, journal timings) merged with
 //!   the process-global registry (RIS/MC stage timers from `atpm-obs`).
@@ -83,5 +80,5 @@ pub use json::Json;
 pub use manager::SessionManager;
 pub use metrics::ServeMetrics;
 pub use protocol::{ApiError, CreateSessionReq, Ledger, ObserveReq, PolicySpec, SnapshotReq};
-pub use server::{AppState, Backend, ServeConfig, Server};
+pub use server::{AppState, ServeConfig, Server};
 pub use snapshot::{Snapshot, SnapshotStore};

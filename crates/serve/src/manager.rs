@@ -46,8 +46,8 @@
 //! past a TTL — abandoned runs would otherwise pin their suspended
 //! residual graph forever. Evicted tokens leave a bounded tombstone so
 //! later requests get an honest `410 Gone` instead of a confusable 404.
-//! The sweep is driven by the epoll backend's reactor tick (or a helper
-//! thread under the pool backend); the manager itself never spawns.
+//! The sweep is driven by the server's reactor tick; the manager itself
+//! never spawns.
 
 use std::collections::{HashMap, VecDeque};
 use std::io;
@@ -221,8 +221,7 @@ pub struct SessionManager {
 }
 
 /// Journal health as reported on `/healthz`. A manager without a journal
-/// reports the inert defaults, so the pool/epoll differential oracle stays
-/// byte-identical.
+/// reports the inert defaults, so the body has the same fields either way.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JournalStats {
     /// Active segment size in bytes.
@@ -1096,8 +1095,14 @@ mod tests {
         let a = drive_to_completion(&m, &single);
         let b = drive_batched(&m, &batched, 4);
         assert_eq!(
-            a.selected.iter().copied().collect::<std::collections::HashSet<_>>(),
-            b.selected.iter().copied().collect::<std::collections::HashSet<_>>(),
+            a.selected
+                .iter()
+                .copied()
+                .collect::<std::collections::HashSet<_>>(),
+            b.selected
+                .iter()
+                .copied()
+                .collect::<std::collections::HashSet<_>>(),
             "DeployAll takes every remaining target either way"
         );
         assert_eq!(a.profit.to_bits(), b.profit.to_bits());
@@ -1409,11 +1414,8 @@ mod tests {
             m.attach_journal(Arc::new(journal));
             let token = create(&m, PolicySpec::DeployAll, 13);
             let first = m.next_batch(&token, 3).unwrap();
-            m.observe_batch(
-                &token,
-                &ObserveBatchReq::Simulate { seeds: first.seeds },
-            )
-            .unwrap();
+            m.observe_batch(&token, &ObserveBatchReq::Simulate { seeds: first.seeds })
+                .unwrap();
             let pending = m.next_batch(&token, 3).unwrap().seeds;
             (token, pending)
         };

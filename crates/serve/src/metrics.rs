@@ -13,15 +13,13 @@
 //! one ([`atpm_obs::global`]), which is where library crates with no
 //! registry to hand (RIS stage timers, Monte-Carlo lane timers) register.
 //!
-//! ## Recording discipline (pool/epoll byte-identity)
+//! ## Recording discipline
 //!
-//! Both backends record request metrics strictly *after*
+//! Workers record request metrics strictly *after*
 //! [`respond`](crate::server::respond) returns — and the exposition is
 //! rendered *inside* respond — so the scrape request is never counted in
-//! its own output. Combined with the pool backend mirroring the reactor's
-//! connection counters at equivalent points (accept, pre-dispatch, close),
-//! a fresh server's first `/metrics` response is byte-identical across
-//! backends, the same differential-oracle property `/healthz` has.
+//! its own output: a fresh server's first `/metrics` response shows one
+//! accepted connection, one dispatch, and empty latency histograms.
 
 use std::sync::{Arc, Weak};
 use std::time::Instant;
@@ -88,11 +86,9 @@ pub struct ServeMetrics {
     /// The per-server registry rendered (merged with the global one) by
     /// `GET /metrics`.
     pub registry: Registry,
-    /// Connection-plane counters shared with the reactor shards (and
-    /// mirrored by the pool backend at equivalent points).
+    /// Connection-plane counters shared with the reactor shards.
     pub net: Arc<NetMetrics>,
-    /// Jobs accepted but not yet picked up by a worker (epoll backend; the
-    /// pool backend's queue is the kernel accept backlog, so it stays 0).
+    /// Jobs dispatched by a reactor but not yet picked up by a worker.
     pub queue_depth: Arc<Gauge>,
     /// Shed threshold: dispatches at `queue_depth >= max_queue` answer
     /// `503 Retry-After`. 0 disables.
@@ -113,7 +109,7 @@ pub struct ServeMetrics {
     pub request_seconds: Arc<Histogram>,
     /// Wall time of `respond` per request, split by [`ROUTE_KEYS`].
     pub route_seconds: [Arc<Histogram>; ROUTE_KEYS.len()],
-    /// Dispatch → worker-pickup wait (epoll backend only).
+    /// Dispatch → worker-pickup wait.
     pub queue_wait_seconds: Arc<Histogram>,
     /// One journal record append (write + flush).
     pub journal_append_seconds: Arc<Histogram>,
@@ -188,7 +184,7 @@ impl ServeMetrics {
             route_seconds,
             queue_wait_seconds: registry.histogram(
                 "atpm_http_queue_wait_seconds",
-                "Dispatch-to-worker-pickup wait (epoll backend), seconds",
+                "Dispatch-to-worker-pickup wait, seconds",
             ),
             journal_append_seconds: registry.histogram(
                 "atpm_journal_append_seconds",
@@ -263,9 +259,9 @@ impl ServeMetrics {
     }
 
     /// Records one completed request (started at `t0`, just returned from
-    /// `respond`) into the whole-server and per-route histograms. Both
-    /// backends call this strictly after `respond`, which is what keeps a
-    /// scrape from counting itself.
+    /// `respond`) into the whole-server and per-route histograms. Workers
+    /// call this strictly after `respond`, which is what keeps a scrape
+    /// from counting itself.
     pub fn record_request(&self, method: &str, path: &str, t0: Instant) {
         let dur = t0.elapsed();
         self.request_seconds.record_duration(dur);
@@ -297,7 +293,11 @@ mod tests {
             ("POST", "/sessions/s1/next", "session_next"),
             ("POST", "/sessions/s1/next_batch", "session_next_batch"),
             ("POST", "/sessions/s1/observe", "session_observe"),
-            ("POST", "/sessions/s1/observe_batch", "session_observe_batch"),
+            (
+                "POST",
+                "/sessions/s1/observe_batch",
+                "session_observe_batch",
+            ),
             ("GET", "/sessions/s1/ledger", "session_ledger"),
             ("DELETE", "/sessions/s1", "session_delete"),
             ("GET", "/debug/profile", "debug_profile"),

@@ -1,28 +1,22 @@
 //! The TCP front end: the path router, the shared application state, and
-//! two interchangeable transport backends behind one [`Server`] type.
+//! the [`Server`] that runs them over the epoll transport.
 //!
-//! * [`Backend::Epoll`] (default) — reactor shards from `atpm-net`
-//!   multiplex any number of keep-alive connections over a small worker
-//!   pool (see [`crate::epoll`]). Connection count and worker count are
-//!   decoupled: thousands of mostly-idle campaign clients cost fds, not
-//!   threads.
-//! * [`Backend::Pool`] — the original fixed accept pool: each worker
-//!   `accept`s on the shared listener and owns one connection for its
-//!   keep-alive lifetime. One idle client pins one worker, so it scales to
-//!   `workers` concurrent connections and no further — kept as the simple,
-//!   obviously-correct differential oracle for the reactor
-//!   (`tests/http_edge_cases.rs` scripts both and compares bytes).
+//! Reactor shards from `atpm-net` multiplex any number of keep-alive
+//! connections over a small worker pool (see [`crate::epoll`]). Connection
+//! count and worker count are decoupled: thousands of mostly-idle campaign
+//! clients cost fds, not threads. The transport needs the `atpm-net` epoll
+//! shims (Linux x86_64/aarch64); elsewhere [`Server::start`] fails with
+//! `Unsupported`.
 //!
-//! Either way each executing thread owns a [`CoverageScratch`] for the
-//! lifetime of the process: estimate queries against a snapshot's
-//! pre-frozen RR index reuse it across requests, so the steady-state read
-//! path performs zero heap allocation in the coverage oracle (the same
-//! discipline the RIS engine enforces in-process). Concurrency across
-//! *sessions* comes from the per-session locks in [`SessionManager`].
+//! Each worker thread owns a [`CoverageScratch`] for the lifetime of the
+//! process: estimate queries against a snapshot's pre-frozen RR index
+//! reuse it across requests, so the steady-state read path performs zero
+//! heap allocation in the coverage oracle (the same discipline the RIS
+//! engine enforces in-process). Concurrency across *sessions* comes from
+//! the per-session locks in [`SessionManager`].
 
-use std::collections::HashMap;
-use std::io::{self, BufReader};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::io;
+use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -31,9 +25,8 @@ use std::time::{Duration, Instant};
 use atpm_obs::tracer;
 use atpm_ris::CoverageScratch;
 
-use crate::http::{
-    read_request, write_response, write_response_ct, write_response_with, ReadOutcome, Request,
-};
+use crate::epoll::EpollBackend;
+use crate::http::Request;
 use crate::journal::{FsyncPolicy, Journal, RealIo};
 use crate::json::Json;
 use crate::manager::SessionManager;
@@ -58,8 +51,8 @@ pub struct AppState {
     pub events: Arc<atpm_obs::EventLog>,
     /// Generated `X-Request-Id` sequence. Consumed only for *parsed*
     /// requests that arrive without a usable client id — never for
-    /// malformed input or shed jobs — so fresh-boot id sequences are
-    /// byte-identical across the pool and epoll backends.
+    /// malformed input or shed jobs — so a fresh server numbers its
+    /// answered requests `0, 1, 2, ...` with no gaps from rejects.
     request_seq: AtomicU64,
 }
 
@@ -86,8 +79,8 @@ impl AppState {
 /// The request's diagnostic id: the client's `X-Request-Id` when it is
 /// usable (non-empty, ≤ 64 bytes, RFC 7230 token characters only — it is
 /// echoed into a response header, so anything that could smuggle header
-/// syntax is refused), else the next generated `req-{seq:016x}`. Both
-/// backends call this once per parsed request, before `respond`.
+/// syntax is refused), else the next generated `req-{seq:016x}`. Workers
+/// call this once per parsed request, before `respond`.
 pub(crate) fn request_id(state: &AppState, req: &Request) -> String {
     if let Some(id) = req.header("x-request-id") {
         if valid_request_id(id) {
@@ -143,14 +136,13 @@ pub fn route(
     }
     match (method, segments.as_slice()) {
         ("GET", ["healthz"]) => {
-            // Reads the same registry atomics /metrics exports; the body
-            // stays byte-identical to the pre-registry format (field order
-            // and JSON shapes are pinned by the pool/epoll differential
-            // tests).
+            // Reads the same registry atomics /metrics exports. Field
+            // order and JSON shapes are pinned by the golden transcripts
+            // in tests/http_edge_cases.rs.
             let m = &state.metrics;
             // Journal fields are always present — a journal-less manager
-            // reports inert defaults, so the pool/epoll differential
-            // oracle stays byte-identical.
+            // reports inert defaults — so the body has one shape for
+            // every configuration.
             let js = state.manager.journal_stats();
             Ok((
                 200,
@@ -294,8 +286,8 @@ pub(crate) enum RespBody {
 }
 
 /// Runs `route` on a raw request, folding parse failures and `ApiError`s
-/// into JSON error responses. Shared by both backends — the pool workers
-/// call it inline, the epoll workers via [`crate::epoll`].
+/// into JSON error responses. Called by the epoll workers in
+/// [`crate::epoll`].
 ///
 /// `GET /metrics` is intercepted here, before the JSON router: the
 /// exposition is plain text, and rendering it inside `respond` (while
@@ -337,7 +329,7 @@ pub(crate) fn respond(
         Ok(body) => {
             // A panicking handler (policy assertion, arithmetic bug) must
             // cost one request, not the worker thread — an unwound worker
-            // silently shrinks the accept pool until the server is deaf.
+            // silently shrinks the worker pool until the server is deaf.
             // The panicked session quarantines itself: its state was taken
             // and not restored, so later calls on it get a clean 500.
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -397,48 +389,15 @@ fn debug_profile(req: &Request) -> (u16, RespBody) {
     }
 }
 
-/// Transport backend selection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Backend {
-    /// Fixed accept pool: one blocking worker per live connection.
-    Pool,
-    /// Readiness reactor shards over `atpm-net`: connections multiplexed,
-    /// workers execute requests.
-    Epoll,
-}
-
-impl Backend {
-    /// Parses a `--backend` flag value.
-    pub fn parse(s: &str) -> Option<Backend> {
-        match s {
-            "pool" => Some(Backend::Pool),
-            "epoll" => Some(Backend::Epoll),
-            _ => None,
-        }
-    }
-
-    /// The flag spelling.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Backend::Pool => "pool",
-            Backend::Epoll => "epoll",
-        }
-    }
-}
-
 /// Server configuration.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Bind address; port 0 picks an ephemeral port.
     pub addr: String,
-    /// Request-executing threads. Under [`Backend::Pool`] this is also the
-    /// cap on concurrently served connections; under [`Backend::Epoll`]
-    /// connection count is independent of it.
+    /// Request-executing threads. Connection count is independent of it.
     pub workers: usize,
-    /// Transport backend.
-    pub backend: Backend,
-    /// Reactor shards (epoll backend only): event-loop threads sharing the
-    /// listener via `EPOLLEXCLUSIVE`.
+    /// Reactor shards: event-loop threads sharing the listener via
+    /// `EPOLLEXCLUSIVE`.
     pub shards: usize,
     /// Evict sessions idle this long, answering later requests with
     /// `410 Gone`. `None` keeps sessions forever.
@@ -448,14 +407,10 @@ pub struct ServeConfig {
     /// Snapshot-store LRU budget in bytes; `None` is unbounded.
     pub snapshot_budget_bytes: Option<usize>,
     /// Close *connections* (not sessions) idle this long — slowloris
-    /// hygiene, epoll backend only. Defaults to 60 s. `None` keeps
-    /// connections forever, which is what the pool backend does: turn it
-    /// off when byte-identical behavior with the pool oracle matters
-    /// (an idle connection reaped here stays open there).
-    pub idle_timeout_ms: Option<u64>,
+    /// hygiene. Defaults to 60 s.
+    pub idle_timeout_ms: u64,
     /// Shed dispatches with `503 Retry-After` once this many jobs are
-    /// queued ahead of the workers (epoll backend only; the pool backend's
-    /// queue is the kernel accept backlog). 0 disables shedding.
+    /// queued ahead of the workers. 0 disables shedding.
     pub max_queue: usize,
     /// Append committed session transitions to this journal and replay it
     /// (checkpoint + segment tail) on start. `None` keeps sessions
@@ -472,7 +427,7 @@ pub struct ServeConfig {
     /// (the journal grows without bound, as before).
     pub checkpoint_every_ms: u64,
     /// On shutdown, give in-flight requests this long to finish writing
-    /// before connections are torn down (epoll backend only).
+    /// before connections are torn down.
     pub drain_ms: u64,
     /// Enable the process tracer at boot and dump Chrome trace-event JSON
     /// (Perfetto / `chrome://tracing` loadable) to this path on shutdown.
@@ -494,12 +449,11 @@ impl Default for ServeConfig {
         ServeConfig {
             addr: "127.0.0.1:0".to_string(),
             workers: 4,
-            backend: Backend::Epoll,
             shards: 2,
             session_ttl_ms: None,
             sweep_every_ms: 1_000,
             snapshot_budget_bytes: None,
-            idle_timeout_ms: Some(60_000),
+            idle_timeout_ms: 60_000,
             max_queue: 1_024,
             journal_path: None,
             fsync: FsyncPolicy::default(),
@@ -512,59 +466,12 @@ impl Default for ServeConfig {
     }
 }
 
-/// Live connections, so shutdown can interrupt workers parked in a
-/// keep-alive read (a worker blocked on an idle client would otherwise
-/// never observe the stop flag and `join` would deadlock).
-#[derive(Default)]
-struct ConnRegistry {
-    map: Mutex<HashMap<u64, TcpStream>>,
-    next: AtomicU64,
-}
-
-impl ConnRegistry {
-    fn register(&self, stream: &TcpStream) -> u64 {
-        let id = self.next.fetch_add(1, Ordering::Relaxed);
-        if let Ok(clone) = stream.try_clone() {
-            self.map
-                .lock()
-                .expect("conn registry poisoned")
-                .insert(id, clone);
-        }
-        id
-    }
-
-    fn deregister(&self, id: u64) {
-        self.map.lock().expect("conn registry poisoned").remove(&id);
-    }
-
-    fn close_all(&self) {
-        for stream in self.map.lock().expect("conn registry poisoned").values() {
-            let _ = stream.shutdown(Shutdown::Both);
-        }
-    }
-}
-
-/// The running transport behind a [`Server`].
-enum ServerBackend {
-    Pool {
-        conns: Arc<ConnRegistry>,
-        workers: Vec<JoinHandle<()>>,
-        /// Session-expiry sweeper (the epoll backend sweeps from its
-        /// reactor tick instead).
-        sweeper: Option<JoinHandle<()>>,
-    },
-    Epoll(crate::epoll::EpollBackend),
-}
-
 /// A running server; dropping it (or calling [`shutdown`](Server::shutdown))
 /// stops the workers.
 pub struct Server {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
-    backend: ServerBackend,
-    /// Which backend actually started (epoll falls back to pool on
-    /// platforms without the syscall shims).
-    effective: Backend,
+    backend: EpollBackend,
     /// Kept so shutdown can raise `draining` and fsync the journal after
     /// the last worker exits.
     state: Arc<AppState>,
@@ -583,8 +490,8 @@ pub struct Server {
 }
 
 impl Server {
-    /// Binds and starts the configured backend. On platforms without epoll
-    /// support, [`Backend::Epoll`] transparently falls back to the pool.
+    /// Binds and starts the reactor shards and workers. Fails with
+    /// `Unsupported` on platforms without the `atpm-net` epoll shims.
     ///
     /// With [`ServeConfig::journal_path`] set, the journal is opened (and
     /// replayed into the session manager) before the first connection is
@@ -648,6 +555,7 @@ impl Server {
             state.manager.attach_journal(Arc::new(journal));
             state.metrics.recovered_sessions.add(recovered as u64);
         }
+        let backend = EpollBackend::start(state.clone(), cfg, &listener, stop.clone())?;
         let checkpointer = (cfg.journal_path.is_some() && cfg.checkpoint_every_ms > 0).then(|| {
             let state = state.clone();
             let stop = stop.clone();
@@ -690,107 +598,21 @@ impl Server {
                 }
             })
         });
-        if cfg.backend == Backend::Epoll {
-            match crate::epoll::EpollBackend::start(state.clone(), cfg, &listener, stop.clone()) {
-                Ok(backend) => {
-                    return Ok(Server {
-                        addr,
-                        stop,
-                        backend: ServerBackend::Epoll(backend),
-                        effective: Backend::Epoll,
-                        state,
-                        trace_path: cfg.trace_path.clone(),
-                        profile_path,
-                        checkpointer,
-                        durability_error: None,
-                    })
-                }
-                Err(e) if e.kind() == io::ErrorKind::Unsupported => {
-                    eprintln!("# epoll backend unsupported on this platform; using pool");
-                    // The listener was switched nonblocking by the failed
-                    // reactor attempt only if construction got that far;
-                    // restore blocking mode for the pool workers.
-                    listener.set_nonblocking(false)?;
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        Ok(Self::start_pool(
-            state,
-            cfg,
-            listener,
+        Ok(Server {
             addr,
             stop,
-            profile_path,
-            checkpointer,
-        ))
-    }
-
-    fn start_pool(
-        state: Arc<AppState>,
-        cfg: &ServeConfig,
-        listener: TcpListener,
-        addr: SocketAddr,
-        stop: Arc<AtomicBool>,
-        profile_path: Option<String>,
-        checkpointer: Option<JoinHandle<()>>,
-    ) -> Server {
-        let conns = Arc::new(ConnRegistry::default());
-        let workers = (0..cfg.workers.max(1))
-            .map(|_| {
-                let listener = listener.try_clone().expect("clone listener");
-                let state = state.clone();
-                let stop = stop.clone();
-                let conns = conns.clone();
-                std::thread::spawn(move || worker_loop(&listener, &state, &stop, &conns))
-            })
-            .collect();
-        let sweeper = cfg.session_ttl_ms.map(|ttl| {
-            let state = state.clone();
-            let stop = stop.clone();
-            let period = std::time::Duration::from_millis(cfg.sweep_every_ms.max(1));
-            std::thread::spawn(move || {
-                while !stop.load(Ordering::SeqCst) {
-                    // Sleep in short slices so shutdown isn't gated on the
-                    // sweep period.
-                    let mut slept = std::time::Duration::ZERO;
-                    while slept < period && !stop.load(Ordering::SeqCst) {
-                        let slice = std::time::Duration::from_millis(50).min(period - slept);
-                        std::thread::sleep(slice);
-                        slept += slice;
-                    }
-                    if stop.load(Ordering::SeqCst) {
-                        return;
-                    }
-                    state.manager.sweep_expired(ttl);
-                }
-            })
-        });
-        Server {
-            addr,
-            stop,
-            backend: ServerBackend::Pool {
-                conns,
-                workers,
-                sweeper,
-            },
-            effective: Backend::Pool,
+            backend,
             state,
             trace_path: cfg.trace_path.clone(),
             profile_path,
             checkpointer,
             durability_error: None,
-        }
+        })
     }
 
     /// The bound address (with the resolved ephemeral port).
     pub fn addr(&self) -> SocketAddr {
         self.addr
-    }
-
-    /// The backend actually serving (after any platform fallback).
-    pub fn backend(&self) -> Backend {
-        self.effective
     }
 
     /// The shutdown durability barrier's failure, if the final journal
@@ -801,7 +623,7 @@ impl Server {
         self.durability_error.as_ref()
     }
 
-    /// Stops accepting, drains in-flight work (epoll backend, up to
+    /// Stops accepting, drains in-flight work (up to
     /// [`ServeConfig::drain_ms`]), joins every thread, and fsyncs the
     /// journal. Idempotent.
     pub fn shutdown(&mut self) {
@@ -809,27 +631,7 @@ impl Server {
             return;
         }
         self.state.metrics.draining.set(1);
-        match &mut self.backend {
-            ServerBackend::Pool {
-                conns,
-                workers,
-                sweeper,
-            } => {
-                // Workers mid-connection: yank the socket from under the read.
-                conns.close_all();
-                // Workers parked in accept(): poke them awake.
-                for _ in 0..workers.len() {
-                    let _ = TcpStream::connect(self.addr);
-                }
-                for handle in workers.drain(..) {
-                    let _ = handle.join();
-                }
-                if let Some(handle) = sweeper.take() {
-                    let _ = handle.join();
-                }
-            }
-            ServerBackend::Epoll(backend) => backend.shutdown(),
-        }
+        self.backend.shutdown();
         if let Some(handle) = self.checkpointer.take() {
             let _ = handle.join();
         }
@@ -863,98 +665,6 @@ impl Server {
 impl Drop for Server {
     fn drop(&mut self) {
         self.shutdown();
-    }
-}
-
-fn worker_loop(listener: &TcpListener, state: &AppState, stop: &AtomicBool, conns: &ConnRegistry) {
-    // One scratch per worker, reused across every request it ever serves.
-    let mut scratch = CoverageScratch::new();
-    while !stop.load(Ordering::SeqCst) {
-        let Ok((stream, _)) = listener.accept() else {
-            continue;
-        };
-        if stop.load(Ordering::SeqCst) {
-            return;
-        }
-        let id = conns.register(&stream);
-        // Re-check after registering: a shutdown between accept and register
-        // would have missed this connection in close_all.
-        if stop.load(Ordering::SeqCst) {
-            let _ = stream.shutdown(Shutdown::Both);
-            conns.deregister(id);
-            return;
-        }
-        // Mirror the reactor's connection counters at the equivalent
-        // points (accept here, close below) so the two backends' /metrics
-        // bodies agree at rest.
-        state.metrics.net.accepts.inc();
-        let _ = serve_connection(stream, state, stop, &mut scratch);
-        state.metrics.net.conns_closed.inc();
-        conns.deregister(id);
-    }
-}
-
-fn serve_connection(
-    stream: TcpStream,
-    state: &AppState,
-    stop: &AtomicBool,
-    scratch: &mut CoverageScratch,
-) -> io::Result<()> {
-    stream.set_nodelay(true).ok();
-    let mut writer = stream.try_clone()?;
-    let mut reader = BufReader::new(stream);
-    loop {
-        if stop.load(Ordering::SeqCst) {
-            return Ok(());
-        }
-        match read_request(&mut reader)? {
-            ReadOutcome::Closed => return Ok(()),
-            ReadOutcome::Malformed(status, message) => {
-                let body = Json::obj([("error", Json::Str(message))]).encode();
-                write_response(&mut writer, status, body.as_bytes(), false)?;
-                return Ok(());
-            }
-            ReadOutcome::Ok(req) => {
-                // `dispatches` counts before respond (the reactor counts at
-                // job dispatch); request latency and the event record land
-                // strictly after, so a /metrics or /debug/events response
-                // never observes itself.
-                state.metrics.net.dispatches.inc();
-                let rid = request_id(state, &req);
-                let t0 = Instant::now();
-                let (status, body) = respond(state, &req, scratch);
-                state.metrics.record_request(&req.method, &req.path, t0);
-                state.events.record(
-                    "http",
-                    &rid,
-                    &format!("{} {}", req.method, req.path),
-                    status,
-                    t0.elapsed(),
-                );
-                let keep = !req.wants_close();
-                // 503s (shed, degraded journal) always carry Retry-After;
-                // header order matches the epoll worker byte-for-byte.
-                let mut extra = vec![("x-request-id", rid.as_str())];
-                if status == 503 {
-                    extra.push(("retry-after", "1"));
-                }
-                match &body {
-                    RespBody::Json(json) => write_response_with(
-                        &mut writer,
-                        status,
-                        json.encode().as_bytes(),
-                        keep,
-                        &extra,
-                    )?,
-                    RespBody::Text(ct, text) => {
-                        write_response_ct(&mut writer, status, ct, text.as_bytes(), keep, &extra)?
-                    }
-                }
-                if !keep {
-                    return Ok(());
-                }
-            }
-        }
     }
 }
 
@@ -1084,30 +794,19 @@ mod tests {
     }
 
     #[test]
-    fn server_boots_and_shuts_down_on_both_backends() {
-        for backend in [Backend::Epoll, Backend::Pool] {
-            let state = state_with_snapshot();
-            let cfg = ServeConfig {
-                backend,
-                ..ServeConfig::default()
-            };
-            let mut server = Server::start(state, &cfg).unwrap();
-            let addr = server.addr();
-            assert_ne!(addr.port(), 0);
-            if backend == Backend::Pool {
-                assert_eq!(server.backend(), Backend::Pool);
-            }
-            server.shutdown();
-            server.shutdown(); // idempotent
-        }
+    fn server_boots_and_shuts_down() {
+        let mut server = Server::start(state_with_snapshot(), &ServeConfig::default()).unwrap();
+        assert_ne!(server.addr().port(), 0);
+        server.shutdown();
+        server.shutdown(); // idempotent
     }
 
     #[test]
     fn epoll_backend_multiplexes_more_connections_than_workers() {
         use crate::client::{HttpClient, ProtocolClient};
         // One worker, one shard — and 16 concurrently open keep-alive
-        // clients must all be served. Structurally impossible on the pool
-        // backend, where connection 2 would wait for connection 1 to close.
+        // clients must all be served, interleaved, without any of them
+        // closing first.
         let state = state_with_snapshot();
         let cfg = ServeConfig {
             workers: 1,
@@ -1115,7 +814,6 @@ mod tests {
             ..ServeConfig::default()
         };
         let mut server = Server::start(state, &cfg).unwrap();
-        assert_eq!(server.backend(), Backend::Epoll);
         let mut clients: Vec<HttpClient> = (0..16)
             .map(|_| HttpClient::connect(server.addr()).unwrap())
             .collect();

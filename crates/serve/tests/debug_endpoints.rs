@@ -10,7 +10,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
 
-use atpm_serve::server::{AppState, Backend, ServeConfig, Server};
+use atpm_serve::server::{AppState, ServeConfig, Server};
 
 fn serial() -> std::sync::MutexGuard<'static, ()> {
     static SERIAL: OnceLock<Mutex<()>> = OnceLock::new();
@@ -20,11 +20,10 @@ fn serial() -> std::sync::MutexGuard<'static, ()> {
         .unwrap_or_else(|p| p.into_inner())
 }
 
-fn boot(backend: Backend) -> Server {
+fn boot() -> Server {
     let cfg = ServeConfig {
         workers: 2,
         shards: 1,
-        backend,
         ..ServeConfig::default()
     };
     Server::start(AppState::new(), &cfg).unwrap()
@@ -57,7 +56,7 @@ fn get(addr: std::net::SocketAddr, path: &str, extra: &str) -> (u16, String, Str
 fn debug_profile_returns_parseable_folded_stacks() {
     let _guard = serial();
     let server = {
-        let s = boot(Backend::Epoll);
+        let s = boot();
         // Burn CPU for the whole profile window so the process-CPU-time
         // itimer actually fires: SIGPROF only ticks while the process
         // runs, and an idle server accumulates no samples.
@@ -96,33 +95,28 @@ fn debug_profile_returns_parseable_folded_stacks() {
 #[test]
 fn debug_events_tails_request_records_with_matching_ids() {
     let _guard = serial();
-    for backend in [Backend::Pool, Backend::Epoll] {
-        let mut server = boot(backend);
-        let (status, head, _) = get(server.addr(), "/healthz", "x-request-id: evt-test-1\r\n");
-        assert_eq!(status, 200);
-        assert!(head.contains("x-request-id: evt-test-1"), "{head}");
-        get(server.addr(), "/nope", "x-request-id: evt-test-2\r\n");
+    let mut server = boot();
+    let (status, head, _) = get(server.addr(), "/healthz", "x-request-id: evt-test-1\r\n");
+    assert_eq!(status, 200);
+    assert!(head.contains("x-request-id: evt-test-1"), "{head}");
+    get(server.addr(), "/nope", "x-request-id: evt-test-2\r\n");
 
-        let (status, _, body) = get(server.addr(), "/debug/events?n=10", "");
-        assert_eq!(status, 200, "{backend:?}");
-        // The tail lists the requests above — but never itself: events
-        // record strictly after respond renders.
-        assert!(
-            body.contains("id=evt-test-1") && body.contains("status=200"),
-            "{backend:?} missing healthz record:\n{body}"
-        );
-        assert!(
-            body.contains("id=evt-test-2") && body.contains("status=404"),
-            "{backend:?} missing 404 record:\n{body}"
-        );
-        assert!(
-            body.contains("GET /healthz"),
-            "{backend:?} detail missing:\n{body}"
-        );
-        assert!(
-            !body.contains("GET /debug/events"),
-            "{backend:?} events tail observed itself:\n{body}"
-        );
-        server.shutdown();
-    }
+    let (status, _, body) = get(server.addr(), "/debug/events?n=10", "");
+    assert_eq!(status, 200);
+    // The tail lists the requests above — but never itself: events record
+    // strictly after respond renders.
+    assert!(
+        body.contains("id=evt-test-1") && body.contains("status=200"),
+        "missing healthz record:\n{body}"
+    );
+    assert!(
+        body.contains("id=evt-test-2") && body.contains("status=404"),
+        "missing 404 record:\n{body}"
+    );
+    assert!(body.contains("GET /healthz"), "detail missing:\n{body}");
+    assert!(
+        !body.contains("GET /debug/events"),
+        "events tail observed itself:\n{body}"
+    );
+    server.shutdown();
 }

@@ -319,46 +319,35 @@ fn report_mode_with_client_side_simulation_matches_too() {
 fn batch_routes_at_k1_are_byte_identical_to_single_seed_protocol_on_both_backends() {
     // The tentpole invariant: a batched drive with k = 1 through the new
     // next_batch/observe_batch routes must produce the byte-identical seed
-    // sequence and profit ledger as the single-seed next/observe protocol —
-    // on the pool backend and the epoll backend alike.
-    use atpm_serve::server::Backend;
-    for backend in [Backend::Pool, Backend::Epoll] {
-        let state = AppState::new();
-        state
-            .store
-            .insert(Snapshot::build(&snapshot_req()).unwrap());
-        let cfg = ServeConfig {
-            backend,
-            ..ServeConfig::default()
-        };
-        let mut server = Server::start(state, &cfg).unwrap();
-        let mut client = HttpClient::connect(server.addr()).unwrap();
-        for (spec, _) in policies() {
-            for world in WORLDS.into_iter().take(2) {
-                let req = CreateSessionReq {
-                    snapshot: "e2e".into(),
-                    policy: spec.clone(),
-                    world_seed: world,
-                };
-                let single = client.run_session(&req).unwrap();
-                let batched = client.run_session_batched(&req, 1).unwrap();
-                let label = format!(
-                    "{} backend={} world={world}",
-                    single.algorithm,
-                    backend.as_str()
-                );
-                assert_eq!(batched, single, "{label}: ledgers diverged");
-                assert_eq!(
-                    batched.profit.to_bits(),
-                    single.profit.to_bits(),
-                    "{label}: profit not byte-identical"
-                );
-                assert_eq!(batched.rounds, single.rounds, "{label}");
-                assert_eq!(batched.oracle_queries, single.oracle_queries, "{label}");
-            }
+    // sequence and profit ledger as the single-seed next/observe protocol
+    // over HTTP.
+    let state = AppState::new();
+    state
+        .store
+        .insert(Snapshot::build(&snapshot_req()).unwrap());
+    let mut server = Server::start(state, &ServeConfig::default()).unwrap();
+    let mut client = HttpClient::connect(server.addr()).unwrap();
+    for (spec, _) in policies() {
+        for world in WORLDS.into_iter().take(2) {
+            let req = CreateSessionReq {
+                snapshot: "e2e".into(),
+                policy: spec.clone(),
+                world_seed: world,
+            };
+            let single = client.run_session(&req).unwrap();
+            let batched = client.run_session_batched(&req, 1).unwrap();
+            let label = format!("{} world={world}", single.algorithm);
+            assert_eq!(batched, single, "{label}: ledgers diverged");
+            assert_eq!(
+                batched.profit.to_bits(),
+                single.profit.to_bits(),
+                "{label}: profit not byte-identical"
+            );
+            assert_eq!(batched.rounds, single.rounds, "{label}");
+            assert_eq!(batched.oracle_queries, single.oracle_queries, "{label}");
         }
-        server.shutdown();
     }
+    server.shutdown();
 }
 
 #[test]

@@ -17,22 +17,16 @@ use std::net::{Shutdown, TcpStream};
 use std::sync::Arc;
 use std::time::Duration;
 
-use atpm_serve::server::{AppState, Backend, ServeConfig, Server};
+use atpm_serve::server::{AppState, ServeConfig, Server};
 
-fn boot(backend: Backend) -> (Server, Arc<AppState>) {
+fn boot() -> (Server, Arc<AppState>) {
     let state = AppState::new();
     let cfg = ServeConfig {
         workers: 2,
         shards: 1,
-        backend,
         ..ServeConfig::default()
     };
     let server = Server::start(state.clone(), &cfg).unwrap();
-    assert_eq!(
-        server.backend(),
-        backend,
-        "platform must actually support the requested backend"
-    );
     (server, state)
 }
 
@@ -80,20 +74,18 @@ fn read_one_response(stream: &mut TcpStream) -> (u16, Vec<u8>) {
 /// transcript `expected`. Returns it as text for the scenario's own
 /// readable assertions.
 fn golden(expected: &[u8], script: impl Fn(&mut TcpStream)) -> String {
-    for backend in [Backend::Pool, Backend::Epoll] {
-        let (mut server, _state) = boot(backend);
-        let mut stream = connect(&server);
-        script(&mut stream);
-        let _ = stream.shutdown(Shutdown::Write);
-        let wire = read_to_close(&mut stream);
-        server.shutdown();
-        assert!(
-            wire == expected,
-            "{backend:?}: wire output diverged from the golden transcript\n got: {:?}\nwant: {:?}",
-            String::from_utf8_lossy(&wire),
-            String::from_utf8_lossy(expected),
-        );
-    }
+    let (mut server, _state) = boot();
+    let mut stream = connect(&server);
+    script(&mut stream);
+    let _ = stream.shutdown(Shutdown::Write);
+    let wire = read_to_close(&mut stream);
+    server.shutdown();
+    assert!(
+        wire == expected,
+        "wire output diverged from the golden transcript\n got: {:?}\nwant: {:?}",
+        String::from_utf8_lossy(&wire),
+        String::from_utf8_lossy(expected),
+    );
     String::from_utf8_lossy(expected).into_owned()
 }
 
@@ -127,58 +119,53 @@ fn two_requests_in_one_segment_are_pipelined_in_order() {
 
 #[test]
 fn slowloris_stalled_header_neither_answers_nor_hangs_up() {
-    for backend in [Backend::Pool, Backend::Epoll] {
-        let (mut server, _state) = boot(backend);
-        let mut stream = connect(&server);
-        stream
-            .write_all(b"GET /healthz HTTP/1.1\r\nx-slow: lor")
-            .unwrap();
-        // Stall mid-header. The server must sit tight: no response bytes,
-        // no close.
-        stream
-            .set_read_timeout(Some(Duration::from_millis(300)))
-            .unwrap();
-        let mut probe = [0u8; 1];
-        match stream.read(&mut probe) {
-            Err(e) => assert!(
-                matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ),
-                "{backend:?}: unexpected error {e}"
+    let (mut server, _state) = boot();
+    let mut stream = connect(&server);
+    stream
+        .write_all(b"GET /healthz HTTP/1.1\r\nx-slow: lor")
+        .unwrap();
+    // Stall mid-header. The server must sit tight: no response bytes, no
+    // close.
+    stream
+        .set_read_timeout(Some(Duration::from_millis(300)))
+        .unwrap();
+    let mut probe = [0u8; 1];
+    match stream.read(&mut probe) {
+        Err(e) => assert!(
+            matches!(
+                e.kind(),
+                std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
             ),
-            Ok(0) => panic!("{backend:?}: server hung up on a slow client"),
-            Ok(_) => panic!("{backend:?}: server answered an incomplete request"),
-        }
-        // Completing the header gets the answer after all.
-        stream.write_all(b"is\r\n\r\n").unwrap();
-        stream
-            .set_read_timeout(Some(Duration::from_secs(10)))
-            .unwrap();
-        let (status, body) = read_one_response(&mut stream);
-        assert_eq!(status, 200);
-        assert!(String::from_utf8_lossy(&body).contains("\"ok\":true"));
-        server.shutdown();
+            "unexpected error {e}"
+        ),
+        Ok(0) => panic!("server hung up on a slow client"),
+        Ok(_) => panic!("server answered an incomplete request"),
     }
+    // Completing the header gets the answer after all.
+    stream.write_all(b"is\r\n\r\n").unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let (status, body) = read_one_response(&mut stream);
+    assert_eq!(status, 200);
+    assert!(String::from_utf8_lossy(&body).contains("\"ok\":true"));
+    server.shutdown();
 }
 
 #[test]
 fn slowloris_with_idle_timeout_gets_reaped() {
-    // The timeout variant: with `idle_timeout_ms` set (epoll backend only
-    // — the pool oracle has no such knob), a stalled header no longer
-    // pins the connection forever. The server must close it without
-    // sending a byte, and a live connection must survive its own deadline
-    // as long as it keeps talking.
+    // The timeout variant: with a short `idle_timeout_ms`, a stalled
+    // header no longer pins the connection. The server must close it
+    // without sending a byte, and a live connection must survive its own
+    // deadline as long as it keeps talking.
     let state = AppState::new();
     let cfg = ServeConfig {
         workers: 2,
         shards: 1,
-        backend: Backend::Epoll,
-        idle_timeout_ms: Some(1_000),
+        idle_timeout_ms: 1_000,
         ..ServeConfig::default()
     };
     let mut server = Server::start(state, &cfg).unwrap();
-    assert_eq!(server.backend(), Backend::Epoll);
 
     let mut stalled = connect(&server);
     stalled
@@ -274,8 +261,8 @@ fn garbage_and_oversized_heads_get_matching_errors() {
 
 #[test]
 fn framer_hardening_rejects_are_byte_identical() {
-    // The three PR-5 framer fixes, each asserted byte-identical across
-    // backends: mismatched duplicate Content-Length (request smuggling),
+    // Three framer hardening rejects, each pinned to its golden transcript:
+    // mismatched duplicate Content-Length (request smuggling),
     // sign-prefixed Content-Length (lenient integer parse), and
     // prefix-matched HTTP versions.
 
@@ -353,7 +340,7 @@ fn pipelined_request_after_agreeing_duplicates_still_answers() {
 #[test]
 fn request_id_echo_is_byte_identical_across_backends() {
     // A usable client-supplied X-Request-Id (non-empty, ≤ 64 bytes, RFC
-    // 7230 token chars) is echoed verbatim on both backends.
+    // 7230 token chars) is echoed verbatim.
     let raw: &[u8] =
         b"GET /healthz HTTP/1.1\r\nx-request-id: client-id-1\r\nconnection: close\r\n\r\n";
     let text = golden(
@@ -367,7 +354,7 @@ fn request_id_echo_is_byte_identical_across_backends() {
 
     // No header → the server generates from a per-server counter that only
     // parsed requests consume, so a fresh server's first id is always
-    // req-0000000000000000 on either backend.
+    // req-0000000000000000.
     let text = golden(
         include_bytes!("golden/request_id_generated.http"),
         |stream| {
@@ -419,8 +406,7 @@ fn unusable_request_ids_are_replaced_not_echoed() {
 fn batch_routes_echo_request_ids_and_land_in_the_event_log() {
     // The new batch verbs go through the same diagnostic plumbing as every
     // other route: a usable client X-Request-Id echoes back on the
-    // response, and both calls land in /debug/events under that id, on
-    // either backend.
+    // response, and both calls land in /debug/events under that id.
     use atpm_serve::json::Json;
     use atpm_serve::protocol::{SnapshotReq, SnapshotSource};
     use atpm_serve::snapshot::Snapshot;
@@ -464,97 +450,95 @@ fn batch_routes_echo_request_ids_and_land_in_the_event_log() {
         (status, head, json)
     }
 
-    for backend in [Backend::Pool, Backend::Epoll] {
-        let (mut server, state) = boot(backend);
-        state.store.insert(
-            Snapshot::build(&SnapshotReq {
-                name: "g".into(),
-                source: SnapshotSource::Preset {
-                    dataset: "nethept".into(),
-                    scale: 0.02,
-                },
-                k: 4,
-                rr_theta: 4_000,
-                seed: 1,
-                threads: 1,
-            })
-            .unwrap(),
-        );
-        let mut stream = connect(&server);
-        let (status, _, created) = post(
-            &mut stream,
-            "/sessions",
-            "batch-create-1",
-            r#"{"snapshot":"g","policy":{"name":"deploy_all"},"world_seed":3}"#,
-        );
-        assert_eq!(status, 201, "{backend:?}");
-        let token = created
-            .get("session")
-            .and_then(Json::as_str)
-            .unwrap()
-            .to_string();
+    let (mut server, state) = boot();
+    state.store.insert(
+        Snapshot::build(&SnapshotReq {
+            name: "g".into(),
+            source: SnapshotSource::Preset {
+                dataset: "nethept".into(),
+                scale: 0.02,
+            },
+            k: 4,
+            rr_theta: 4_000,
+            seed: 1,
+            threads: 1,
+        })
+        .unwrap(),
+    );
+    let mut stream = connect(&server);
+    let (status, _, created) = post(
+        &mut stream,
+        "/sessions",
+        "batch-create-1",
+        r#"{"snapshot":"g","policy":{"name":"deploy_all"},"world_seed":3}"#,
+    );
+    assert_eq!(status, 201);
+    let token = created
+        .get("session")
+        .and_then(Json::as_str)
+        .unwrap()
+        .to_string();
 
-        let (status, head, resp) = post(
-            &mut stream,
-            &format!("/sessions/{token}/next_batch"),
-            "batch-next-1",
-            r#"{"k":2}"#,
-        );
-        assert_eq!(status, 200, "{backend:?}");
-        assert!(
-            head.contains("x-request-id: batch-next-1"),
-            "{backend:?}: supplied id must echo on next_batch: {head}"
-        );
-        let seeds: Vec<u64> = resp
-            .get("seeds")
-            .and_then(Json::as_arr)
-            .unwrap()
-            .iter()
-            .filter_map(Json::as_u64)
-            .collect();
-        assert!(!seeds.is_empty(), "{backend:?}");
+    let (status, head, resp) = post(
+        &mut stream,
+        &format!("/sessions/{token}/next_batch"),
+        "batch-next-1",
+        r#"{"k":2}"#,
+    );
+    assert_eq!(status, 200);
+    assert!(
+        head.contains("x-request-id: batch-next-1"),
+        "supplied id must echo on next_batch: {head}"
+    );
+    let seeds: Vec<u64> = resp
+        .get("seeds")
+        .and_then(Json::as_arr)
+        .unwrap()
+        .iter()
+        .filter_map(Json::as_u64)
+        .collect();
+    assert!(!seeds.is_empty());
 
-        let seeds_json = seeds
-            .iter()
-            .map(u64::to_string)
-            .collect::<Vec<_>>()
-            .join(",");
-        let (status, head, _) = post(
-            &mut stream,
-            &format!("/sessions/{token}/observe_batch"),
-            "batch-observe-1",
-            &format!(r#"{{"seeds":[{seeds_json}],"simulate":true}}"#),
-        );
-        assert_eq!(status, 200, "{backend:?}");
-        assert!(
-            head.contains("x-request-id: batch-observe-1"),
-            "{backend:?}: supplied id must echo on observe_batch: {head}"
-        );
+    let seeds_json = seeds
+        .iter()
+        .map(u64::to_string)
+        .collect::<Vec<_>>()
+        .join(",");
+    let (status, head, _) = post(
+        &mut stream,
+        &format!("/sessions/{token}/observe_batch"),
+        "batch-observe-1",
+        &format!(r#"{{"seeds":[{seeds_json}],"simulate":true}}"#),
+    );
+    assert_eq!(status, 200);
+    assert!(
+        head.contains("x-request-id: batch-observe-1"),
+        "supplied id must echo on observe_batch: {head}"
+    );
 
-        // Both calls must be visible in the structured event ring, keyed by
-        // the client-supplied ids.
-        stream
-            .write_all(b"GET /debug/events HTTP/1.1\r\nconnection: close\r\n\r\n")
-            .unwrap();
-        let events = String::from_utf8_lossy(&read_to_close(&mut stream)).into_owned();
-        assert!(
-            events.contains("batch-next-1") && events.contains("next_batch"),
-            "{backend:?}: next_batch missing from event log:\n{events}"
-        );
-        assert!(
-            events.contains("batch-observe-1") && events.contains("observe_batch"),
-            "{backend:?}: observe_batch missing from event log:\n{events}"
-        );
-        server.shutdown();
-    }
+    // Both calls must be visible in the structured event ring, keyed by
+    // the client-supplied ids.
+    stream
+        .write_all(b"GET /debug/events HTTP/1.1\r\nconnection: close\r\n\r\n")
+        .unwrap();
+    let events = String::from_utf8_lossy(&read_to_close(&mut stream)).into_owned();
+    assert!(
+        events.contains("batch-next-1") && events.contains("next_batch"),
+        "next_batch missing from event log:\n{events}"
+    );
+    assert!(
+        events.contains("batch-observe-1") && events.contains("observe_batch"),
+        "observe_batch missing from event log:\n{events}"
+    );
+    server.shutdown();
 }
 
 #[test]
 fn eof_mid_header_answers_400_and_closes() {
     let text = golden(include_bytes!("golden/eof_mid_header.http"), |stream| {
         stream.write_all(b"GET /healthz HTT").unwrap();
-        // The golden driver shuts down the write side after the
-        // script, producing the mid-header EOF.
+        // `golden` shuts down the write side after the script,
+        // producing the mid-header EOF.
     });
     assert!(text.starts_with("HTTP/1.1 400 "), "{text}");
     assert!(text.contains("mid-header"), "{text}");
@@ -564,7 +548,7 @@ fn eof_mid_header_answers_400_and_closes() {
 fn clean_eof_on_idle_keepalive_closes_silently() {
     let text = golden(include_bytes!("golden/clean_eof.http"), |stream| {
         stream.write_all(b"GET /healthz HTTP/1.1\r\n\r\n").unwrap();
-        // Read our response, then just go away (shutdown in the driver).
+        // Read our response, then just go away (`golden` shuts down).
         let (status, _) = read_one_response(stream);
         assert_eq!(status, 200);
     });

@@ -3,11 +3,10 @@
 //! Pins the three properties the observability layer promises the serving
 //! stack:
 //!
-//! 1. **Backend parity** — an at-rest scrape (the first-ever request on a
-//!    fresh server) is byte-identical across the epoll and pool backends.
-//!    Everything recorded *before* `respond` runs must therefore agree
-//!    (net counters), and everything that could differ (latency
-//!    histograms, queue waits) must record strictly *after*.
+//! 1. **A scrape never observes itself** — an at-rest scrape (the
+//!    first-ever request on a fresh server) shows exactly its own
+//!    connection and dispatch, and empty latency histograms: request
+//!    metrics record strictly *after* `respond` renders the exposition.
 //! 2. **Exposition hygiene** — every scrape passes the Prometheus 0.0.4
 //!    lint, carries the text-exposition content type, and counters only
 //!    ever go up.
@@ -27,7 +26,7 @@ use std::sync::{Mutex, OnceLock};
 use atpm_obs::{lint, Scrape, CONTENT_TYPE};
 use atpm_serve::client::{HttpClient, ProtocolClient};
 use atpm_serve::protocol::{CreateSessionReq, PolicySpec, SnapshotReq, SnapshotSource};
-use atpm_serve::server::{AppState, Backend, ServeConfig, Server};
+use atpm_serve::server::{AppState, ServeConfig, Server};
 
 fn serial() -> std::sync::MutexGuard<'static, ()> {
     static SERIAL: OnceLock<Mutex<()>> = OnceLock::new();
@@ -37,9 +36,8 @@ fn serial() -> std::sync::MutexGuard<'static, ()> {
         .unwrap_or_else(|p| p.into_inner())
 }
 
-fn config(backend: Backend) -> ServeConfig {
+fn config() -> ServeConfig {
     ServeConfig {
-        backend,
         workers: 2,
         shards: 1,
         ..ServeConfig::default()
@@ -63,50 +61,25 @@ fn raw_get(addr: std::net::SocketAddr, path: &str) -> (String, String) {
 }
 
 #[test]
-fn at_rest_scrape_is_byte_identical_across_backends() {
+fn at_rest_scrape_counts_only_its_own_connection() {
     let _guard = serial();
-    let mut expositions = Vec::new();
-    for backend in [Backend::Pool, Backend::Epoll] {
-        let mut server = Server::start(AppState::new(), &config(backend)).unwrap();
-        let mut client = HttpClient::connect(server.addr()).unwrap();
-        // The scrape is the first request this server ever sees: at render
-        // time both backends have accepted and dispatched exactly once
-        // (this connection) and recorded nothing else.
-        let (status, body) = client.get_text("/metrics").unwrap();
-        assert_eq!(status, 200, "{backend:?}");
-        lint(&body).unwrap_or_else(|e| panic!("{backend:?} lint: {e}"));
-        expositions.push((server.backend(), body));
-        server.shutdown();
-    }
-    // On platforms without epoll the second server silently fell back to
-    // the pool backend — parity then holds trivially, which is fine: the
-    // assertion is about the exposition, not the transport.
-    let (_, pool_body) = &expositions[0];
-    let (_, epoll_body) = &expositions[1];
-    // The process self-metrics (RSS, CPU seconds, open fds) are genuinely
-    // time-dependent — fd count even varies with the test's own sockets —
-    // so they are excluded from the byte-compare but must be present in
-    // both expositions.
+    let mut server = Server::start(AppState::new(), &config()).unwrap();
+    let mut client = HttpClient::connect(server.addr()).unwrap();
+    // The scrape is the first request this server ever sees: at render
+    // time the server has accepted and dispatched exactly once (this
+    // connection) and recorded nothing else.
+    let (status, body) = client.get_text("/metrics").unwrap();
+    server.shutdown();
+    assert_eq!(status, 200);
+    lint(&body).unwrap_or_else(|e| panic!("lint: {e}"));
     for family in [
         "process_resident_memory_bytes",
         "process_cpu_seconds_total",
         "process_open_fds",
     ] {
-        assert!(pool_body.contains(family), "pool missing {family}");
-        assert!(epoll_body.contains(family), "epoll missing {family}");
+        assert!(body.contains(family), "missing {family}");
     }
-    let strip_process = |body: &str| -> String {
-        body.lines()
-            .filter(|l| !l.contains("process_"))
-            .collect::<Vec<_>>()
-            .join("\n")
-    };
-    assert_eq!(
-        strip_process(pool_body),
-        strip_process(epoll_body),
-        "at-rest /metrics must not depend on the backend"
-    );
-    let scrape = Scrape::parse(pool_body).unwrap();
+    let scrape = Scrape::parse(&body).unwrap();
     assert_eq!(scrape.value("atpm_net_accepted_total", &[]), Some(1.0));
     assert_eq!(scrape.value("atpm_net_dispatched_total", &[]), Some(1.0));
     assert_eq!(scrape.value("atpm_net_conns_closed_total", &[]), Some(0.0));
@@ -125,7 +98,7 @@ fn at_rest_scrape_is_byte_identical_across_backends() {
 #[test]
 fn scrapes_lint_carry_content_type_and_counters_are_monotone() {
     let _guard = serial();
-    let mut server = Server::start(AppState::new(), &config(Backend::Epoll)).unwrap();
+    let mut server = Server::start(AppState::new(), &config()).unwrap();
     let mut client = HttpClient::connect(server.addr()).unwrap();
 
     let (_, body) = client.get_text("/healthz").unwrap();
@@ -187,7 +160,7 @@ fn stage_metrics_session_gauge_and_trace_dump_cover_a_full_run() {
     let trace_path = std::env::temp_dir().join(format!("atpm-trace-{}.json", std::process::id()));
     let cfg = ServeConfig {
         trace_path: Some(trace_path.to_string_lossy().into_owned()),
-        ..config(Backend::Epoll)
+        ..config()
     };
     let mut server = Server::start(AppState::new(), &cfg).unwrap();
     let mut client = HttpClient::connect(server.addr()).unwrap();

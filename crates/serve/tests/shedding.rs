@@ -1,4 +1,4 @@
-//! Overload control under the epoll backend: a burst far beyond worker
+//! Overload control: a burst far beyond worker
 //! capacity must keep the reactor→worker queue bounded — excess requests
 //! are answered `503 Service Unavailable` with `Retry-After` immediately
 //! instead of queueing without limit, the shed count shows up in
@@ -12,7 +12,7 @@ use std::time::Duration;
 use atpm_serve::client::{HttpClient, ProtocolClient};
 use atpm_serve::json::Json;
 use atpm_serve::protocol::{SnapshotReq, SnapshotSource};
-use atpm_serve::server::{AppState, Backend, ServeConfig, Server};
+use atpm_serve::server::{AppState, ServeConfig, Server};
 use atpm_serve::snapshot::Snapshot;
 
 const BURST: usize = 12;
@@ -62,21 +62,16 @@ fn one_shot(addr: SocketAddr, method: &str, path: &str, body: &str) -> (u16, Str
 
 #[test]
 fn burst_past_capacity_sheds_503_with_retry_after_and_recovers() {
-    if !atpm_net::supported() {
-        return; // shedding lives in the epoll dispatch path
-    }
     // One worker, queue bounded at 2: capacity is 3 in-flight requests
     // (1 executing + 2 waiting); a 12-request burst is 4x that.
     let state = state_with_snapshot();
     let cfg = ServeConfig {
         workers: 1,
         shards: 1,
-        backend: Backend::Epoll,
         max_queue: 2,
         ..ServeConfig::default()
     };
     let mut server = Server::start(state, &cfg).unwrap();
-    assert_eq!(server.backend(), Backend::Epoll);
     let addr = server.addr();
 
     // Plug the single worker with a genuinely slow request (an RR-index
