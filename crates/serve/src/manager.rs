@@ -1000,6 +1000,7 @@ mod tests {
             .observe(&token, &ObserveReq::Simulate { seed: 0 })
             .unwrap_err();
         assert_eq!(err.status, 409);
+        assert_eq!(err.message, "no seed awaiting observation; POST next first");
         let batch = m.next(&token).unwrap();
         let seed = batch.seeds[0];
         // next again without observing: idempotent — same pending seed back.
@@ -1011,6 +1012,13 @@ mod tests {
             .observe(&token, &ObserveReq::Simulate { seed: seed + 1 })
             .unwrap_err();
         assert_eq!(err.status, 409);
+        assert_eq!(
+            err.message,
+            format!(
+                "observation is for seed {}, but seed {seed} is pending",
+                seed + 1
+            )
+        );
         // correct observation unblocks.
         m.observe(&token, &ObserveReq::Simulate { seed }).unwrap();
         assert!(m.next(&token).is_ok());
@@ -1123,13 +1131,23 @@ mod tests {
             .observe_batch(&token, &ObserveBatchReq::Simulate { seeds: vec![0] })
             .unwrap_err();
         assert_eq!(err.status, 409);
+        assert_eq!(
+            err.message,
+            "no batch awaiting observation; POST next_batch first"
+        );
         let batch = m.next_batch(&token, 3).unwrap();
         assert!(batch.seeds.len() > 1, "{:?}", batch.seeds);
         // Retry with a different k: same pending batch back, verbatim.
         assert_eq!(m.next_batch(&token, 8).unwrap().seeds, batch.seeds);
         assert_eq!(m.next_batch(&token, 1).unwrap().seeds, batch.seeds);
         // The single-seed verbs conflict with a multi-seed pending batch.
-        assert_eq!(m.next(&token).unwrap_err().status, 409);
+        let n = batch.seeds.len();
+        let err = m.next(&token).unwrap_err();
+        assert_eq!(err.status, 409);
+        assert_eq!(
+            err.message,
+            format!("a batch of {n} seeds is pending; POST observe_batch first")
+        );
         let err = m
             .observe(
                 &token,
@@ -1139,6 +1157,10 @@ mod tests {
             )
             .unwrap_err();
         assert_eq!(err.status, 409);
+        assert_eq!(
+            err.message,
+            format!("a batch of {n} seeds is pending; POST observe_batch instead")
+        );
         // Wrong seeds (subset, reorder) conflict too.
         let err = m
             .observe_batch(
@@ -1149,12 +1171,32 @@ mod tests {
             )
             .unwrap_err();
         assert_eq!(err.status, 409);
+        assert_eq!(
+            err.message,
+            format!(
+                "observation is for seeds {:?}, but seeds {:?} are pending",
+                [batch.seeds[0]],
+                batch.seeds
+            )
+        );
         let mut reversed = batch.seeds.clone();
         reversed.reverse();
         let err = m
-            .observe_batch(&token, &ObserveBatchReq::Simulate { seeds: reversed })
+            .observe_batch(
+                &token,
+                &ObserveBatchReq::Simulate {
+                    seeds: reversed.clone(),
+                },
+            )
             .unwrap_err();
         assert_eq!(err.status, 409);
+        assert_eq!(
+            err.message,
+            format!(
+                "observation is for seeds {reversed:?}, but seeds {:?} are pending",
+                batch.seeds
+            )
+        );
         // The exact batch unblocks, and counts one adaptivity round.
         let obs = m
             .observe_batch(

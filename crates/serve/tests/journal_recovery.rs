@@ -232,6 +232,115 @@ fn killed_mid_batch_server_reserves_the_exact_pending_batch() {
     let _ = std::fs::remove_file(&path);
 }
 
+/// A journal written by a build that journaled the single-seed verbs as
+/// their own `next`/`observe` records: one `session_req()` session with a
+/// simulated round, a reported round (`activated` = just the seed, unlike
+/// its simulated cascade) and a third seed handed out but never observed.
+const LEGACY_JOURNAL: &[u8] = include_bytes!("golden/legacy_single_seed.journal");
+
+/// The history `LEGACY_JOURNAL` holds, driven on `token`: two observed
+/// rounds; the third seed is left for the caller.
+fn legacy_history<C: ProtocolClient>(client: &mut C, token: &str, seeds: &mut Vec<u32>) {
+    let seed = client.next(token).unwrap().unwrap()[0];
+    seeds.push(seed);
+    client
+        .observe(token, &ObserveReq::Simulate { seed })
+        .unwrap();
+    let seed = client.next(token).unwrap().unwrap()[0];
+    seeds.push(seed);
+    client
+        .observe(
+            token,
+            &ObserveReq::Report {
+                seed,
+                activated: vec![seed],
+            },
+        )
+        .unwrap();
+}
+
+/// Re-frames an `ATPMJNL2` segment as `ATPMJNL1`: the same payloads with
+/// 8-byte `len ++ crc(payload)` headers and no sequence numbers.
+fn reframe_as_v1(v2: &[u8]) -> Vec<u8> {
+    assert_eq!(&v2[..8], b"ATPMJNL2");
+    let mut v1 = b"ATPMJNL1".to_vec();
+    let mut offset = 8;
+    while offset < v2.len() {
+        let len = u32::from_le_bytes(v2[offset..offset + 4].try_into().unwrap()) as usize;
+        let payload = &v2[offset + 16..offset + 16 + len];
+        v1.extend_from_slice(&(len as u32).to_le_bytes());
+        v1.extend_from_slice(&atpm_serve::journal::crc32(payload).to_le_bytes());
+        v1.extend_from_slice(payload);
+        offset += 16 + len;
+    }
+    v1
+}
+
+#[test]
+fn legacy_single_seed_journal_replays_bit_equal() {
+    use atpm_serve::journal::{Journal, Record};
+
+    // Reference: the journaled history, then the rest of the run, driven
+    // uninterrupted and journal-free in process.
+    let mut reference_seeds = Vec::new();
+    let reference = {
+        let mut client = LocalClient::new(state_with_snapshot());
+        let token = client.create_session(&session_req()).unwrap();
+        legacy_history(&mut client, &token, &mut reference_seeds);
+        drive(&mut client, &token, &mut reference_seeds)
+    };
+    assert!(reference_seeds.len() > 3, "{reference_seeds:?}");
+
+    for (form, bytes) in [
+        ("ATPMJNL2", LEGACY_JOURNAL.to_vec()),
+        ("ATPMJNL1", reframe_as_v1(LEGACY_JOURNAL)),
+    ] {
+        let mut path = std::env::temp_dir();
+        path.push(format!("atpm-legacy-{form}-{}", std::process::id()));
+        std::fs::write(&path, &bytes).unwrap();
+
+        let state = state_with_snapshot();
+        let (journal, records) = Journal::open(&path).unwrap();
+        assert_eq!(records.len(), 6, "{form}: create + 2 rounds + pending next");
+        let Some(Record::Create { token, .. }) = records.first() else {
+            panic!("{form}: journal must open with a create record");
+        };
+        let token = token.clone();
+        assert_eq!(state.manager.recover(&records), 1, "{form}");
+        state.manager.attach_journal(Arc::new(journal));
+        let mut client = LocalClient::new(state);
+        // The retried `next` re-serves the seed pending at the crash.
+        let pending = client.next(&token).unwrap().unwrap();
+        assert_eq!(pending, reference_seeds[2..3], "{form}: pending seed");
+        let mut seeds = reference_seeds[..3].to_vec();
+        client
+            .observe(&token, &ObserveReq::Simulate { seed: pending[0] })
+            .unwrap();
+        let ledger = drive(&mut client, &token, &mut seeds);
+        assert_eq!(seeds, reference_seeds, "{form}: seed sequence");
+        let profit = |l: &Json| l.get("profit").and_then(Json::as_f64).unwrap();
+        assert_eq!(
+            profit(&ledger).to_bits(),
+            profit(&reference).to_bits(),
+            "{form}: recovered profit must be bit-equal"
+        );
+        assert_eq!(ledger.encode(), reference.encode(), "{form}: ledger");
+
+        // The journal now holds the legacy records followed by the ones
+        // this build appended; the mixed file replays to the same ledger.
+        let state = state_with_snapshot();
+        let (_journal, records) = Journal::open(&path).unwrap();
+        assert_eq!(state.manager.recover(&records), 1, "{form}: mixed replay");
+        let replayed = state.manager.ledger(&token).unwrap().to_json();
+        assert_eq!(
+            replayed.encode(),
+            reference.encode(),
+            "{form}: mixed ledger"
+        );
+        let _ = std::fs::remove_file(&path);
+    }
+}
+
 /// Recovery fuzz: journal and checkpoint files mutilated at every byte.
 /// The invariants under test — recovery must *never* panic, must never
 /// invent records, and whatever it does return must be an exact committed
