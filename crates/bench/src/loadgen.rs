@@ -21,7 +21,7 @@
 //! `--addr` points at an externally started server instead.
 //!
 //! The client half of the overload/durability contract lives here too:
-//! every request runs through [`RetryClient`], which backs off and retries
+//! every request runs through `RetryClient`, which backs off and retries
 //! on `503 Service Unavailable` (the server shedding load) and on
 //! transport failures (a server restart mid-session). Retries and sheds
 //! are counted per level, and the server's `recovered_sessions` healthz

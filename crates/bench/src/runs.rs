@@ -295,7 +295,7 @@ fn lambda_quantile(g: &Graph, lambda: u64, seed: u64, threads: usize) -> f64 {
 /// for Fig. 7 and NSG for Fig. 8; both cost splits are reported.
 ///
 /// λ values are quantile-calibrated to the stand-in graph (see
-/// [`lambda_quantile`]): the paper's absolute λ would make every user, or
+/// `lambda_quantile`): the paper's absolute λ would make every user, or
 /// none, profitable at laptop scale.
 pub fn fig78(cfg: &ExpConfig, selector: TargetSelector) -> String {
     let d = Dataset::LiveJournal;

@@ -2,7 +2,7 @@
 //! randomized cascades for Monte-Carlo estimation.
 //!
 //! Both paths run on the forward face of the baked
-//! [`SampleView`](atpm_graph::SampleView) — the same machinery the
+//! [`SampleView`] — the same machinery the
 //! reverse-BFS samplers in `atpm-ris` use, mirrored to the out CSR:
 //!
 //! * edge coins are raw 32-bit draws compared against `u32` thresholds
@@ -15,7 +15,7 @@
 //! * per-node metadata and the out-edge span of the next frontier member
 //!   are software-prefetched one member ahead;
 //! * visit marks are the shared epoch-stamped
-//!   [`EpochMarks`](atpm_ris::workspace::EpochMarks), so a cascade costs
+//!   [`EpochMarks`], so a cascade costs
 //!   zero heap allocation after warm-up (enforced by
 //!   `tests/alloc_discipline.rs`).
 //!

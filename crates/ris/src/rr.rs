@@ -1,5 +1,5 @@
 //! Single RR-set generation: coin-free reverse BFS on the baked
-//! [`SampleView`](atpm_graph::SampleView).
+//! [`SampleView`].
 //!
 //! The hot path never touches an `f32`: edge coins are raw 32-bit draws
 //! compared against the `u32` thresholds baked into the graph at build time

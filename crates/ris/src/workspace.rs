@@ -12,7 +12,7 @@
 /// Derives the RNG seed of worker `tid` from a batch seed.
 ///
 /// Workers must not share streams; the mix is a wyhash-style multiply-add
-/// whose constants are pinned by [`tests::worker_seed_values_are_pinned`] —
+/// whose constants are pinned by `tests::worker_seed_values_are_pinned` —
 /// changing them silently redraws every sampled world, so any change must be
 /// deliberate.
 #[inline]

@@ -1,10 +1,10 @@
 //! Protocol clients: in-process (no sockets) and HTTP-over-TCP.
 //!
-//! [`LocalClient`] calls the same [`route`](crate::server::route) dispatcher
-//! the HTTP workers use, so embedding the service in a binary (tests, the
-//! `serve_campaign` example) exercises exactly the deployed protocol minus
-//! the wire. [`HttpClient`] is the blocking socket counterpart used by the
-//! load generator and the end-to-end tests; it keeps its connection alive
+//! [`LocalClient`] calls the same [`route`] dispatcher the HTTP workers
+//! use, so embedding the service in a binary (tests, the `serve_campaign`
+//! example) exercises exactly the deployed protocol minus the wire.
+//! [`HttpClient`] is the blocking socket counterpart used by the load
+//! generator and the end-to-end tests; it keeps its connection alive
 //! across requests, mirroring a real client SDK.
 
 use std::io::{self, BufReader, Read, Write};
@@ -15,7 +15,8 @@ use atpm_ris::CoverageScratch;
 
 use crate::json::Json;
 use crate::protocol::{
-    ApiError, CreateSessionReq, Ledger, NextBatchReq, ObserveBatchReq, ObserveReq, SnapshotReq,
+    nodes_field, ApiError, CreateSessionReq, Ledger, NextBatchReq, ObserveBatchReq, ObserveReq,
+    SnapshotReq,
 };
 use crate::server::{route, AppState};
 use std::sync::Arc;
@@ -45,18 +46,7 @@ pub trait ProtocolClient {
 
     /// Asks for the next seed batch; `None` when the policy is done.
     fn next(&mut self, token: &str) -> Result<Option<Vec<Node>>, ApiError> {
-        let resp = self.call("POST", &format!("/sessions/{token}/next"), &Json::obj([]))?;
-        if resp.get("done").and_then(Json::as_bool).unwrap_or(false) {
-            return Ok(None);
-        }
-        let seeds = resp
-            .get("seeds")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| ApiError::new(500, "response missing 'seeds'"))?
-            .iter()
-            .filter_map(|x| x.as_u64().map(|v| v as Node))
-            .collect();
-        Ok(Some(seeds))
+        seeds_of(&self.call("POST", &format!("/sessions/{token}/next"), &Json::obj([]))?)
     }
 
     /// Asks for the next batch of up to `k` seeds in one low-adaptivity
@@ -64,22 +54,11 @@ pub trait ProtocolClient {
     /// observed via [`observe_batch`](Self::observe_batch) before the next
     /// round.
     fn next_batch(&mut self, token: &str, k: usize) -> Result<Option<Vec<Node>>, ApiError> {
-        let resp = self.call(
+        seeds_of(&self.call(
             "POST",
             &format!("/sessions/{token}/next_batch"),
             &NextBatchReq { k }.to_json(),
-        )?;
-        if resp.get("done").and_then(Json::as_bool).unwrap_or(false) {
-            return Ok(None);
-        }
-        let seeds = resp
-            .get("seeds")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| ApiError::new(500, "response missing 'seeds'"))?
-            .iter()
-            .filter_map(|x| x.as_u64().map(|v| v as Node))
-            .collect();
-        Ok(Some(seeds))
+        )?)
     }
 
     /// Reports (or asks the server to simulate) an observation.
@@ -142,6 +121,17 @@ pub trait ProtocolClient {
         self.delete_session(&token)?;
         Ok(ledger)
     }
+}
+
+/// Parses a `next`/`next_batch` response: `None` when the policy is done.
+/// Seeds go through the strict [`nodes_field`], so a response holding a
+/// non-integer or out-of-range id is an error, never a dropped or wrapped
+/// seed.
+fn seeds_of(resp: &Json) -> Result<Option<Vec<Node>>, ApiError> {
+    if resp.get("done").and_then(Json::as_bool).unwrap_or(false) {
+        return Ok(None);
+    }
+    nodes_field(resp, "seeds").map(Some)
 }
 
 /// In-process client: protocol semantics without sockets.
@@ -349,6 +339,34 @@ mod tests {
         assert_eq!(from_http.profit.to_bits(), from_local.profit.to_bits());
         assert!(from_http.rounds >= 1);
         server.shutdown();
+    }
+
+    /// A client whose server answers every call with one canned body.
+    struct Canned(Json);
+
+    impl ProtocolClient for Canned {
+        fn call(&mut self, _: &str, _: &str, _: &Json) -> ApiResult {
+            Ok(self.0.clone())
+        }
+    }
+
+    #[test]
+    fn malformed_seeds_are_errors_not_dropped_or_wrapped() {
+        let canned = |seed| {
+            let seeds = Json::Arr(vec![Json::UInt(3), seed]);
+            Canned(Json::obj([("seeds", seeds), ("done", Json::Bool(false))]))
+        };
+        for bad in [Json::Num(1.5), Json::UInt(1 << 32), Json::Str("4".into())] {
+            let mut client = canned(bad.clone());
+            assert!(client.next("s").is_err(), "next accepted {bad:?}");
+            assert!(
+                client.next_batch("s", 2).is_err(),
+                "next_batch accepted {bad:?}"
+            );
+        }
+        let mut client = canned(Json::UInt(u32::MAX.into()));
+        assert_eq!(client.next("s").unwrap(), Some(vec![3, u32::MAX]));
+        assert_eq!(client.next_batch("s", 2).unwrap(), Some(vec![3, u32::MAX]));
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! receive buffer on the reactor thread and says whether a complete
 //! request is present (and how long it is) without blocking;
 //! [`parse_frame`] then parses the complete frame on a worker thread. Both
-//! funnel into the same [`parse_head`]. The tests keep a blocking
+//! funnel into the same `parse_head`. The tests keep a blocking
 //! line-at-a-time reader (`read_request`) over the same `parse_head` as
 //! the obviously-sequential reference the framer must agree with on every
 //! prefix of every request.

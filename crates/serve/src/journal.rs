@@ -7,7 +7,8 @@
 //! reconstructed by replaying the protocol calls that produced it. So the
 //! journal does not serialize `SessionState` (megabytes of residual graph
 //! per record); it logs the *transitions* the manager committed, and
-//! recovery re-drives them through the same [`SessionManager`] code paths
+//! recovery re-drives them through the same
+//! [`SessionManager`](crate::manager::SessionManager) code paths
 //! that served them live. A recovered session is therefore bit-equal to
 //! the lost one: same token, same seed sequence, same profit ledger.
 //!
@@ -105,25 +106,9 @@ pub enum Record {
         /// The creating request (snapshot, policy, world seed).
         req: CreateSessionReq,
     },
-    /// `POST next` committed a new seed batch (idempotent replays of an
-    /// already-pending seed are not journaled — they change nothing).
-    Next {
-        /// Session token.
-        token: String,
-        /// The committed batch.
-        seeds: Vec<Node>,
-        /// Whether the policy finished.
-        done: bool,
-    },
-    /// `POST observe` applied an observation.
-    Observe {
-        /// Session token.
-        token: String,
-        /// The observation applied.
-        req: ObserveReq,
-    },
-    /// `POST next_batch` committed a new seed batch under an explicit
-    /// requested round size (idempotent re-serves are not journaled).
+    /// `POST next` or `next_batch` committed a new seed batch under the
+    /// requested round size (`k = 1` for `next`). Idempotent re-serves of
+    /// a pending batch are not journaled — they change nothing.
     NextBatch {
         /// Session token.
         token: String,
@@ -136,7 +121,8 @@ pub enum Record {
         /// Whether the policy finished.
         done: bool,
     },
-    /// `POST observe_batch` applied a joint batch observation.
+    /// `POST observe` or `observe_batch` applied an observation (a
+    /// single-seed observation is a batch of one).
     ObserveBatch {
         /// Session token.
         token: String,
@@ -151,23 +137,22 @@ pub enum Record {
 }
 
 impl Record {
+    /// The session the transition belongs to.
+    pub fn token(&self) -> &str {
+        match self {
+            Record::Create { token, .. }
+            | Record::NextBatch { token, .. }
+            | Record::ObserveBatch { token, .. }
+            | Record::Delete { token } => token,
+        }
+    }
+
     /// JSON payload form.
     pub fn to_json(&self) -> Json {
         match self {
             Record::Create { id, token, req } => Json::obj([
                 ("op", Json::Str("create".into())),
                 ("id", Json::UInt(*id)),
-                ("token", Json::Str(token.clone())),
-                ("req", req.to_json()),
-            ]),
-            Record::Next { token, seeds, done } => Json::obj([
-                ("op", Json::Str("next".into())),
-                ("token", Json::Str(token.clone())),
-                ("seeds", Json::nums(seeds.iter().copied())),
-                ("done", Json::Bool(*done)),
-            ]),
-            Record::Observe { token, req } => Json::obj([
-                ("op", Json::Str("observe".into())),
                 ("token", Json::Str(token.clone())),
                 ("req", req.to_json()),
             ]),
@@ -195,7 +180,10 @@ impl Record {
         }
     }
 
-    /// Parses a payload.
+    /// Parses a payload. The `next`/`observe` ops of journals written
+    /// before the single-seed verbs became batches of one still parse, as
+    /// a `k = 1` [`Record::NextBatch`] and a one-seed
+    /// [`Record::ObserveBatch`].
     pub fn from_json(v: &Json) -> Result<Record, ApiError> {
         let op = v
             .get("op")
@@ -219,39 +207,32 @@ impl Record {
                         .ok_or_else(|| ApiError::bad_request("create record missing 'req'"))?,
                 )?,
             }),
-            "next" => Ok(Record::Next {
+            "next" | "next_batch" => Ok(Record::NextBatch {
                 token: token(v)?,
                 seeds: nodes_field(v, "seeds")?,
+                k: if op == "next" {
+                    1
+                } else {
+                    v.get("k")
+                        .and_then(Json::as_u64)
+                        .ok_or_else(|| ApiError::bad_request("next_batch record missing 'k'"))?
+                        as usize
+                },
                 done: v
                     .get("done")
                     .and_then(Json::as_bool)
-                    .ok_or_else(|| ApiError::bad_request("next record missing 'done'"))?,
+                    .ok_or_else(|| ApiError::bad_request(format!("{op} record missing 'done'")))?,
             }),
-            "observe" => Ok(Record::Observe {
-                token: token(v)?,
-                req: ObserveReq::from_json(
-                    v.get("req")
-                        .ok_or_else(|| ApiError::bad_request("observe record missing 'req'"))?,
-                )?,
-            }),
-            "next_batch" => Ok(Record::NextBatch {
-                token: token(v)?,
-                seeds: nodes_field(v, "seeds")?,
-                k: v.get("k")
-                    .and_then(Json::as_u64)
-                    .ok_or_else(|| ApiError::bad_request("next_batch record missing 'k'"))?
-                    as usize,
-                done: v
-                    .get("done")
-                    .and_then(Json::as_bool)
-                    .ok_or_else(|| ApiError::bad_request("next_batch record missing 'done'"))?,
-            }),
-            "observe_batch" => {
+            "observe" | "observe_batch" => {
+                let req = v
+                    .get("req")
+                    .ok_or_else(|| ApiError::bad_request(format!("{op} record missing 'req'")))?;
                 Ok(Record::ObserveBatch {
                     token: token(v)?,
-                    req: ObserveBatchReq::from_json(v.get("req").ok_or_else(|| {
-                        ApiError::bad_request("observe_batch record missing 'req'")
-                    })?)?,
+                    req: match op {
+                        "observe" => ObserveReq::from_json(req)?.into(),
+                        _ => ObserveBatchReq::from_json(req)?,
+                    },
                 })
             }
             "delete" => Ok(Record::Delete { token: token(v)? }),
@@ -998,15 +979,9 @@ impl Journal {
         // (v1 frames read back as seq 0 and only survive in sealed
         // segments, which by construction predate the serialization.)
         let keep = |seq: u64, record: &Record| -> bool {
-            let token = match record {
-                Record::Create { token, .. }
-                | Record::Next { token, .. }
-                | Record::Observe { token, .. }
-                | Record::NextBatch { token, .. }
-                | Record::ObserveBatch { token, .. }
-                | Record::Delete { token } => token,
-            };
-            last_seq_by_token.get(token).is_none_or(|last| seq > *last)
+            last_seq_by_token
+                .get(record.token())
+                .is_none_or(|last| seq > *last)
         };
 
         // 2. Sealed segments left by an interrupted checkpoint, oldest
@@ -1133,12 +1108,26 @@ impl Journal {
     /// process crash cannot lose it, and returns its commit seq. The
     /// record is *not* durable against power loss until
     /// [`Journal::commit`] passes that seq.
+    ///
+    /// A payload over the 16 MiB frame limit is refused with
+    /// `InvalidInput`: recovery would read its frame as a torn tail and
+    /// truncate there, dropping it and every later record. The refusal
+    /// writes nothing and leaves the journal healthy.
     pub fn append(&self, record: &Record) -> io::Result<u64> {
         if self.poisoned() {
             return Err(poisoned_error());
         }
         let payload = record.to_json().encode();
         let payload = payload.as_bytes();
+        if payload.len() > MAX_RECORD {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!(
+                    "journal record of {} bytes exceeds the {MAX_RECORD}-byte limit",
+                    payload.len()
+                ),
+            ));
+        }
         let mut active = self.active.lock().unwrap_or_else(|p| p.into_inner());
         let seq = active.appended_seq + 1;
         let frame = if active.v1 {
@@ -1471,15 +1460,16 @@ mod tests {
                     world_seed: 42,
                 },
             },
-            Record::Next {
+            Record::NextBatch {
                 token: "s00000001".into(),
                 seeds: vec![17],
+                k: 1,
                 done: false,
             },
-            Record::Observe {
+            Record::ObserveBatch {
                 token: "s00000001".into(),
-                req: ObserveReq::Report {
-                    seed: 17,
+                req: ObserveBatchReq::Report {
+                    seeds: vec![17],
                     activated: vec![17, 4],
                 },
             },
@@ -1496,9 +1486,10 @@ mod tests {
                     activated: vec![3, 8, 11],
                 },
             },
-            Record::Next {
+            Record::NextBatch {
                 token: "s00000001".into(),
                 seeds: vec![],
+                k: 1,
                 done: true,
             },
             Record::Delete {
@@ -1832,7 +1823,7 @@ mod tests {
         journal.write_checkpoint(2, &[session]).unwrap();
         drop(journal);
         let (_journal, replayed) = Journal::open(&path).unwrap();
-        // Synthesized Create + pending Next, then only the seq-3 tail
+        // Synthesized Create + pending NextBatch, then only the seq-3 tail
         // record — seqs 1 and 2 are already folded into the checkpoint.
         assert_eq!(replayed.len(), 3);
         assert_eq!(replayed[2], all[2]);

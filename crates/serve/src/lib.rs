@@ -20,7 +20,7 @@
 //!   over a shared snapshot. The stepped drive is byte-identical to the
 //!   in-process run (pinned end-to-end by `tests/e2e_equivalence.rs`).
 //!   With a [`journal`] attached, every committed transition is appended
-//!   to an `ATPMJNL1` checksummed log and replayed on restart, so a crash
+//!   to an `ATPMJNL2` checksummed log and replayed on restart, so a crash
 //!   loses at most the record being written;
 //! * [`server`] — the router and the [`server::Server`] transport:
 //!   reactor shards from `atpm-net` multiplexing any number of keep-alive

@@ -4,38 +4,37 @@
 //! [`SessionState`]; the serve-observe-update loop of the paper's adaptive
 //! protocol (§II-B) is driven one request at a time:
 //!
-//! 1. `next` — resume the session, let the policy commit its next seed,
-//!    suspend again. The seed is now *pending*: the residual graph is not
-//!    touched until its cascade is observed.
-//! 2. `observe` — apply the realized activations (client-reported, or
-//!    server-simulated against the session's possible world) and clear the
-//!    pending seed.
+//! 1. `next_batch` — resume the session, let the policy commit up to `k`
+//!    seeds decided against **one** residual state, suspend again. The
+//!    batch is now *pending*: the residual graph is not touched until its
+//!    cascade is observed.
+//! 2. `observe_batch` — apply the realized joint activations
+//!    (client-reported, or server-simulated against the session's
+//!    possible world) as one adaptivity round and clear the pending batch.
 //! 3. `ledger` — read the profit ledger at any time.
 //!
-//! The batch routes are the low-adaptivity form of the same loop:
-//! `next_batch` commits up to `k` seeds decided against **one** residual
-//! state, `observe_batch` applies their joint cascade as one adaptivity
-//! round. A pending batch is re-served verbatim on retry (whatever `k`
-//! the retry asks for), and mixing the single-seed verbs with a pending
-//! multi-seed batch is a 409 — the generalization of the wrong-seed
-//! conflict rule. At `k = 1` the batch routes are byte-identical to the
-//! single-seed ones by the stepper contract.
+//! A single seed is a batch of one: `next` is `next_batch` with `k = 1`
+//! and `observe` is `observe_batch` of one seed, through the same code
+//! and the same journal records. The verb families differ only in their
+//! 409 wording, and in that the single-seed verbs refuse a pending
+//! multi-seed batch, which they could neither re-serve nor observe.
 //!
 //! Concurrency: the table itself is a `Mutex<HashMap>` held only for
 //! lookup/insert; each session sits behind its own `Arc<Mutex<_>>`, so
 //! requests for different sessions proceed in parallel and requests for the
 //! same session serialize (the protocol is inherently sequential per
-//! session). `next` is **idempotent**: while a seed is pending, retrying
-//! `next` returns that same seed again (a client that lost the response can
-//! safely re-ask), and the residual graph is untouched until `observe`.
-//! Genuinely conflicting calls (`observe` with nothing pending or for the
-//! wrong seed) are rejected with 409 rather than corrupting the run — the
-//! serve protocol stays byte-identical to the in-process
+//! session). `next` is **idempotent**: while a batch is pending, retrying
+//! returns that same batch again, whatever `k` the retry asks for (a
+//! client that lost the response can safely re-ask), and the residual
+//! graph is untouched until the observation. Genuinely conflicting calls
+//! (an observation with nothing pending or for the wrong seeds) are
+//! rejected with 409 rather than corrupting the run — the serve protocol
+//! stays byte-identical to the in-process
 //! [`run_stepper`](atpm_core::run_stepper) drive.
 //!
 //! Durability: with [`attach_journal`](SessionManager::attach_journal), every
-//! committed transition (create / new seed / observation / delete) is
-//! appended to an [`ATPMJNL1` journal](crate::journal) — idempotent retries
+//! committed transition (create / new batch / observation / delete) is
+//! appended to an [`ATPMJNL2` journal](crate::journal) — idempotent retries
 //! are not re-journaled. [`recover`](SessionManager::recover) replays a
 //! journal through these same handlers, rebuilding each session bit-for-bit
 //! (same token, same seed sequence, same ledger).
@@ -189,7 +188,7 @@ pub struct NextBatch {
     pub done: bool,
 }
 
-/// Response of `observe`.
+/// Response of `observe`/`observe_batch`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Observed {
     /// The activation set that was applied (as reported, or as simulated).
@@ -334,8 +333,9 @@ impl SessionManager {
     /// seq (0 when no journal is attached or while replaying). A
     /// durability failure poisons the journal and surfaces as a 503 —
     /// fsyncgate semantics: never ack a transition the disk may not hold.
-    /// `make` runs only when a journal is attached and not replaying, so
-    /// the hot path never clones request payloads.
+    /// A record over the journal's size limit is a 413 and poisons
+    /// nothing. `make` runs only when a journal is attached and not
+    /// replaying, so the hot path never clones request payloads.
     fn log(&self, make: impl FnOnce() -> Record) -> Result<u64, ApiError> {
         if self.replaying.load(Ordering::SeqCst) {
             return Ok(0);
@@ -344,7 +344,10 @@ impl SessionManager {
             return Ok(0);
         };
         let t0 = Instant::now();
-        let seq = journal.append(&make()).map_err(degraded_error)?;
+        let seq = journal.append(&make()).map_err(|e| match e.kind() {
+            io::ErrorKind::InvalidInput => ApiError::new(413, e.to_string()),
+            _ => degraded_error(e),
+        })?;
         if let Some(m) = self.metrics.get() {
             m.journal_append_seconds.record_duration(t0.elapsed());
         }
@@ -410,52 +413,38 @@ impl SessionManager {
     /// live afterwards.
     ///
     /// Sessions are deterministic given `(snapshot, policy, world seed,
-    /// observations)`, so re-driving `next`/`observe` reproduces each
-    /// session bit-for-bit; every replayed `next` is checked against the
-    /// journaled batch, and a divergence (the named snapshot was rebuilt
-    /// differently than the one the journal ran against) discards that
-    /// session rather than resurrecting a corrupt run. Tombstones are not
-    /// persisted: a session evicted before the crash answers 404 after
-    /// recovery, not 410.
+    /// observations)`, so re-driving `next_batch`/`observe_batch`
+    /// reproduces each session bit-for-bit. That covers single-seed
+    /// rounds too: they are journaled as batches of one, and the legacy
+    /// `next`/`observe` records of older journals parse as such. Every
+    /// replayed round is checked against the journaled batch, and a
+    /// divergence (the named snapshot was rebuilt differently than the one
+    /// the journal ran against) discards that session rather than
+    /// resurrecting a corrupt run. Tombstones are not persisted: a session
+    /// evicted before the crash answers 404 after recovery, not 410.
     pub fn recover(&self, records: &[Record]) -> usize {
         self.replaying.store(true, Ordering::SeqCst);
         for record in records {
-            match record {
+            let replayed = match record {
                 Record::Create { id, token, req } => {
                     // New tokens must never collide with recovered ones.
                     self.next_id.fetch_max(id + 1, Ordering::Relaxed);
                     let _ = self.create_with_token(req, token, *id);
-                }
-                Record::Next { token, seeds, done } => match self.next(token) {
-                    Ok(batch) if batch.seeds == *seeds && batch.done == *done => {}
-                    _ => {
-                        self.delete(token);
-                    }
-                },
-                Record::Observe { token, req } => {
-                    if self.observe(token, req).is_err() {
-                        self.delete(token);
-                    }
+                    continue;
                 }
                 Record::NextBatch {
                     token,
                     seeds,
                     k,
                     done,
-                } => match self.next_batch(token, *k) {
-                    Ok(batch) if batch.seeds == *seeds && batch.done == *done => {}
-                    _ => {
-                        self.delete(token);
-                    }
-                },
-                Record::ObserveBatch { token, req } => {
-                    if self.observe_batch(token, req).is_err() {
-                        self.delete(token);
-                    }
-                }
-                Record::Delete { token } => {
-                    self.delete(token);
-                }
+                } => self
+                    .next_batch(token, *k)
+                    .is_ok_and(|batch| batch.seeds == *seeds && batch.done == *done),
+                Record::ObserveBatch { token, req } => self.observe_batch(token, req).is_ok(),
+                Record::Delete { .. } => false,
+            };
+            if !replayed {
+                self.delete(record.token());
             }
         }
         self.replaying.store(false, Ordering::SeqCst);
@@ -644,55 +633,11 @@ impl SessionManager {
         stale.len()
     }
 
-    /// Advances the policy to its next committed seed (a batch round of
-    /// `k = 1` — byte-identical to the pre-batch single-seed protocol by
-    /// the stepper contract).
+    /// Advances the policy to its next committed seed: a batch round of
+    /// `k = 1`, byte-identical to the pre-batch single-seed protocol by the
+    /// stepper contract.
     pub fn next(&self, token: &str) -> Result<NextBatch, ApiError> {
-        let entry = self.entry(token)?;
-        let mut entry = lock_entry(&entry);
-        entry.last_touched_ms = self.now_ms();
-        match entry.pending.len() {
-            0 => {}
-            1 => {
-                // Idempotent retry: a client whose response got lost
-                // (crash, shed, dropped connection) re-asks and receives
-                // the same committed seed — nothing advances, nothing
-                // re-journals.
-                return Ok(NextBatch {
-                    seeds: entry.pending.clone(),
-                    done: false,
-                });
-            }
-            n => {
-                // A multi-seed batch is pending: the single-seed route
-                // cannot observe it, so handing out one seed of it would
-                // wedge the session. Same conflict family as observing
-                // the wrong seed.
-                return Err(ApiError::new(
-                    409,
-                    format!("a batch of {n} seeds is pending; POST observe_batch first"),
-                ));
-            }
-        }
-        if entry.done {
-            return Ok(NextBatch {
-                seeds: Vec::new(),
-                done: true,
-            });
-        }
-        // `next_batch(session, 1)` is exactly one `next_seed` call.
-        let seeds = entry.with_session(|stepper, session| stepper.next_batch(session, 1))?;
-        let done = seeds.is_empty();
-        entry.pending = seeds.clone();
-        entry.pending_k = 1;
-        entry.done = done;
-        let seq = self.log(|| Record::Next {
-            token: token.to_string(),
-            seeds: seeds.clone(),
-            done,
-        })?;
-        entry.last_seq = entry.last_seq.max(seq);
-        Ok(NextBatch { seeds, done })
+        self.next_round(token, 1, Verbs::Single)
     }
 
     /// Advances the policy by one low-adaptivity round: up to `k` seeds
@@ -702,13 +647,22 @@ impl SessionManager {
         if k == 0 {
             return Err(ApiError::bad_request("k must be positive"));
         }
+        self.next_round(token, k, Verbs::Batch)
+    }
+
+    /// The one decision path behind both `next` verbs.
+    fn next_round(&self, token: &str, k: usize, verbs: Verbs) -> Result<NextBatch, ApiError> {
         let entry = self.entry(token)?;
         let mut entry = lock_entry(&entry);
         entry.last_touched_ms = self.now_ms();
+        if let Some(err) = conflict(verbs, &entry.pending, None) {
+            return Err(err);
+        }
         if !entry.pending.is_empty() {
-            // Idempotent retry: the already-committed batch is re-served
-            // verbatim, whatever `k` the retry asks for — the round was
-            // decided when it was first handed out.
+            // Idempotent retry: a client whose response got lost (crash,
+            // shed, dropped connection) re-asks and receives the committed
+            // batch verbatim, whatever `k` the retry asks for — nothing
+            // advances, nothing re-journals.
             return Ok(NextBatch {
                 seeds: entry.pending.clone(),
                 done: false,
@@ -735,43 +689,50 @@ impl SessionManager {
         Ok(NextBatch { seeds, done })
     }
 
-    /// Applies an observation for the pending seed.
+    /// Applies an observation for the pending seed: a batch observation
+    /// of one seed.
     pub fn observe(&self, token: &str, req: &ObserveReq) -> Result<Observed, ApiError> {
+        self.observe_round(token, &ObserveBatchReq::from(req.clone()), Verbs::Single)
+    }
+
+    /// Applies a joint observation for the whole pending batch. The
+    /// reported `seeds` must be exactly the pending batch (same seeds,
+    /// same order) — the batch generalization of the single-seed 409
+    /// rule.
+    pub fn observe_batch(&self, token: &str, req: &ObserveBatchReq) -> Result<Observed, ApiError> {
+        self.observe_round(token, req, Verbs::Batch)
+    }
+
+    /// The one observation path behind both `observe` verbs. Every check
+    /// runs before the session changes.
+    fn observe_round(
+        &self,
+        token: &str,
+        req: &ObserveBatchReq,
+        verbs: Verbs,
+    ) -> Result<Observed, ApiError> {
         let entry = self.entry(token)?;
         let mut entry = lock_entry(&entry);
         entry.last_touched_ms = self.now_ms();
-        let pending = match entry.pending.len() {
-            0 => {
-                return Err(ApiError::new(
-                    409,
-                    "no seed awaiting observation; POST next first",
-                ))
-            }
-            1 => entry.pending[0],
-            n => {
-                return Err(ApiError::new(
-                    409,
-                    format!("a batch of {n} seeds is pending; POST observe_batch instead"),
-                ))
-            }
-        };
-        if req.seed() != pending {
-            return Err(ApiError::new(
-                409,
-                format!(
-                    "observation is for seed {}, but seed {pending} is pending",
-                    req.seed()
-                ),
-            ));
+        if let Some(err) = conflict(verbs, &entry.pending, Some(req.seeds())) {
+            return Err(err);
         }
         let n = entry.snapshot.instance.graph().num_nodes();
         let (activated, newly_activated) = match req {
-            ObserveReq::Simulate { seed } => {
-                let cascade = entry.with_session(|_, session| session.select(*seed))?;
+            ObserveBatchReq::Simulate { seeds } => {
+                let cascade = entry.with_session(|_, session| session.select_batch(seeds))?;
                 let newly = cascade.len();
                 (cascade, newly)
             }
-            ObserveReq::Report { seed, activated } => {
+            ObserveBatchReq::Report { seeds, activated } => {
+                // A node activates at most once, so a longer report can
+                // only repeat ids — and would journal an unbounded record.
+                if activated.len() > n {
+                    return Err(ApiError::bad_request(format!(
+                        "activated lists {} nodes, more than the {n}-node graph holds",
+                        activated.len()
+                    )));
+                }
                 if let Some(&bad) = activated.iter().find(|&&v| v as usize >= n) {
                     return Err(ApiError::bad_request(format!(
                         "activated node {bad} out of range for a {n}-node graph"
@@ -781,93 +742,20 @@ impl SessionManager {
                 // itself (it was alive when the stepper proposed it); a
                 // report omitting it would leave the ledger paying for a
                 // seed the residual graph still considers inactive.
-                if !activated.contains(seed) {
+                if let Some(&seed) = seeds.iter().find(|s| !activated.contains(s)) {
                     return Err(ApiError::bad_request(format!(
                         "activated must include the seed {seed} itself"
                     )));
                 }
-                let seed = *seed;
-                let reported = activated.clone();
                 let newly = entry
-                    .with_session(move |_, session| session.apply_observation(seed, &reported))?;
+                    .with_session(|_, session| session.apply_observations(seeds, activated))?;
                 (activated.clone(), newly)
             }
         };
         entry.pending.clear();
-        let round_k = entry.pending_k;
+        let k = entry.pending_k;
         entry.rounds.push(RoundRec {
-            k: round_k,
-            req: req.clone().into(),
-        });
-        let seq = self.log(|| Record::Observe {
-            token: token.to_string(),
-            req: req.clone(),
-        })?;
-        entry.last_seq = entry.last_seq.max(seq);
-        let ledger = entry.ledger()?;
-        Ok(Observed {
-            newly_activated,
-            activated,
-            ledger,
-        })
-    }
-
-    /// Applies a joint observation for the whole pending batch. The
-    /// reported `seeds` must be exactly the pending batch (same seeds,
-    /// same order) — the batch generalization of the single-seed 409
-    /// rule.
-    pub fn observe_batch(&self, token: &str, req: &ObserveBatchReq) -> Result<Observed, ApiError> {
-        let entry = self.entry(token)?;
-        let mut entry = lock_entry(&entry);
-        entry.last_touched_ms = self.now_ms();
-        if entry.pending.is_empty() {
-            return Err(ApiError::new(
-                409,
-                "no batch awaiting observation; POST next_batch first",
-            ));
-        }
-        if req.seeds() != &entry.pending[..] {
-            return Err(ApiError::new(
-                409,
-                format!(
-                    "observation is for seeds {:?}, but seeds {:?} are pending",
-                    req.seeds(),
-                    entry.pending
-                ),
-            ));
-        }
-        let n = entry.snapshot.instance.graph().num_nodes();
-        let (activated, newly_activated) = match req {
-            ObserveBatchReq::Simulate { seeds } => {
-                let seeds = seeds.clone();
-                let cascade = entry.with_session(move |_, session| session.select_batch(&seeds))?;
-                let newly = cascade.len();
-                (cascade, newly)
-            }
-            ObserveBatchReq::Report { seeds, activated } => {
-                if let Some(&bad) = activated.iter().find(|&&v| v as usize >= n) {
-                    return Err(ApiError::bad_request(format!(
-                        "activated node {bad} out of range for a {n}-node graph"
-                    )));
-                }
-                // Every seed of the batch activates itself under IC.
-                if let Some(&seed) = req.seeds().iter().find(|s| !activated.contains(s)) {
-                    return Err(ApiError::bad_request(format!(
-                        "activated must include the seed {seed} itself"
-                    )));
-                }
-                let seeds = seeds.clone();
-                let reported = activated.clone();
-                let newly = entry.with_session(move |_, session| {
-                    session.apply_observations(&seeds, &reported)
-                })?;
-                (activated.clone(), newly)
-            }
-        };
-        entry.pending.clear();
-        let round_k = entry.pending_k;
-        entry.rounds.push(RoundRec {
-            k: round_k,
+            k,
             req: req.clone(),
         });
         let seq = self.log(|| Record::ObserveBatch {
@@ -924,6 +812,46 @@ fn lock_entry(entry: &Arc<Mutex<SessionEntry>>) -> std::sync::MutexGuard<'_, Ses
     entry.lock().unwrap_or_else(|poison| poison.into_inner())
 }
 
+/// The verb family a request came in on. Both families run the same
+/// batch code; only [`conflict`]'s wording tells them apart.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Verbs {
+    /// `next`/`observe`: rounds of one seed.
+    Single,
+    /// `next_batch`/`observe_batch`.
+    Batch,
+}
+
+/// The 409 for a request that does not fit the pending batch, or `None`
+/// when it may proceed. `observed` holds an observation's seeds (`None`
+/// for a `next`). The single-seed verbs can neither re-serve nor observe
+/// a multi-seed batch — handing out one seed of it would wedge the
+/// session — and word the shared rules for one seed.
+fn conflict(verbs: Verbs, pending: &[Node], observed: Option<&[Node]>) -> Option<ApiError> {
+    let single = verbs == Verbs::Single;
+    let n = pending.len();
+    let message = match observed {
+        None if single && n > 1 => {
+            format!("a batch of {n} seeds is pending; POST observe_batch first")
+        }
+        None => return None,
+        Some(_) if n == 0 && single => "no seed awaiting observation; POST next first".into(),
+        Some(_) if n == 0 => "no batch awaiting observation; POST next_batch first".into(),
+        Some(_) if single && n > 1 => {
+            format!("a batch of {n} seeds is pending; POST observe_batch instead")
+        }
+        Some(seeds) if seeds == pending => return None,
+        Some(seeds) if single => format!(
+            "observation is for seed {}, but seed {} is pending",
+            seeds[0], pending[0]
+        ),
+        Some(seeds) => {
+            format!("observation is for seeds {seeds:?}, but seeds {pending:?} are pending")
+        }
+    };
+    Some(ApiError::new(409, message))
+}
+
 /// SplitMix64 — scrambles the sequential counter into opaque-looking tokens.
 fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E3779B97F4A7C15);
@@ -937,7 +865,7 @@ mod tests {
     use super::*;
     use crate::protocol::{PolicySpec, SnapshotReq, SnapshotSource};
 
-    fn manager() -> SessionManager {
+    fn store() -> Arc<SnapshotStore> {
         let store = Arc::new(SnapshotStore::new());
         store.insert(
             Snapshot::build(&SnapshotReq {
@@ -953,7 +881,11 @@ mod tests {
             })
             .unwrap(),
         );
-        SessionManager::new(store)
+        store
+    }
+
+    fn manager() -> SessionManager {
+        SessionManager::new(store())
     }
 
     fn create(m: &SessionManager, policy: PolicySpec, world: u64) -> String {
@@ -1273,25 +1205,10 @@ mod tests {
     }
 
     fn manager_with_mock_clock() -> (SessionManager, Arc<std::sync::atomic::AtomicU64>) {
-        let store = Arc::new(SnapshotStore::new());
-        store.insert(
-            Snapshot::build(&SnapshotReq {
-                name: "g".into(),
-                source: SnapshotSource::Preset {
-                    dataset: "nethept".into(),
-                    scale: 0.02,
-                },
-                k: 5,
-                rr_theta: 5_000,
-                seed: 1,
-                threads: 1,
-            })
-            .unwrap(),
-        );
         let clock = Arc::new(std::sync::atomic::AtomicU64::new(0));
         let handle = clock.clone();
         let m = SessionManager::with_clock(
-            store,
+            store(),
             Arc::new(move || handle.load(std::sync::atomic::Ordering::SeqCst)),
         );
         (m, clock)

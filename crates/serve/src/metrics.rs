@@ -16,7 +16,7 @@
 //! ## Recording discipline
 //!
 //! Workers record request metrics strictly *after*
-//! [`respond`](crate::server::respond) returns — and the exposition is
+//! `server::respond` returns — and the exposition is
 //! rendered *inside* respond — so the scrape request is never counted in
 //! its own output: a fresh server's first `/metrics` response shows one
 //! accepted connection, one dispatch, and empty latency histograms.

@@ -467,13 +467,6 @@ pub enum ObserveReq {
 }
 
 impl ObserveReq {
-    /// The seed this observation is for.
-    pub fn seed(&self) -> Node {
-        match self {
-            ObserveReq::Simulate { seed } | ObserveReq::Report { seed, .. } => *seed,
-        }
-    }
-
     /// Parses the request body.
     pub fn from_json(v: &Json) -> Result<Self, ApiError> {
         let seed = u64_field(v, "seed")?;
@@ -589,23 +582,6 @@ impl ObserveBatchReq {
                 ("seeds", Json::nums(seeds.iter().copied())),
                 ("activated", Json::nums(activated.iter().copied())),
             ]),
-        }
-    }
-
-    /// The single-seed form of this observation, when the batch has exactly
-    /// one seed (used to journal batch-of-one rounds compatibly).
-    pub fn as_single(&self) -> Option<ObserveReq> {
-        match self {
-            ObserveBatchReq::Simulate { seeds } if seeds.len() == 1 => {
-                Some(ObserveReq::Simulate { seed: seeds[0] })
-            }
-            ObserveBatchReq::Report { seeds, activated } if seeds.len() == 1 => {
-                Some(ObserveReq::Report {
-                    seed: seeds[0],
-                    activated: activated.clone(),
-                })
-            }
-            _ => None,
         }
     }
 }
@@ -797,7 +773,6 @@ mod tests {
         ] {
             let parsed = ObserveReq::from_json(&Json::parse(&req.to_json().encode()).unwrap());
             assert_eq!(parsed.unwrap(), req);
-            assert_eq!(req.seed(), 5);
         }
     }
 
@@ -821,22 +796,30 @@ mod tests {
             let parsed = ObserveBatchReq::from_json(&Json::parse(&req.to_json().encode()).unwrap());
             assert_eq!(parsed.unwrap(), req);
             assert_eq!(req.seeds(), &[5, 9]);
-            assert!(req.as_single().is_none(), "two seeds have no single form");
         }
     }
 
     #[test]
     fn batch_of_one_observation_converts_both_ways() {
-        for single in [
-            ObserveReq::Simulate { seed: 7 },
-            ObserveReq::Report {
-                seed: 7,
-                activated: vec![7, 8],
-            },
+        // Both observation modes convert exactly: the seed becomes a
+        // one-seed batch and a report keeps its activations verbatim.
+        for (single, batch) in [
+            (
+                ObserveReq::Simulate { seed: 7 },
+                ObserveBatchReq::Simulate { seeds: vec![7] },
+            ),
+            (
+                ObserveReq::Report {
+                    seed: 7,
+                    activated: vec![7, 8],
+                },
+                ObserveBatchReq::Report {
+                    seeds: vec![7],
+                    activated: vec![7, 8],
+                },
+            ),
         ] {
-            let batch: ObserveBatchReq = single.clone().into();
-            assert_eq!(batch.seeds(), &[7]);
-            assert_eq!(batch.as_single(), Some(single));
+            assert_eq!(ObserveBatchReq::from(single), batch);
         }
     }
 

@@ -2,7 +2,7 @@
 //! the [`Server`] that runs them over the epoll transport.
 //!
 //! Reactor shards from `atpm-net` multiplex any number of keep-alive
-//! connections over a small worker pool (see [`crate::epoll`]). Connection
+//! connections over a small worker pool (see the `epoll` module). Connection
 //! count and worker count are decoupled: thousands of mostly-idle campaign
 //! clients cost fds, not threads. The transport needs the `atpm-net` epoll
 //! shims (Linux x86_64/aarch64); elsewhere [`Server::start`] fails with
@@ -213,8 +213,13 @@ pub fn route(
                 ]),
             ))
         }
-        ("POST", ["sessions", token, "next"]) => {
-            let batch = state.manager.next(token)?;
+        ("POST", ["sessions", token, verb @ ("next" | "next_batch")]) => {
+            let batch = match *verb {
+                "next" => state.manager.next(token)?,
+                _ => state
+                    .manager
+                    .next_batch(token, NextBatchReq::from_json(body)?.k)?,
+            };
             Ok((
                 200,
                 Json::obj([
@@ -223,32 +228,15 @@ pub fn route(
                 ]),
             ))
         }
-        ("POST", ["sessions", token, "next_batch"]) => {
-            let req = NextBatchReq::from_json(body)?;
-            let batch = state.manager.next_batch(token, req.k)?;
-            Ok((
-                200,
-                Json::obj([
-                    ("seeds", Json::nums(batch.seeds.iter().copied())),
-                    ("done", Json::Bool(batch.done)),
-                ]),
-            ))
-        }
-        ("POST", ["sessions", token, "observe"]) => {
-            let req = ObserveReq::from_json(body)?;
-            let obs = state.manager.observe(token, &req)?;
-            Ok((
-                200,
-                Json::obj([
-                    ("activated", Json::nums(obs.activated.iter().copied())),
-                    ("newly_activated", Json::Num(obs.newly_activated as f64)),
-                    ("ledger", obs.ledger.to_json()),
-                ]),
-            ))
-        }
-        ("POST", ["sessions", token, "observe_batch"]) => {
-            let req = ObserveBatchReq::from_json(body)?;
-            let obs = state.manager.observe_batch(token, &req)?;
+        ("POST", ["sessions", token, verb @ ("observe" | "observe_batch")]) => {
+            let obs = match *verb {
+                "observe" => state
+                    .manager
+                    .observe(token, &ObserveReq::from_json(body)?)?,
+                _ => state
+                    .manager
+                    .observe_batch(token, &ObserveBatchReq::from_json(body)?)?,
+            };
             Ok((
                 200,
                 Json::obj([

@@ -207,6 +207,89 @@ fn enospc_on_append_refuses_the_mutation_and_degrades() {
 }
 
 #[test]
+fn an_overlong_report_is_a_400_before_the_session_changes() {
+    use atpm_serve::protocol::ObserveBatchReq;
+    let path = tmppath("long-report");
+    let state = state_with_snapshot();
+    let (journal, _) = Journal::open(&path).unwrap();
+    state.manager.attach_journal(Arc::new(journal));
+    let mut client = LocalClient::new(state.clone());
+    let token = client.create_session(&session_req()).unwrap();
+    let seed = client.next(&token).unwrap().unwrap()[0];
+    let n = state.store.get("g").unwrap().instance.graph().num_nodes();
+
+    // One id repeated past the node count — unbounded by the body limit
+    // alone, and a journal record recovery would read as a torn tail.
+    let long = vec![seed; n + 1];
+    let err = client
+        .observe(
+            &token,
+            &ObserveReq::Report {
+                seed,
+                activated: long.clone(),
+            },
+        )
+        .unwrap_err();
+    assert_eq!(err.status, 400, "{}", err.message);
+    let err = client
+        .observe_batch(
+            &token,
+            &ObserveBatchReq::Report {
+                seeds: vec![seed],
+                activated: long,
+            },
+        )
+        .unwrap_err();
+    assert_eq!(err.status, 400, "{}", err.message);
+    let ledger = client.ledger(&token).unwrap();
+    assert!(
+        ledger.selected.is_empty() && ledger.rounds == 0,
+        "{ledger:?}"
+    );
+    assert_eq!(client.next(&token).unwrap(), Some(vec![seed]));
+
+    // A report of exactly n ids is accepted, and the journal still
+    // replays the session to the same ledger.
+    client
+        .observe(
+            &token,
+            &ObserveReq::Report {
+                seed,
+                activated: vec![seed; n],
+            },
+        )
+        .unwrap();
+    let live = client.ledger(&token).unwrap();
+    let restarted = state_with_snapshot();
+    let (_journal, records) = Journal::open(&path).unwrap();
+    assert_eq!(records.len(), 3, "create + next + observe");
+    assert_eq!(restarted.manager.recover(&records), 1);
+    assert_eq!(restarted.manager.ledger(&token).unwrap(), live);
+}
+
+#[test]
+fn an_oversized_record_is_refused_without_writing_or_poisoning() {
+    use atpm_serve::journal::Record;
+    let path = tmppath("oversize");
+    let (journal, _) = Journal::open(&path).unwrap();
+    let delete = |token: String| Record::Delete { token };
+    journal.append(&delete("a".into())).unwrap();
+    let bytes = journal.bytes();
+    // Over the 16 MiB frame limit: recovery would read this frame as the
+    // torn tail and truncate it away together with every later record.
+    let err = journal.append(&delete("x".repeat(16 << 20))).unwrap_err();
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+    assert!(!journal.poisoned(), "a refused record must not poison");
+    assert_eq!(journal.bytes(), bytes);
+    assert_eq!(std::fs::metadata(&path).unwrap().len(), bytes);
+    journal.append(&delete("b".into())).unwrap();
+    drop(journal);
+    let (journal, records) = Journal::open(&path).unwrap();
+    assert_eq!(records, [delete("a".into()), delete("b".into())]);
+    assert!(journal.open_info().torn.is_empty());
+}
+
+#[test]
 fn checkpoint_plus_tail_recovery_is_bit_equal_after_a_kill() {
     let path = tmppath("ckp-kill");
     let cfg = ServeConfig {

@@ -279,6 +279,7 @@ fn reframe_as_v1(v2: &[u8]) -> Vec<u8> {
 #[test]
 fn legacy_single_seed_journal_replays_bit_equal() {
     use atpm_serve::journal::{Journal, Record};
+    use atpm_serve::protocol::ObserveBatchReq;
 
     // Reference: the journaled history, then the rest of the run, driven
     // uninterrupted and journal-free in process.
@@ -301,11 +302,36 @@ fn legacy_single_seed_journal_replays_bit_equal() {
 
         let state = state_with_snapshot();
         let (journal, records) = Journal::open(&path).unwrap();
-        assert_eq!(records.len(), 6, "{form}: create + 2 rounds + pending next");
         let Some(Record::Create { token, .. }) = records.first() else {
             panic!("{form}: journal must open with a create record");
         };
         let token = token.clone();
+        // The legacy `next`/`observe` records read back as batches of one.
+        let s = &reference_seeds;
+        let next = |seed: u32| Record::NextBatch {
+            token: token.clone(),
+            seeds: vec![seed],
+            k: 1,
+            done: false,
+        };
+        let observe = |req| Record::ObserveBatch {
+            token: token.clone(),
+            req,
+        };
+        assert_eq!(
+            records[1..],
+            [
+                next(s[0]),
+                observe(ObserveBatchReq::Simulate { seeds: vec![s[0]] }),
+                next(s[1]),
+                observe(ObserveBatchReq::Report {
+                    seeds: vec![s[1]],
+                    activated: vec![s[1]],
+                }),
+                next(s[2]),
+            ],
+            "{form}: create + 2 rounds + pending next"
+        );
         assert_eq!(state.manager.recover(&records), 1, "{form}");
         state.manager.attach_journal(Arc::new(journal));
         let mut client = LocalClient::new(state);
@@ -350,6 +376,7 @@ mod fuzz {
     use super::*;
     use atpm_serve::journal::{FsyncPolicy, Journal, RealIo, Record};
     use atpm_serve::manager::SessionManager;
+    use atpm_serve::protocol::ObserveBatchReq;
     use std::collections::HashMap;
     use std::path::{Path, PathBuf};
 
@@ -368,15 +395,16 @@ mod fuzz {
             req: session_req(),
         }];
         for round in 0..3u32 {
-            records.push(Record::Next {
+            records.push(Record::NextBatch {
                 token: "s-1".into(),
                 seeds: vec![round * 7 + 1],
+                k: 1,
                 done: false,
             });
-            records.push(Record::Observe {
+            records.push(Record::ObserveBatch {
                 token: "s-1".into(),
-                req: ObserveReq::Simulate {
-                    seed: round * 7 + 1,
+                req: ObserveBatchReq::Simulate {
+                    seeds: vec![round * 7 + 1],
                 },
             });
         }
@@ -536,15 +564,9 @@ mod fuzz {
     fn by_token(records: &[Record]) -> HashMap<String, Vec<Record>> {
         let mut map: HashMap<String, Vec<Record>> = HashMap::new();
         for r in records {
-            let token = match r {
-                Record::Create { token, .. }
-                | Record::Next { token, .. }
-                | Record::NextBatch { token, .. }
-                | Record::Observe { token, .. }
-                | Record::ObserveBatch { token, .. }
-                | Record::Delete { token } => token.clone(),
-            };
-            map.entry(token).or_default().push(r.clone());
+            map.entry(r.token().to_string())
+                .or_default()
+                .push(r.clone());
         }
         map
     }

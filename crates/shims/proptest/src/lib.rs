@@ -190,7 +190,7 @@ pub mod collection {
         VecStrategy { element, size }
     }
 
-    /// See [`vec`].
+    /// See [`vec()`].
     pub struct VecStrategy<S, R> {
         element: S,
         size: R,
