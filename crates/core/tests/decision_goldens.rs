@@ -1,0 +1,182 @@
+//! Decision goldens for the double-greedy family: ADG (over the exact,
+//! Monte-Carlo and RIS oracles), ADDATP (base and dynamic-threshold) and
+//! HATP. For every world the test pins the selected seeds, the profit's
+//! `to_bits()` and the RR sets sampled.
+//!
+//! One policy value runs all worlds in order, so oracle call counters and
+//! nothing else carry across worlds, exactly as in `evaluate_adaptive`. A
+//! change to the candidate walk, the `T_rest` conditioning, an oracle's
+//! query sequence or a sampling salt chain moves a seed, a profit bit or a
+//! work count here. There is no regenerate switch: a changed value is a
+//! changed decision and must be re-recorded deliberately.
+
+use atpm_core::oracle::{ExactOracle, McOracle, RisOracle};
+use atpm_core::policies::{Addatp, Adg, Hatp};
+use atpm_core::setup::{calibrated_instance, CalibrationConfig};
+use atpm_core::{AdaptivePolicy, AdaptiveSession, CostSplit, TpmInstance};
+use atpm_graph::gen::Dataset;
+use atpm_graph::GraphBuilder;
+
+const WORLDS: [u64; 4] = [1, 7, 20200420, u64::MAX / 3];
+
+/// One world's outcome: selected seeds, profit bits, RR sets sampled.
+type Outcome = (Vec<u32>, u64, u64);
+
+/// NetHEPT stand-in at ~300 nodes with six IMM targets and uniform costs.
+fn preset_instance() -> TpmInstance {
+    calibrated_instance(
+        Dataset::NetHept.generate(0.02, 5),
+        6,
+        CostSplit::Uniform,
+        CalibrationConfig {
+            lb_theta: 8_000,
+            seed: 5,
+            threads: 2,
+            ..Default::default()
+        },
+    )
+}
+
+/// The exact oracle enumerates every world, so its case needs a graph of at
+/// most 20 edges: two overlapping hubs, a chain and an isolate.
+fn tiny_instance() -> TpmInstance {
+    let mut b = GraphBuilder::new(8);
+    for (u, v, p) in [
+        (0, 4, 0.8),
+        (0, 5, 0.6),
+        (1, 5, 0.7),
+        (1, 6, 0.5),
+        (2, 3, 0.4),
+        (3, 7, 0.9),
+        (4, 7, 0.3),
+        (6, 2, 0.5),
+    ] {
+        b.add_edge(u, v, p).unwrap();
+    }
+    TpmInstance::new(b.build(), vec![0, 1, 2, 3], &[1.1, 0.9, 1.3, 1.0])
+}
+
+fn run_worlds<P: AdaptivePolicy>(inst: &TpmInstance, policy: &mut P) -> Vec<Outcome> {
+    WORLDS
+        .iter()
+        .map(|&w| {
+            let mut session = AdaptiveSession::new(inst, w);
+            let seeds = policy.run(&mut session);
+            (seeds, session.profit().to_bits(), session.sampling_work())
+        })
+        .collect()
+}
+
+fn check(case: &str, got: Vec<Outcome>, want: &[(&[u32], u64, u64)]) {
+    let want: Vec<Outcome> = want.iter().map(|&(s, b, w)| (s.to_vec(), b, w)).collect();
+    assert_eq!(got, want, "{case}: decisions changed");
+}
+
+#[test]
+fn adg_exact_oracle() {
+    let got = run_worlds(&tiny_instance(), &mut Adg::new(ExactOracle));
+    check(
+        "ADG/exact",
+        got,
+        &[
+            (&[0, 1], 4617315517961601024, 0),
+            (&[0, 1, 2, 3], 4613262278296967578, 0),
+            (&[0, 1, 2, 3], 4615514078110652826, 0),
+            (&[0, 1], 4618441417868443648, 0),
+        ],
+    );
+}
+
+#[test]
+fn adg_mc_oracle() {
+    let got = run_worlds(&preset_instance(), &mut Adg::new(McOracle::new(200, 3)));
+    check(
+        "ADG/MC",
+        got,
+        &[
+            (&[1, 0, 3, 12], 4629624022022956598, 0),
+            (&[1, 0, 3, 12], 4628498122116113974, 0),
+            (&[1, 0, 3], 4609643379553585792, 0),
+            (&[1, 0, 3], 4628728327077125288, 0),
+        ],
+    );
+}
+
+#[test]
+fn adg_ris_oracle() {
+    let got = run_worlds(
+        &preset_instance(),
+        &mut Adg::new(RisOracle::new(2_000, 4, 2)),
+    );
+    check(
+        "ADG/RIS",
+        got,
+        &[
+            (&[1, 0, 3], 4627883902146993320, 0),
+            (&[1, 0, 3, 12], 4628498122116113974, 0),
+            (&[1, 0, 3, 12], 13842119034378872616, 0),
+            (&[1, 0, 3], 4628728327077125288, 0),
+        ],
+    );
+}
+
+#[test]
+fn addatp_base() {
+    let mut policy = Addatp {
+        seed: 5,
+        threads: 2,
+        max_theta: 1 << 12,
+        ..Default::default()
+    };
+    check(
+        "ADDATP",
+        run_worlds(&preset_instance(), &mut policy),
+        &[
+            (&[1, 0, 3, 12], 4629624022022956598, 44848),
+            (&[1, 0, 3, 12], 4628498122116113974, 46704),
+            (&[1, 0, 3, 12], 13842119034378872616, 58622),
+            (&[1, 0, 3], 4628728327077125288, 47704),
+        ],
+    );
+}
+
+#[test]
+fn addatp_dynamic() {
+    let mut policy = Addatp {
+        seed: 6,
+        threads: 2,
+        max_theta: 1 << 12,
+        dynamic_eps: Some(0.2),
+        ..Default::default()
+    };
+    check(
+        "ADDATP-dyn",
+        run_worlds(&preset_instance(), &mut policy),
+        &[
+            (&[1, 0, 3], 4627883902146993320, 45745),
+            (&[1, 0, 3, 12], 4628498122116113974, 46704),
+            (&[1, 0, 3], 4609643379553585792, 59306),
+            (&[1, 0, 3], 4628728327077125288, 47704),
+        ],
+    );
+}
+
+#[test]
+fn hatp_capped() {
+    let mut policy = Hatp {
+        seed: 7,
+        threads: 2,
+        max_theta: 1 << 13,
+        ..Default::default()
+    };
+    check(
+        "HATP",
+        run_worlds(&preset_instance(), &mut policy),
+        &[
+            (&[1, 0, 3], 4627883902146993320, 89994),
+            (&[1, 0, 3], 13836079374719064768, 94099),
+            (&[1, 0, 3], 4609643379553585792, 94450),
+            (&[1, 0, 3], 4628728327077125288, 88610),
+        ],
+    );
+}
