@@ -24,7 +24,9 @@
 //!   suspend into owned [`SessionState`]s and accept external observations,
 //!   so a network service can host them across requests;
 //! * [`stepper`] — adaptive policies in resumable one-seed-at-a-time form
-//!   ([`PolicyStepper`]), the inversion of control the serve layer drives;
+//!   ([`PolicyStepper`]), the inversion of control the serve layer drives,
+//!   and the one double-greedy stepper ([`stepper::DoubleGreedy`]) that
+//!   ADG, ADDATP and HATP share;
 //! * [`runner`] — evaluation over batches of realizations (the paper's
 //!   20-world protocol) with profit and wall-clock accounting;
 //! * [`policies`] — every algorithm of the paper:
@@ -60,15 +62,22 @@ pub use stepper::{run_stepper, run_stepper_batched, PolicyStepper};
 /// Node id re-exported from the graph substrate.
 pub type Node = atpm_graph::Node;
 
-/// Adaptive policies drive an [`AdaptiveSession`]: they may inspect the
-/// residual graph, must call [`AdaptiveSession::select`] for every seed they
-/// commit, and return the selected set.
+/// An adaptive policy is a factory of [`PolicyStepper`]s, one per
+/// realization.
 pub trait AdaptivePolicy {
-    /// Display name (used in experiment tables).
-    fn name(&self) -> &'static str;
+    /// The policy's resumable form. ADG's borrows the policy, so its oracle's
+    /// call counters carry across realizations.
+    type Stepper<'a>: PolicyStepper
+    where
+        Self: 'a;
+
+    /// A fresh stepper for one realization.
+    fn stepper(&mut self) -> Self::Stepper<'_>;
 
     /// Runs the policy to completion against one realization.
-    fn run(&mut self, session: &mut AdaptiveSession<'_>) -> Vec<Node>;
+    fn run(&mut self, session: &mut AdaptiveSession<'_>) -> Vec<Node> {
+        run_stepper(&mut self.stepper(), session)
+    }
 }
 
 /// Nonadaptive policies commit to a seed set up front (one batch, no
@@ -77,6 +86,8 @@ pub trait NonadaptivePolicy {
     /// Display name (used in experiment tables).
     fn name(&self) -> &'static str;
 
-    /// Selects the seed set on the original graph.
-    fn select(&mut self, instance: &TpmInstance) -> Vec<Node>;
+    /// Selects the seed set on the original graph. Returns it with the
+    /// number of RR sets sampled to choose it (0 for policies that do not
+    /// sample).
+    fn select(&mut self, instance: &TpmInstance) -> (Vec<Node>, u64);
 }

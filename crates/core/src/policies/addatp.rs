@@ -29,6 +29,7 @@ use atpm_ris::stream::front_rear_counts_shared;
 use atpm_ris::NodeSet;
 
 use crate::session::AdaptiveSession;
+use crate::stepper::{DoubleGreedy, DoubleGreedyRule};
 use crate::AdaptivePolicy;
 
 const SQRT_2: f64 = std::f64::consts::SQRT_2;
@@ -66,94 +67,85 @@ impl Default for Addatp {
 }
 
 impl AdaptivePolicy for Addatp {
-    fn name(&self) -> &'static str {
-        if self.dynamic_eps.is_some() {
-            "ADDATP-dyn"
-        } else {
-            "ADDATP"
-        }
+    type Stepper<'a> = DoubleGreedy<AddatpRule>;
+
+    fn stepper(&mut self) -> Self::Stepper<'_> {
+        let name = match self.dynamic_eps {
+            None => "ADDATP",
+            Some(_) => "ADDATP-dyn",
+        };
+        let rule = AddatpRule {
+            cfg: self.clone(),
+            round_salt: self.seed,
+            eta_tilde_sum: 0.0,
+        };
+        DoubleGreedy::new(name, rule)
     }
+}
 
-    fn run(&mut self, session: &mut AdaptiveSession<'_>) -> Vec<Node> {
-        let target: Vec<Node> = session.instance().target().to_vec();
-        let k = target.len();
-        if k == 0 {
-            return Vec::new();
-        }
+/// ADDATP's decision rule: additive-error rounds on one shared RR batch
+/// each, with the run's salt chain and the dynamic variant's `Ση̃_j`.
+pub struct AddatpRule {
+    cfg: Addatp,
+    round_salt: u64,
+    eta_tilde_sum: f64,
+}
+
+impl DoubleGreedyRule for AddatpRule {
+    fn keep(&mut self, session: &mut AdaptiveSession<'_>, u: Node, rear: &NodeSet) -> bool {
+        let k = session.instance().target().len();
         let n = session.instance().graph().num_nodes();
+        // S_{i−1} is dead on the residual graph: the front condition is empty.
         let empty = NodeSet::new(n);
-        // `t_rest` tracks T_{i−1}; the examined node is removed up front so
-        // the set passed to the sampler is T_{i−1} ∖ {u_i}.
-        let mut t_rest = NodeSet::from_iter(n, target.iter().copied());
-        let mut round_salt = self.seed;
-        let mut eta_tilde_sum = 0.0f64; // Σ η̃_j of the dynamic variant
+        let ni = session.residual().num_alive();
+        debug_assert!(ni >= 1, "u alive implies n_i >= 1");
+        let nif = ni as f64;
+        let c = session.instance().cost(u);
+        // ζ_0 ∈ [1/n_i, 1): start from n_i·ζ_0 = initial_nzeta.
+        let mut zeta = (self.cfg.initial_nzeta / nif).min(0.5);
+        let mut delta = 1.0 / (k as f64 * n as f64);
+        // C2 threshold: fixed 1 in the base algorithm, re-budgeted from
+        // accumulated profit in the dynamic variant.
+        let eta = match self.cfg.dynamic_eps {
+            None => 1.0,
+            Some(eps) => ((eps * session.profit() - 2.0 * self.eta_tilde_sum - 2.0) / 2.0).max(0.0),
+        };
 
-        for &u in &target {
-            if session.is_activated(u) {
-                t_rest.remove(u);
-                continue;
+        loop {
+            self.round_salt = self
+                .round_salt
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1);
+            let theta = addatp_theta(zeta, delta).min(self.cfg.max_theta);
+            let counts = front_rear_counts_shared(
+                session.residual(),
+                u,
+                &empty,
+                rear,
+                theta,
+                self.round_salt,
+                self.cfg.threads,
+            );
+            session.add_sampling_work(counts.theta as u64);
+            if counts.theta == 0 {
+                return false;
             }
-            t_rest.remove(u);
-            let ni = session.residual().num_alive();
-            debug_assert!(ni >= 1, "u alive implies n_i >= 1");
-            let nif = ni as f64;
-            let c = session.instance().cost(u);
-            // ζ_0 ∈ [1/n_i, 1): start from n_i·ζ_0 = initial_nzeta.
-            let mut zeta = (self.initial_nzeta / nif).min(0.5);
-            let mut delta = 1.0 / (k as f64 * n as f64);
-            // C2 threshold: fixed 1 in the base algorithm, re-budgeted from
-            // accumulated profit in the dynamic variant.
-            let eta = match self.dynamic_eps {
-                None => 1.0,
-                Some(eps) => {
-                    let budget = eps * session.profit() - 2.0 * eta_tilde_sum - 2.0;
-                    if budget >= 0.0 {
-                        budget / 2.0
-                    } else {
-                        0.0
-                    }
+            let tf = counts.theta as f64;
+            let rho_f = nif * counts.cov_front as f64 / tf - c;
+            let rho_r = c - nif * counts.cov_rear as f64 / tf;
+            let nz = nif * zeta;
+            let c1 = (rho_f - rho_r).abs() >= 2.0 * nz || rho_f <= -nz || rho_r <= -nz;
+            let c2 = nz <= eta;
+            let forced = theta >= self.cfg.max_theta;
+            if c1 || c2 || forced {
+                if c2 && !c1 {
+                    self.eta_tilde_sum += eta;
                 }
-            };
-
-            let keep = loop {
-                round_salt = round_salt.wrapping_mul(6364136223846793005).wrapping_add(1);
-                let theta = addatp_theta(zeta, delta).min(self.max_theta);
-                let counts = front_rear_counts_shared(
-                    session.residual(),
-                    u,
-                    &empty,
-                    &t_rest,
-                    theta,
-                    round_salt,
-                    self.threads,
-                );
-                session.add_sampling_work(counts.theta as u64);
-                if counts.theta == 0 {
-                    break false;
-                }
-                let tf = counts.theta as f64;
-                let rho_f = nif * counts.cov_front as f64 / tf - c;
-                let rho_r = c - nif * counts.cov_rear as f64 / tf;
-                let nz = nif * zeta;
-                let c1 = (rho_f - rho_r).abs() >= 2.0 * nz || rho_f <= -nz || rho_r <= -nz;
-                let c2 = nz <= eta;
-                let forced = theta >= self.max_theta;
-                if c1 || c2 || forced {
-                    if c2 && !c1 {
-                        eta_tilde_sum += eta;
-                    }
-                    break rho_f >= rho_r;
-                }
-                zeta /= SQRT_2;
-                delta /= 2.0;
-            };
-
-            if keep {
-                session.select(u);
-                t_rest.insert(u); // selected nodes stay in T_i
+                return rho_f >= rho_r;
             }
+            zeta /= SQRT_2;
+            delta /= 2.0;
         }
-        session.selected().to_vec()
     }
 }
 
@@ -164,6 +156,7 @@ mod tests {
     use crate::oracle::ExactOracle;
     use crate::policies::Adg;
     use crate::runner::evaluate_adaptive;
+    use crate::stepper::PolicyStepper;
     use atpm_graph::GraphBuilder;
 
     /// Star hub 0 -> {1,2,3} (p=1) plus isolated 4; T = {0, 4}.
@@ -245,7 +238,7 @@ mod tests {
             ..Default::default()
         };
         let s = evaluate_adaptive(&inst, &mut p, &[1, 2]);
-        assert_eq!(p.name(), "ADDATP-dyn");
+        assert_eq!(p.stepper().name(), "ADDATP-dyn");
         // Hub is hugely profitable; it must still be selected.
         for (profit, seeds) in s.profits.iter().zip(&s.seeds_per_run) {
             assert!(*profit >= 2.0 - 1e-9, "profit {profit}");

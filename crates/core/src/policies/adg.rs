@@ -17,9 +17,11 @@
 //! `E[I_{G_i}(T_{i−1})] − E[I_{G_i}(T_{i−1} ∖ {u_i})]`.
 
 use atpm_graph::Node;
+use atpm_ris::NodeSet;
 
 use crate::oracle::SpreadOracle;
 use crate::session::AdaptiveSession;
+use crate::stepper::{DoubleGreedy, DoubleGreedyRule};
 use crate::AdaptivePolicy;
 
 /// Adaptive double greedy over any [`SpreadOracle`].
@@ -32,43 +34,39 @@ impl<O: SpreadOracle> Adg<O> {
     pub fn new(oracle: O) -> Self {
         Adg { oracle }
     }
+}
 
-    /// The wrapped oracle (used by tests to inspect call counts).
-    pub fn oracle_mut(&mut self) -> &mut O {
-        &mut self.oracle
+impl<O: SpreadOracle + Send> AdaptivePolicy for Adg<O> {
+    type Stepper<'a>
+        = DoubleGreedy<&'a mut Self>
+    where
+        Self: 'a;
+
+    fn stepper(&mut self) -> Self::Stepper<'_> {
+        DoubleGreedy::new("ADG", self)
     }
 }
 
-impl<O: SpreadOracle> AdaptivePolicy for Adg<O> {
-    fn name(&self) -> &'static str {
-        "ADG"
-    }
-
-    fn run(&mut self, session: &mut AdaptiveSession<'_>) -> Vec<Node> {
-        let target: Vec<Node> = session.instance().target().to_vec();
-        // T_i, kept as an ordered list (k is small; removal is O(k)).
-        let mut t_cur: Vec<Node> = target.clone();
-        for &u in &target {
-            if session.is_activated(u) {
-                t_cur.retain(|&v| v != u);
-                continue;
-            }
-            let c = session.instance().cost(u);
-            let t_minus: Vec<Node> = t_cur.iter().copied().filter(|&v| v != u).collect();
-            let view = session.residual();
-            // Front: S_{i-1} is dead on G_i, so the conditional marginal is
-            // the singleton spread.
-            let rho_f = self.oracle.spread(view, &[u]) - c;
-            // Rear: E[I(T_{i-1})] - E[I(T_{i-1} \ {u})].
-            let marginal_t = self.oracle.spread(view, &t_cur) - self.oracle.spread(view, &t_minus);
-            let rho_r = c - marginal_t;
-            if rho_f >= rho_r {
-                session.select(u);
-            } else {
-                t_cur = t_minus;
-            }
-        }
-        session.selected().to_vec()
+/// ADG's decision rule is the policy itself, borrowed for one realization:
+/// exact front and rear profits from its oracle, whose state (call
+/// counters) carries across realizations.
+impl<O: SpreadOracle + Send> DoubleGreedyRule for &mut Adg<O> {
+    fn keep(&mut self, session: &mut AdaptiveSession<'_>, u: Node, rear: &NodeSet) -> bool {
+        let instance = session.instance();
+        let c = instance.cost(u);
+        // T_{i-1} and T_{i-1} \ {u}, in target order: the Monte-Carlo
+        // oracle's draws depend on the order of the queried set.
+        let in_t_cur = |&v: &Node| v == u || rear.contains(v);
+        let t_cur: Vec<Node> = instance.target().iter().copied().filter(in_t_cur).collect();
+        let t_minus: Vec<Node> = t_cur.iter().copied().filter(|&v| v != u).collect();
+        let view = session.residual();
+        // Front: S_{i-1} is dead on G_i, so the conditional marginal is
+        // the singleton spread.
+        let rho_f = self.oracle.spread(view, &[u]) - c;
+        // Rear: E[I(T_{i-1})] - E[I(T_{i-1} \ {u})].
+        let marginal_t = self.oracle.spread(view, &t_cur) - self.oracle.spread(view, &t_minus);
+        let rho_r = c - marginal_t;
+        rho_f >= rho_r
     }
 }
 

@@ -14,7 +14,7 @@ use rand::{Rng, SeedableRng};
 
 use crate::instance::TpmInstance;
 use crate::session::AdaptiveSession;
-use crate::stepper::{run_stepper, PolicyStepper};
+use crate::stepper::PolicyStepper;
 use crate::{AdaptivePolicy, NonadaptivePolicy};
 
 /// Adaptive random set.
@@ -33,12 +33,12 @@ impl Default for Ars {
     }
 }
 
-impl Ars {
-    /// The resumable form of this policy (see [`crate::stepper`]).
-    ///
+impl AdaptivePolicy for Ars {
+    type Stepper<'a> = ArsStepper;
+
     /// Coins mix in the session's world seed, so the RNG is created lazily
     /// on the first [`next_seed`](PolicyStepper::next_seed) call.
-    pub fn stepper(&self) -> ArsStepper {
+    fn stepper(&mut self) -> ArsStepper {
         assert!((0.0..=1.0).contains(&self.prob), "prob must be in [0,1]");
         ArsStepper {
             cfg: self.clone(),
@@ -79,16 +79,6 @@ impl PolicyStepper for ArsStepper {
     }
 }
 
-impl AdaptivePolicy for Ars {
-    fn name(&self) -> &'static str {
-        "ARS"
-    }
-
-    fn run(&mut self, session: &mut AdaptiveSession<'_>) -> Vec<Node> {
-        run_stepper(&mut self.stepper(), session)
-    }
-}
-
 /// Nonadaptive random set.
 #[derive(Debug, Clone)]
 pub struct Rs {
@@ -109,15 +99,16 @@ impl NonadaptivePolicy for Rs {
         "RS"
     }
 
-    fn select(&mut self, instance: &TpmInstance) -> Vec<Node> {
+    fn select(&mut self, instance: &TpmInstance) -> (Vec<Node>, u64) {
         assert!((0.0..=1.0).contains(&self.prob), "prob must be in [0,1]");
         let mut rng = StdRng::seed_from_u64(self.seed);
-        instance
+        let seeds = instance
             .target()
             .iter()
             .copied()
             .filter(|_| rng.gen_bool(self.prob))
-            .collect()
+            .collect();
+        (seeds, 0)
     }
 }
 
@@ -181,9 +172,9 @@ mod tests {
         let mut p2 = Rs { prob: 0.5, seed: 7 };
         assert_eq!(p1.select(&inst), p2.select(&inst));
         let mut all = Rs { prob: 1.0, seed: 7 };
-        assert_eq!(all.select(&inst), inst.target());
+        assert_eq!(all.select(&inst).0, inst.target());
         let mut none = Rs { prob: 0.0, seed: 7 };
-        assert!(none.select(&inst).is_empty());
+        assert!(none.select(&inst).0.is_empty());
     }
 
     #[test]

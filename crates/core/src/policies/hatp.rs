@@ -31,15 +31,13 @@
 //! `O(k·m·E[I(v°)]/ε · ln(n/ε))` (Theorem 5) — a factor `≈ ε·n` cheaper than
 //! ADDATP.
 
-use std::borrow::Cow;
-
 use atpm_graph::{GraphView, Node};
 use atpm_ris::bounds::hatp_theta;
 use atpm_ris::stream::front_rear_counts_shared;
 use atpm_ris::NodeSet;
 
 use crate::session::AdaptiveSession;
-use crate::stepper::{run_stepper, PolicyStepper};
+use crate::stepper::{DoubleGreedy, DoubleGreedyRule};
 use crate::AdaptivePolicy;
 
 const SQRT_2: f64 = std::f64::consts::SQRT_2;
@@ -58,8 +56,13 @@ pub struct Hatp {
     pub seed: u64,
     /// Sampler worker threads.
     pub threads: usize,
-    /// Per-round RR-set cap (see [`Addatp`](crate::policies::Addatp)); HATP's
-    /// rounds are small enough that the default effectively never binds.
+    /// Per-round RR-set cap (see [`Addatp`](crate::policies::Addatp)). The
+    /// default `usize::MAX` is the faithful algorithm, and it can be costly:
+    /// on the Epinions stand-in (n ≈ 132k, 10 IMM targets, paper ε) one
+    /// uncapped session sampled 2.6M–160M RR sets, depending on the graph
+    /// seed. A finite cap binds there from the first round on: at 65536
+    /// about two thirds of the decisions are forced, and Theorem 4 does not
+    /// cover a forced decision.
     pub max_theta: usize,
     /// Ablation switch: `false` replaces the adaptive ε/ζ schedule
     /// (lines 19–23) with a naive fixed `/√2` decay of both errors,
@@ -110,9 +113,9 @@ impl Hatp {
         let eps_t = self.eps_threshold;
         let mut eps = self.eps0;
         let mut zeta = (self.initial_nzeta / nif).min(0.5);
-        let mut delta = 1.0 / (n * n.max(2.0)); // δ_0 = 1/(kn) ≤ 1/n²-ish; see note below
-                                                // The paper initializes δ_i = 1/(kn); using 1/n² is never looser for
-                                                // k ≤ n and spares threading `k` through HNTP's reuse.
+        // The paper initializes δ_0 = 1/(kn); using 1/n² is never looser for
+        // k ≤ n and spares threading `k` through HNTP's reuse.
+        let mut delta = 1.0 / (n * n.max(2.0));
         loop {
             *round_salt = round_salt
                 .wrapping_mul(6364136223846793005)
@@ -176,79 +179,41 @@ impl Hatp {
     }
 }
 
-impl Hatp {
-    /// The resumable form of this policy (see [`crate::stepper`]); `run`
-    /// drives it in-process, the serve layer drives it over the protocol.
-    pub fn stepper(&self) -> HatpStepper {
-        HatpStepper {
-            cfg: self.clone(),
-            idx: 0,
-            round_salt: self.seed,
-            sets: None,
-        }
-    }
-}
-
-/// [`Hatp`] in resumable, one-seed-at-a-time form. All per-run state lives
-/// here: the candidate cursor, the sampling salt chain, and the `T_rest`
-/// conditioning set of Algorithm 4.
-pub struct HatpStepper {
-    cfg: Hatp,
-    idx: usize,
-    round_salt: u64,
-    /// `(empty front condition, T_rest)`, lazily sized on the first call
-    /// (the stepper does not know `n` until it sees a session).
-    sets: Option<(NodeSet, NodeSet)>,
-}
-
-impl PolicyStepper for HatpStepper {
-    fn name(&self) -> Cow<'static, str> {
-        "HATP".into()
-    }
-
-    fn next_seed(&mut self, session: &mut AdaptiveSession<'_>) -> Option<Node> {
-        let n = session.instance().graph().num_nodes();
-        let (empty, t_rest) = self.sets.get_or_insert_with(|| {
-            (
-                NodeSet::new(n),
-                NodeSet::from_iter(n, session.instance().target().iter().copied()),
-            )
-        });
-        while self.idx < session.instance().target().len() {
-            let u = session.instance().target()[self.idx];
-            self.idx += 1;
-            t_rest.remove(u);
-            if session.is_activated(u) {
-                continue;
-            }
-            let cost = session.instance().cost(u);
-            let mut work = 0u64;
-            let keep = self.cfg.decide_node(
-                session.residual(),
-                u,
-                cost,
-                empty,
-                t_rest,
-                &mut self.round_salt,
-                &mut work,
-            );
-            session.add_sampling_work(work);
-            if keep {
-                t_rest.insert(u);
-                return Some(u);
-            }
-        }
-        None
-    }
-}
-
 impl AdaptivePolicy for Hatp {
-    fn name(&self) -> &'static str {
-        "HATP"
-    }
+    type Stepper<'a> = DoubleGreedy<HatpRule>;
 
-    fn run(&mut self, session: &mut AdaptiveSession<'_>) -> Vec<Node> {
-        run_stepper(&mut self.stepper(), session)
+    fn stepper(&mut self) -> Self::Stepper<'_> {
+        let rule = HatpRule {
+            cfg: self.clone(),
+            round_salt: self.seed,
+        };
+        DoubleGreedy::new("HATP", rule)
+    }
+}
+
+/// HATP's decision rule: `Hatp::decide_node` (shared with HNTP) with the
+/// run's salt chain.
+pub struct HatpRule {
+    cfg: Hatp,
+    round_salt: u64,
+}
+
+impl DoubleGreedyRule for HatpRule {
+    fn keep(&mut self, session: &mut AdaptiveSession<'_>, u: Node, rear: &NodeSet) -> bool {
+        // S_{i−1} is dead on the residual graph: the front condition is empty.
+        let empty = NodeSet::new(session.instance().graph().num_nodes());
+        let mut work = 0u64;
+        let keep = self.cfg.decide_node(
+            session.residual(),
+            u,
+            session.instance().cost(u),
+            &empty,
+            rear,
+            &mut self.round_salt,
+            &mut work,
+        );
+        session.add_sampling_work(work);
+        keep
     }
 }
 

@@ -20,14 +20,12 @@ use crate::NonadaptivePolicy;
 pub struct Hntp {
     /// The hybrid-error configuration (ε₀, n·ζ₀, threshold, seed, threads).
     pub cfg: Hatp,
-    /// RR sets generated by the last [`select`](NonadaptivePolicy::select).
-    pub last_work: u64,
 }
 
 impl Hntp {
     /// HNTP with the given HATP configuration.
     pub fn new(cfg: Hatp) -> Self {
-        Hntp { cfg, last_work: 0 }
+        Hntp { cfg }
     }
 }
 
@@ -42,7 +40,7 @@ impl NonadaptivePolicy for Hntp {
         "HNTP"
     }
 
-    fn select(&mut self, instance: &TpmInstance) -> Vec<Node> {
+    fn select(&mut self, instance: &TpmInstance) -> (Vec<Node>, u64) {
         let g = instance.graph();
         let n = g.num_nodes();
         let target: Vec<Node> = instance.target().to_vec();
@@ -68,8 +66,7 @@ impl NonadaptivePolicy for Hntp {
                 selected.push(u);
             }
         }
-        self.last_work = work;
-        selected
+        (selected, work)
     }
 }
 
@@ -94,9 +91,9 @@ mod tests {
             seed: 1,
             ..Default::default()
         });
-        let seeds = p.select(&inst);
+        let (seeds, work) = p.select(&inst);
         assert_eq!(seeds, vec![0], "hub kept, expensive isolate dropped");
-        assert!(p.last_work > 0);
+        assert!(work > 0);
     }
 
     #[test]
@@ -112,8 +109,7 @@ mod tests {
             seed: 2,
             ..Default::default()
         });
-        let seeds = p.select(&inst);
-        assert_eq!(seeds, vec![0]);
+        assert_eq!(p.select(&inst).0, vec![0]);
     }
 
     #[test]
@@ -141,7 +137,7 @@ mod tests {
             seed: 9,
             ..Default::default()
         });
+        // Seeds and sampling work alike.
         assert_eq!(p1.select(&inst), p2.select(&inst));
-        assert_eq!(p1.last_work, p2.last_work);
     }
 }

@@ -1,16 +1,16 @@
 //! Every algorithm evaluated in the paper.
 //!
-//! | Policy | Setting | Paper section |
-//! |--------|---------|---------------|
-//! | [`Adg`] | adaptive, oracle model | §III-B (Algorithm 2) |
-//! | [`Addatp`] | adaptive, noise model, additive error | §III-C (Algorithm 3) |
-//! | [`Hatp`] | adaptive, noise model, hybrid error | §IV (Algorithm 4) |
-//! | [`Hntp`] | nonadaptive HATP | §VI-A |
-//! | [`Nsg`] | nonadaptive simple greedy \[26\] | §VI-A |
-//! | [`Ndg`] | nonadaptive double greedy \[26\] | §VI-A |
-//! | [`Ars`] / [`Rs`] | (adaptive) random set \[10\] | §VI-A |
-//! | [`Baseline`] | deploy the whole target set | §VI-B |
-//! | [`ThresholdBatch`] | adaptive, low-adaptivity batch rounds | beyond the paper (arXiv:1910.13073-style) |
+//! | Policy | Setting | Stepper | Paper section |
+//! |--------|---------|---------|---------------|
+//! | [`Adg`] | adaptive, oracle model | `DoubleGreedy<&mut Adg>` | §III-B (Algorithm 2) |
+//! | [`Addatp`] | adaptive, noise model, additive error | `DoubleGreedy<`[`AddatpRule`]`>` | §III-C (Algorithm 3) |
+//! | [`Hatp`] | adaptive, noise model, hybrid error | `DoubleGreedy<`[`HatpRule`]`>` | §IV (Algorithm 4) |
+//! | [`Hntp`] | nonadaptive HATP | — | §VI-A |
+//! | [`Nsg`] | nonadaptive simple greedy \[26\] | — | §VI-A |
+//! | [`Ndg`] | nonadaptive double greedy \[26\] | — | §VI-A |
+//! | [`Ars`] / [`Rs`] | (adaptive) random set \[10\] | [`ArsStepper`] | §VI-A |
+//! | [`Baseline`] / [`DeployAll`] | deploy the whole target set | [`DeployAllStepper`] | §VI-B |
+//! | [`ThresholdBatch`] | adaptive, low-adaptivity batch rounds | [`ThresholdBatchStepper`] | beyond the paper (arXiv:1910.13073-style) |
 
 mod addatp;
 mod adg;
@@ -22,11 +22,11 @@ mod ndg;
 mod nsg;
 mod threshold_batch;
 
-pub use addatp::Addatp;
+pub use addatp::{Addatp, AddatpRule};
 pub use adg::Adg;
 pub use ars::{Ars, ArsStepper, Rs};
 pub use baseline::{Baseline, DeployAll, DeployAllStepper};
-pub use hatp::{Hatp, HatpStepper};
+pub use hatp::{Hatp, HatpRule};
 pub use hntp::Hntp;
 pub use ndg::Ndg;
 pub use nsg::Nsg;

@@ -23,8 +23,6 @@ pub struct Ndg {
     pub seed: u64,
     /// Sampler worker threads.
     pub threads: usize,
-    /// RR sets generated by the last selection.
-    pub last_work: u64,
 }
 
 impl Ndg {
@@ -35,7 +33,6 @@ impl Ndg {
             theta,
             seed,
             threads,
-            last_work: 0,
         }
     }
 }
@@ -45,13 +42,12 @@ impl NonadaptivePolicy for Ndg {
         "NDG"
     }
 
-    fn select(&mut self, instance: &TpmInstance) -> Vec<Node> {
+    fn select(&mut self, instance: &TpmInstance) -> (Vec<Node>, u64) {
         let target: Vec<Node> = instance.target().to_vec();
         if target.is_empty() {
-            return Vec::new();
+            return (Vec::new(), 0);
         }
         let c = generate_batch(instance.graph(), self.theta, self.seed, self.threads);
-        self.last_work = c.len() as u64;
         let mut dg = DoubleGreedyCoverage::new(&c, &target);
         let mut selected = Vec::new();
         for &u in &target {
@@ -65,7 +61,7 @@ impl NonadaptivePolicy for Ndg {
                 dg.reject(u);
             }
         }
-        selected
+        (selected, c.len() as u64)
     }
 }
 
@@ -87,7 +83,7 @@ mod tests {
     fn double_greedy_keeps_hub_drops_isolate() {
         let inst = star_instance();
         let mut p = Ndg::new(20_000, 1, 2);
-        assert_eq!(p.select(&inst), vec![0]);
+        assert_eq!(p.select(&inst).0, vec![0]);
     }
 
     #[test]
@@ -97,7 +93,7 @@ mod tests {
         let b = GraphBuilder::new(10);
         let inst = TpmInstance::new(b.build(), vec![0], &[5.0]);
         let mut p = Ndg::new(10_000, 2, 1);
-        assert!(p.select(&inst).is_empty());
+        assert!(p.select(&inst).0.is_empty());
     }
 
     #[test]
@@ -109,7 +105,7 @@ mod tests {
         }
         let inst = TpmInstance::new(b.build(), vec![0, 1], &[1.5, 1.5]);
         let mut p = Ndg::new(30_000, 3, 2);
-        let seeds = p.select(&inst);
+        let seeds = p.select(&inst).0;
         assert_eq!(seeds, vec![0], "second copy of the audience is worthless");
     }
 
@@ -120,7 +116,7 @@ mod tests {
         let mut ndg = Ndg::new(20_000, 4, 2);
         let mut hntp = Hntp::default();
         use crate::NonadaptivePolicy as _;
-        assert_eq!(ndg.select(&inst), hntp.select(&inst));
+        assert_eq!(ndg.select(&inst).0, hntp.select(&inst).0);
     }
 
     #[test]

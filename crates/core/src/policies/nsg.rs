@@ -49,8 +49,6 @@ pub struct Nsg {
     pub seed: u64,
     /// Sampler worker threads.
     pub threads: usize,
-    /// RR sets generated by the last selection.
-    pub last_work: u64,
 }
 
 impl Nsg {
@@ -61,7 +59,6 @@ impl Nsg {
             theta,
             seed,
             threads,
-            last_work: 0,
         }
     }
 }
@@ -71,9 +68,8 @@ impl NonadaptivePolicy for Nsg {
         "NSG"
     }
 
-    fn select(&mut self, instance: &TpmInstance) -> Vec<Node> {
+    fn select(&mut self, instance: &TpmInstance) -> (Vec<Node>, u64) {
         let c = generate_batch(instance.graph(), self.theta, self.seed, self.threads);
-        self.last_work = c.len() as u64;
         let n = c.len_universe();
         let mut covered = EpochMarks::new();
         covered.begin(c.len());
@@ -115,7 +111,7 @@ impl NonadaptivePolicy for Nsg {
             }
             selected.push(u);
         }
-        selected
+        (selected, c.len() as u64)
     }
 }
 
@@ -136,9 +132,9 @@ mod tests {
     fn greedy_keeps_only_profitable_nodes() {
         let inst = star_instance();
         let mut p = Nsg::new(20_000, 1, 2);
-        let seeds = p.select(&inst);
+        let (seeds, work) = p.select(&inst);
         assert_eq!(seeds, vec![0], "hub profit ≈ 2 > 0; isolate ≈ -2 < 0");
-        assert_eq!(p.last_work, 20_000);
+        assert_eq!(work, 20_000);
     }
 
     #[test]
@@ -151,8 +147,7 @@ mod tests {
         b.add_edge(0, 2, 1.0).unwrap();
         let inst = TpmInstance::new(b.build(), vec![0], &[0.5]);
         let mut p = Nsg::new(20_000, 2, 1);
-        let seeds = p.select(&inst);
-        assert_eq!(seeds, vec![0]);
+        assert_eq!(p.select(&inst).0, vec![0]);
     }
 
     #[test]
@@ -166,7 +161,7 @@ mod tests {
         }
         let inst = TpmInstance::new(b.build(), vec![0, 1], &[1.5, 1.5]);
         let mut p = Nsg::new(30_000, 3, 2);
-        let seeds = p.select(&inst);
+        let seeds = p.select(&inst).0;
         // First pick gains 4 - 1.5 > 0; second marginal is 1 - 1.5 < 0.
         assert_eq!(seeds.len(), 1);
     }
@@ -185,6 +180,6 @@ mod tests {
         b.add_edge(0, 1, 0.5).unwrap();
         let inst = TpmInstance::new(b.build(), vec![], &[]);
         let mut p = Nsg::new(100, 1, 1);
-        assert!(p.select(&inst).is_empty());
+        assert!(p.select(&inst).0.is_empty());
     }
 }

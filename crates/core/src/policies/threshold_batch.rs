@@ -71,9 +71,10 @@ impl Default for ThresholdBatch {
     }
 }
 
-impl ThresholdBatch {
-    /// The resumable form of this policy (see [`crate::stepper`]).
-    pub fn stepper(&self) -> ThresholdBatchStepper {
+impl AdaptivePolicy for ThresholdBatch {
+    type Stepper<'a> = ThresholdBatchStepper;
+
+    fn stepper(&mut self) -> ThresholdBatchStepper {
         assert!(self.theta > 0, "theta must be positive");
         assert!(
             self.eps > 0.0 && self.eps < 1.0,
@@ -86,6 +87,12 @@ impl ThresholdBatch {
             round_salt: self.seed,
             done: false,
         }
+    }
+
+    /// Drives the stepper in rounds of [`ThresholdBatch::batch`] seeds.
+    fn run(&mut self, session: &mut AdaptiveSession<'_>) -> Vec<Node> {
+        let batch = self.batch;
+        run_stepper_batched(&mut self.stepper(), session, batch)
     }
 }
 
@@ -172,17 +179,6 @@ impl PolicyStepper for ThresholdBatchStepper {
         session.add_oracle_queries(queries);
         debug_assert!(!batch.is_empty(), "tau0 > 0 admits at least the argmax");
         batch
-    }
-}
-
-impl AdaptivePolicy for ThresholdBatch {
-    fn name(&self) -> &'static str {
-        "ThresholdBatch"
-    }
-
-    fn run(&mut self, session: &mut AdaptiveSession<'_>) -> Vec<Node> {
-        let batch = self.batch;
-        run_stepper_batched(&mut self.stepper(), session, batch)
     }
 }
 

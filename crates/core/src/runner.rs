@@ -17,6 +17,7 @@ use atpm_graph::Node;
 
 use crate::instance::TpmInstance;
 use crate::session::AdaptiveSession;
+use crate::stepper::PolicyStepper;
 use crate::{AdaptivePolicy, NonadaptivePolicy};
 
 /// Aggregated evaluation of one policy on one instance.
@@ -34,7 +35,7 @@ pub struct EvalSummary {
     /// Wall-clock spent inside the policy (selection decisions), excluding
     /// scoring.
     pub decision_time: Duration,
-    /// RR sets generated by noise-model policies (0 for oracle/random ones).
+    /// RR sets generated by sampling policies (0 for oracle/random ones).
     pub sampling_work: u64,
 }
 
@@ -79,6 +80,7 @@ pub fn evaluate_adaptive<P: AdaptivePolicy + ?Sized>(
     let mut seeds_per_run = Vec::with_capacity(world_seeds.len());
     let mut decision_time = Duration::ZERO;
     let mut sampling_work = 0u64;
+    let algorithm = policy.stepper().name();
     for &w in world_seeds {
         let mut session = AdaptiveSession::new(instance, w);
         let t0 = Instant::now();
@@ -90,7 +92,7 @@ pub fn evaluate_adaptive<P: AdaptivePolicy + ?Sized>(
         sampling_work += session.sampling_work();
     }
     EvalSummary {
-        algorithm: policy.name().into(),
+        algorithm,
         profits,
         seeds_per_run,
         decision_time,
@@ -98,20 +100,9 @@ pub fn evaluate_adaptive<P: AdaptivePolicy + ?Sized>(
     }
 }
 
-/// Scores a fixed seed set against one world: `I_φ(S) − c(S)`.
-pub fn score_fixed_set(
-    instance: &TpmInstance,
-    seeds: &[Node],
-    world_seed: u64,
-    engine: &mut CascadeEngine,
-) -> f64 {
-    let mut activated = Vec::new();
-    score_fixed_set_into(instance, seeds, world_seed, engine, &mut activated)
-}
-
-/// [`score_fixed_set`] with a caller-owned activation buffer — the
-/// no-allocation form the world-scoring loop uses (one warm buffer per
-/// evaluation run, `CascadeEngine::observe_into` underneath).
+/// Scores a fixed seed set against one world: `I_φ(S) − c(S)`. The caller
+/// owns the activation buffer, so the world-scoring loop reuses one warm
+/// buffer per evaluation run (`CascadeEngine::observe_into` underneath).
 pub fn score_fixed_set_into(
     instance: &TpmInstance,
     seeds: &[Node],
@@ -132,7 +123,7 @@ pub fn evaluate_nonadaptive<P: NonadaptivePolicy + ?Sized>(
     world_seeds: &[u64],
 ) -> EvalSummary {
     let t0 = Instant::now();
-    let seeds = policy.select(instance);
+    let (seeds, sampling_work) = policy.select(instance);
     let decision_time = t0.elapsed();
     let mut engine = CascadeEngine::new();
     let mut activated = Vec::new();
@@ -145,7 +136,7 @@ pub fn evaluate_nonadaptive<P: NonadaptivePolicy + ?Sized>(
         seeds_per_run: vec![seeds.len(); world_seeds.len()],
         profits,
         decision_time,
-        sampling_work: 0,
+        sampling_work,
     }
 }
 
@@ -160,6 +151,7 @@ pub fn standard_worlds(base: u64) -> Vec<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::policies::{Baseline, DeployAll, Hatp, Hntp, Ndg, Nsg};
     use atpm_graph::GraphBuilder;
 
     fn instance() -> TpmInstance {
@@ -169,42 +161,33 @@ mod tests {
         TpmInstance::new(b.build(), vec![0], &[1.0])
     }
 
-    /// Trivial adaptive policy: select every not-yet-activated target.
-    struct TakeAll;
-    impl AdaptivePolicy for TakeAll {
-        fn name(&self) -> &'static str {
-            "TakeAll"
-        }
-        fn run(&mut self, session: &mut AdaptiveSession<'_>) -> Vec<Node> {
-            let targets: Vec<Node> = session.instance().target().to_vec();
-            for u in targets {
-                if !session.is_activated(u) {
-                    session.select(u);
-                }
-            }
-            session.selected().to_vec()
-        }
-    }
-
-    /// Trivial nonadaptive policy: the whole target set.
-    struct AllOfT;
-    impl NonadaptivePolicy for AllOfT {
-        fn name(&self) -> &'static str {
-            "AllOfT"
-        }
-        fn select(&mut self, instance: &TpmInstance) -> Vec<Node> {
-            instance.target().to_vec()
-        }
-    }
-
     #[test]
     fn adaptive_and_nonadaptive_agree_on_single_seed_instance() {
         // With |T| = 1 adaptivity cannot help: per-world profits coincide.
         let inst = instance();
         let worlds = standard_worlds(1);
-        let a = evaluate_adaptive(&inst, &mut TakeAll, &worlds);
-        let b = evaluate_nonadaptive(&inst, &mut AllOfT, &worlds);
+        let a = evaluate_adaptive(&inst, &mut DeployAll, &worlds);
+        let b = evaluate_nonadaptive(&inst, &mut Baseline, &worlds);
         assert_eq!(a.profits, b.profits);
+    }
+
+    #[test]
+    fn nonadaptive_summary_carries_sampling_work() {
+        // 2000 isolated nodes: HNTP's first θ (706) exceeds the cap of 500,
+        // so each of its two decisions is one forced round of 500 sets. NSG
+        // and NDG each sample one batch of θ sets.
+        let inst = TpmInstance::new(GraphBuilder::new(2000).build(), vec![0, 1], &[1.0, 1.0]);
+        let worlds = [1, 2];
+        let mut hntp = Hntp::new(Hatp {
+            max_theta: 500,
+            ..Default::default()
+        });
+        let hntp = evaluate_nonadaptive(&inst, &mut hntp, &worlds);
+        assert_eq!(hntp.sampling_work, 2 * 500);
+        let nsg = evaluate_nonadaptive(&inst, &mut Nsg::new(3_000, 1, 2), &worlds);
+        assert_eq!(nsg.sampling_work, 3_000);
+        let ndg = evaluate_nonadaptive(&inst, &mut Ndg::new(4_000, 1, 2), &worlds);
+        assert_eq!(ndg.sampling_work, 4_000);
     }
 
     #[test]
@@ -225,8 +208,8 @@ mod tests {
     fn profits_are_world_dependent_but_deterministic() {
         let inst = instance();
         let worlds = standard_worlds(2);
-        let a = evaluate_adaptive(&inst, &mut TakeAll, &worlds);
-        let b = evaluate_adaptive(&inst, &mut TakeAll, &worlds);
+        let a = evaluate_adaptive(&inst, &mut DeployAll, &worlds);
+        let b = evaluate_adaptive(&inst, &mut DeployAll, &worlds);
         assert_eq!(a.profits, b.profits);
         // Edge 1->2 has p = 0.5: some worlds profit 2-1, others 3-1.
         assert!(a.profits.iter().any(|&p| (p - 1.0).abs() < 1e-12));

@@ -111,7 +111,7 @@ impl<'a> AdaptiveSession<'a> {
     }
 
     /// The instance under evaluation.
-    pub fn instance(&self) -> &TpmInstance {
+    pub fn instance(&self) -> &'a TpmInstance {
         self.instance
     }
 

@@ -110,8 +110,8 @@ pub fn predefined_instance(
     let candidate_costs: Vec<f64> = candidates.iter().map(|&u| costs_all[u as usize]).collect();
     let scratch = TpmInstance::new(graph, candidates, &candidate_costs);
     let mut target = match selector {
-        TargetSelector::Ndg => Ndg::new(theta, seed, threads).select(&scratch),
-        TargetSelector::Nsg => Nsg::new(theta, seed, threads).select(&scratch),
+        TargetSelector::Ndg => Ndg::new(theta, seed, threads).select(&scratch).0,
+        TargetSelector::Nsg => Nsg::new(theta, seed, threads).select(&scratch).0,
     };
     if let Some(cap) = max_k {
         target.truncate(cap);

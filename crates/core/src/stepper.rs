@@ -1,14 +1,12 @@
 //! Resumable adaptive policies: one committed seed — or one committed
 //! *batch* — at a time.
 //!
-//! [`AdaptivePolicy::run`](crate::AdaptivePolicy::run) drives a whole
-//! realization in one call, observing each cascade internally. A network
-//! service cannot do that — it must *pause* after deciding a seed, hand the
-//! seed to the outside world, and only continue once the realized activations
-//! come back. [`PolicyStepper`] is that inversion of control: `next_seed`
-//! examines candidates until the policy commits one (or finishes), without
-//! applying it; the driver decides how the observation happens —
-//! [`AdaptiveSession::select`] in-process, or
+//! A network service cannot run a whole realization in one call — it must
+//! *pause* after deciding a seed, hand the seed to the outside world, and
+//! only continue once the realized activations come back. [`PolicyStepper`]
+//! is that inversion of control: `next_seed` examines candidates until the
+//! policy commits one (or finishes), without applying it; the driver decides
+//! how the observation happens — [`AdaptiveSession::select`] in-process, or
 //! [`AdaptiveSession::apply_observation`] with externally reported
 //! activations.
 //!
@@ -22,15 +20,18 @@
 //! `k = 1` a batched drive is byte-identical to the single-seed drive by
 //! construction — `next_batch(session, 1)` is exactly one `next_seed` call.
 //!
-//! The adaptive policies (`Hatp`, `Ars`, `DeployAll`) implement their
-//! `run` **on top of** their stepper via [`run_stepper`], so a stepped run
-//! interleaved with external observations is byte-identical to the in-process
-//! run by construction — there is only one decision path. The end-to-end
-//! protocol test in `atpm-serve` pins this across the HTTP boundary.
+//! Every adaptive policy's in-process `run` drives its own stepper, so a
+//! stepped run interleaved with external observations is byte-identical to
+//! the in-process run by construction — there is only one decision path,
+//! pinned across the HTTP boundary by `atpm-serve`'s end-to-end test. ADG,
+//! ADDATP and HATP share one stepper, [`DoubleGreedy`], and differ only in
+//! their [`DoubleGreedyRule`]; ARS, DeployAll and ThresholdBatch have their
+//! own.
 
 use std::borrow::Cow;
 
 use atpm_graph::Node;
+use atpm_ris::NodeSet;
 
 use crate::session::AdaptiveSession;
 
@@ -80,24 +81,83 @@ pub trait PolicyStepper: Send {
     }
 }
 
+/// The keep/reject decision of one adaptive double greedy (Algorithms 2–4):
+/// how a policy compares a candidate's front profit with its rear profit.
+pub trait DoubleGreedyRule: Send {
+    /// Decides whether to keep candidate `u`, which is alive on the current
+    /// residual graph; `rear` is `T_{i−1} ∖ {u}`. The front condition
+    /// `S_{i−1}` is always empty there, because every selected seed was
+    /// activated and removed. May record sampling effort on the session but
+    /// must not mutate the residual state.
+    fn keep(&mut self, session: &mut AdaptiveSession<'_>, u: Node, rear: &NodeSet) -> bool;
+}
+
+/// The adaptive double greedy as one [`PolicyStepper`]: walks the target
+/// set in order, skips candidates an earlier cascade activated, and commits
+/// each remaining one its [`DoubleGreedyRule`] keeps. It owns the cursor
+/// and `T_rest`; the rule owns everything else (oracle, salts, schedule).
+pub struct DoubleGreedy<R> {
+    name: &'static str,
+    rule: R,
+    idx: usize,
+    /// The kept candidates and every candidate not yet examined; sized on
+    /// the first call (the stepper does not know `n` until it sees a
+    /// session).
+    t_rest: Option<NodeSet>,
+}
+
+impl<R> DoubleGreedy<R> {
+    /// Policy `name`, examining the whole target set with `rule`.
+    pub fn new(name: &'static str, rule: R) -> Self {
+        DoubleGreedy {
+            name,
+            rule,
+            idx: 0,
+            t_rest: None,
+        }
+    }
+}
+
+impl<R: DoubleGreedyRule> PolicyStepper for DoubleGreedy<R> {
+    fn name(&self) -> Cow<'static, str> {
+        self.name.into()
+    }
+
+    fn next_seed(&mut self, session: &mut AdaptiveSession<'_>) -> Option<Node> {
+        let target = session.instance().target();
+        let n = session.instance().graph().num_nodes();
+        let t_rest =
+            (self.t_rest).get_or_insert_with(|| NodeSet::from_iter(n, target.iter().copied()));
+        while let Some(&u) = target.get(self.idx) {
+            self.idx += 1;
+            t_rest.remove(u);
+            if session.is_activated(u) {
+                continue;
+            }
+            if self.rule.keep(session, u, t_rest) {
+                t_rest.insert(u);
+                return Some(u);
+            }
+        }
+        None
+    }
+}
+
 /// Drives a stepper to completion in-process: every committed seed is
-/// observed against the session's own realization. This is the whole body of
-/// the steppable policies' `AdaptivePolicy::run`.
+/// observed against the session's own realization before the next one is
+/// decided. This is the default
+/// [`AdaptivePolicy::run`](crate::AdaptivePolicy::run), and exactly
+/// [`run_stepper_batched`] at `k = 1`.
 pub fn run_stepper<S: PolicyStepper + ?Sized>(
     stepper: &mut S,
     session: &mut AdaptiveSession<'_>,
 ) -> Vec<Node> {
-    while let Some(u) = stepper.next_seed(session) {
-        session.select(u);
-    }
-    session.selected().to_vec()
+    run_stepper_batched(stepper, session, 1)
 }
 
 /// Drives a stepper to completion in batched rounds of up to `k` seeds:
 /// each round's batch is decided against one residual state, then observed
-/// jointly via [`AdaptiveSession::select_batch`]. At `k = 1` this is
-/// byte-identical to [`run_stepper`] (one `next_seed` per round, one
-/// observation per seed).
+/// jointly via [`AdaptiveSession::select_batch`].
 pub fn run_stepper_batched<S: PolicyStepper + ?Sized>(
     stepper: &mut S,
     session: &mut AdaptiveSession<'_>,
@@ -118,6 +178,9 @@ pub fn run_stepper_batched<S: PolicyStepper + ?Sized>(
 mod tests {
     use super::*;
     use crate::instance::TpmInstance;
+    use crate::oracle::ExactOracle;
+    use crate::policies::{Addatp, Adg};
+    use crate::AdaptivePolicy;
     use atpm_graph::GraphBuilder;
 
     /// Stepper that proposes every not-yet-activated target in order.
@@ -154,28 +217,73 @@ mod tests {
         assert_eq!(session.total_activated(), 3);
     }
 
+    fn drive_in_process<'i>(
+        stepper: &mut dyn PolicyStepper,
+        inst: &'i TpmInstance,
+        world: u64,
+    ) -> AdaptiveSession<'i> {
+        let mut session = AdaptiveSession::new(inst, world);
+        run_stepper(stepper, &mut session);
+        session
+    }
+
+    /// Drives `stepper` the way the serve protocol does: every seed's
+    /// observation is computed by a twin session on `world` and reported
+    /// back through [`AdaptiveSession::apply_observation`].
+    fn drive_externally<'i>(
+        stepper: &mut dyn PolicyStepper,
+        inst: &'i TpmInstance,
+        world: u64,
+    ) -> AdaptiveSession<'i> {
+        let mut oracle = AdaptiveSession::new(inst, world);
+        let mut session = AdaptiveSession::new(inst, 12345); // world unused
+        while let Some(u) = stepper.next_seed(&mut session) {
+            let observed = oracle.select(u);
+            session.apply_observation(u, &observed);
+        }
+        session
+    }
+
     #[test]
     fn stepped_and_external_drives_agree() {
-        // Drive the same stepper twice: once in-process, once simulating the
-        // serve protocol (observation computed by a twin session). The seed
-        // sequences and ledgers must match exactly.
+        // Drive each stepper twice: once in-process, once simulating the
+        // serve protocol. Seeds, profit bits and sampling work must match.
         let mut b = GraphBuilder::new(5);
         b.add_edge(0, 1, 0.5).unwrap();
         b.add_edge(1, 2, 0.5).unwrap();
-        let inst = TpmInstance::new(b.build(), vec![0, 2, 4], &[0.5, 0.5, 0.5]);
+        let inst = TpmInstance::new(b.build(), vec![0, 2, 4], &[0.5, 1.2, 0.9]);
+        let addatp = Addatp {
+            seed: 3,
+            ..Default::default()
+        };
         for world in 0..8u64 {
-            let mut s1 = AdaptiveSession::new(&inst, world);
-            let in_process = run_stepper(&mut TakeAll { idx: 0 }, &mut s1);
-
-            let mut oracle = AdaptiveSession::new(&inst, world);
-            let mut s2 = AdaptiveSession::new(&inst, 12345); // world unused
-            let mut stepper = TakeAll { idx: 0 };
-            while let Some(u) = stepper.next_seed(&mut s2) {
-                let observed = oracle.select(u);
-                s2.apply_observation(u, &observed);
+            let drives = [
+                (
+                    "TakeAll",
+                    drive_in_process(&mut TakeAll { idx: 0 }, &inst, world),
+                    drive_externally(&mut TakeAll { idx: 0 }, &inst, world),
+                ),
+                (
+                    "ADG",
+                    drive_in_process(&mut Adg::new(ExactOracle).stepper(), &inst, world),
+                    drive_externally(&mut Adg::new(ExactOracle).stepper(), &inst, world),
+                ),
+                (
+                    "ADDATP",
+                    drive_in_process(&mut addatp.clone().stepper(), &inst, world),
+                    drive_externally(&mut addatp.clone().stepper(), &inst, world),
+                ),
+            ];
+            for (name, in_process, external) in drives {
+                let at = format!("{name} world {world}");
+                assert_eq!(external.selected(), in_process.selected(), "{at}");
+                assert_eq!(
+                    external.profit().to_bits(),
+                    in_process.profit().to_bits(),
+                    "{at}"
+                );
+                assert_eq!(external.sampling_work(), in_process.sampling_work(), "{at}");
             }
-            assert_eq!(s2.selected(), &in_process[..], "world {world}");
-            assert_eq!(s2.profit().to_bits(), s1.profit().to_bits());
         }
     }
 

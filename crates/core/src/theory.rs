@@ -175,11 +175,6 @@ pub fn optimal_nonadaptive_value(instance: &TpmInstance) -> f64 {
     best
 }
 
-/// Exact expected profit of a fixed seed set: `ρ(S) = E[I(S)] − c(S)`.
-pub fn exact_set_profit(instance: &TpmInstance, seeds: &[Node]) -> f64 {
-    exact_spread(&instance.graph(), seeds) - instance.cost_of(seeds)
-}
-
 /// Sanity helper for tests: `Λ(π)` computed per-world must equal the
 /// weighted sum of fixed-set profits of the *same* policy's per-world
 /// selections (consistency of Definition 1 with our session accounting).

@@ -130,7 +130,7 @@ proptest! {
     #[test]
     fn ndg_output_is_ordered_subset(inst in arb_instance()) {
         let mut ndg = Ndg::new(4000, 3, 2);
-        let sel = ndg.select(&inst);
+        let sel = ndg.select(&inst).0;
         let target = inst.target();
         // Subset.
         prop_assert!(sel.iter().all(|u| target.contains(u)));

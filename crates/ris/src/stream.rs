@@ -76,14 +76,19 @@ fn shared_worker<V: GraphView>(
     counts
 }
 
-/// Like [`front_rear_counts`], but evaluates both statistics on **one shared
-/// batch** of `theta` RR sets.
+/// Streams `theta` RR sets on `view` and returns the conditional front/rear
+/// coverage counts for node `u`, both evaluated on **one shared batch**.
 ///
-/// This is the reading the analysis requires: the proof of Lemma 5 uses
-/// `ρ̃_f + ρ̃_r ≥ 0` *pointwise*, which holds exactly when both coverages are
-/// counted on the same sets and the front condition set is contained in the
-/// rear condition set (then `cov_front ≥ cov_rear` deterministically). It
-/// also halves the sampling cost relative to two independent batches.
+/// `front_cond` is `S_{i−1}` (empty for the adaptive algorithms, whose
+/// selected seeds are dead in the view); `rear_cond` is `T_{i−1} ∖ {u}`.
+/// Deterministic in `(view, u, conditions, theta, seed, threads)`.
+///
+/// The shared batch is the reading the analysis requires: the proof of
+/// Lemma 5 uses `ρ̃_f + ρ̃_r ≥ 0` *pointwise*, which holds exactly when both
+/// coverages are counted on the same sets and the front condition set is
+/// contained in the rear condition set (then `cov_front ≥ cov_rear`
+/// deterministically). It also halves the sampling cost relative to two
+/// independent batches.
 pub fn front_rear_counts_shared<V: GraphView + Sync>(
     view: &V,
     u: Node,
@@ -124,81 +129,78 @@ fn merge_counts(parts: Vec<FrontRearCounts>) -> FrontRearCounts {
     total
 }
 
-fn stream_worker<V: GraphView>(
-    view: &V,
-    u: Node,
-    front_cond: &NodeSet,
-    rear_cond: &NodeSet,
-    quota: usize,
-    seed: u64,
-) -> FrontRearCounts {
-    let mut sampler = RrSampler::new();
-    let mut rng = CounterRng::new(seed);
-    let mut buf = Vec::new();
-    let mut cov_front = 0u64;
-    let mut cov_rear = 0u64;
-    let mut work = 0u64;
-    let mut done = 0usize;
-    for _ in 0..quota {
-        // R1 sample: u present, front condition set absent.
-        if !sampler.sample_into(view, &mut rng, &mut buf) {
-            break;
-        }
-        work += buf.len() as u64;
-        if sampler.contains_last(u) && !front_cond.intersects(&buf) {
-            cov_front += 1;
-        }
-        // R2 sample: u present, rear condition set absent.
-        if !sampler.sample_into(view, &mut rng, &mut buf) {
-            break;
-        }
-        work += buf.len() as u64;
-        if sampler.contains_last(u) && !rear_cond.intersects(&buf) {
-            cov_rear += 1;
-        }
-        done += 1;
-    }
-    FrontRearCounts {
-        cov_front,
-        cov_rear,
-        theta: done,
-        work,
-    }
-}
-
-/// Streams `theta` RR-set pairs on `view` and returns the conditional
-/// front/rear coverage counts for node `u`.
-///
-/// `front_cond` is `S_{i−1}` (empty for the adaptive algorithms, whose
-/// selected seeds are dead in the view); `rear_cond` is `T_{i−1} ∖ {u}`.
-/// Deterministic in `(view, u, conditions, theta, seed, threads)`.
-pub fn front_rear_counts<V: GraphView + Sync>(
-    view: &V,
-    u: Node,
-    front_cond: &NodeSet,
-    rear_cond: &NodeSet,
-    theta: usize,
-    seed: u64,
-    threads: usize,
-) -> FrontRearCounts {
-    if theta == 0 || view.num_alive() == 0 {
-        return FrontRearCounts {
-            cov_front: 0,
-            cov_rear: 0,
-            theta: 0,
-            work: 0,
-        };
-    }
-    let parts = run_sharded(theta, threads, seed, |_tid, quota, wseed| {
-        stream_worker(view, u, front_cond, rear_cond, quota, wseed)
-    });
-    merge_counts(parts)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use atpm_graph::{GraphBuilder, ResidualGraph};
+
+    fn stream_worker<V: GraphView>(
+        view: &V,
+        u: Node,
+        front_cond: &NodeSet,
+        rear_cond: &NodeSet,
+        quota: usize,
+        seed: u64,
+    ) -> FrontRearCounts {
+        let mut sampler = RrSampler::new();
+        let mut rng = CounterRng::new(seed);
+        let mut buf = Vec::new();
+        let mut cov_front = 0u64;
+        let mut cov_rear = 0u64;
+        let mut work = 0u64;
+        let mut done = 0usize;
+        for _ in 0..quota {
+            // R1 sample: u present, front condition set absent.
+            if !sampler.sample_into(view, &mut rng, &mut buf) {
+                break;
+            }
+            work += buf.len() as u64;
+            if sampler.contains_last(u) && !front_cond.intersects(&buf) {
+                cov_front += 1;
+            }
+            // R2 sample: u present, rear condition set absent.
+            if !sampler.sample_into(view, &mut rng, &mut buf) {
+                break;
+            }
+            work += buf.len() as u64;
+            if sampler.contains_last(u) && !rear_cond.intersects(&buf) {
+                cov_rear += 1;
+            }
+            done += 1;
+        }
+        FrontRearCounts {
+            cov_front,
+            cov_rear,
+            theta: done,
+            work,
+        }
+    }
+
+    /// The two-independent-batches reading of the front/rear counts: an `R1`
+    /// and an `R2` set per draw. The reference the shared batch is checked
+    /// against.
+    fn front_rear_counts<V: GraphView + Sync>(
+        view: &V,
+        u: Node,
+        front_cond: &NodeSet,
+        rear_cond: &NodeSet,
+        theta: usize,
+        seed: u64,
+        threads: usize,
+    ) -> FrontRearCounts {
+        if theta == 0 || view.num_alive() == 0 {
+            return FrontRearCounts {
+                cov_front: 0,
+                cov_rear: 0,
+                theta: 0,
+                work: 0,
+            };
+        }
+        let parts = run_sharded(theta, threads, seed, |_tid, quota, wseed| {
+            stream_worker(view, u, front_cond, rear_cond, quota, wseed)
+        });
+        merge_counts(parts)
+    }
 
     /// 0 -> 1 -> 2 chain, p = 0.5.
     fn chain() -> atpm_graph::Graph {
@@ -213,7 +215,7 @@ mod tests {
         let g = chain();
         let empty = NodeSet::new(3);
         let theta = 120_000;
-        let c = front_rear_counts(&&g, 0, &empty, &empty, theta, 1, 2);
+        let c = front_rear_counts_shared(&&g, 0, &empty, &empty, theta, 1, 2);
         assert_eq!(c.theta, theta);
         let est = 3.0 * c.cov_front as f64 / c.theta as f64;
         assert!((est - 1.75).abs() < 0.03, "front spread {est}, want 1.75");
@@ -229,7 +231,7 @@ mod tests {
         let empty = NodeSet::new(3);
         let cond2 = NodeSet::from_iter(3, [2]);
         let theta = 120_000;
-        let c = front_rear_counts(&&g, 0, &empty, &cond2, theta, 3, 2);
+        let c = front_rear_counts_shared(&&g, 0, &empty, &cond2, theta, 3, 2);
         let frac = c.cov_rear as f64 / c.theta as f64;
         assert!((frac - 0.5).abs() < 0.01, "rear fraction {frac}, want 0.5");
         assert!(c.cov_front > c.cov_rear);
@@ -238,28 +240,16 @@ mod tests {
     #[test]
     fn front_condition_matches_marginal_semantics() {
         // Conditioning the front on {1} must equal the rear conditioned on
-        // {1}: same formula, different batch -> statistically equal.
+        // {1}: same formula, same batch -> equal counts.
         let g = chain();
         let cond = NodeSet::from_iter(3, [1]);
         let theta = 120_000;
-        let c = front_rear_counts(&&g, 0, &cond, &cond, theta, 7, 2);
-        let f = c.cov_front as f64 / c.theta as f64;
-        let r = c.cov_rear as f64 / c.theta as f64;
-        assert!((f - r).abs() < 0.01, "front {f} vs rear {r}");
+        let c = front_rear_counts_shared(&&g, 0, &cond, &cond, theta, 7, 2);
+        assert_eq!(c.cov_front, c.cov_rear);
         // And strictly below the unconditional coverage.
         let empty = NodeSet::new(3);
-        let unc = front_rear_counts(&&g, 0, &empty, &empty, theta, 7, 2);
+        let unc = front_rear_counts_shared(&&g, 0, &empty, &empty, theta, 7, 2);
         assert!(unc.cov_front > c.cov_front);
-    }
-
-    #[test]
-    fn deterministic_per_seed_and_threads() {
-        let g = chain();
-        let empty = NodeSet::new(3);
-        let rest = NodeSet::from_iter(3, [1]);
-        let a = front_rear_counts(&&g, 0, &empty, &rest, 5000, 42, 3);
-        let b = front_rear_counts(&&g, 0, &empty, &rest, 5000, 42, 3);
-        assert_eq!(a, b);
     }
 
     /// Golden values: the streamed counters draw their worlds through the
@@ -322,7 +312,7 @@ mod tests {
         let mut r = ResidualGraph::new(&g);
         r.remove_all(0..3);
         let empty = NodeSet::new(3);
-        let c = front_rear_counts(&r, 0, &empty, &empty, 100, 1, 2);
+        let c = front_rear_counts_shared(&r, 0, &empty, &empty, 100, 1, 2);
         assert_eq!(c.theta, 0);
         assert_eq!(c.cov_front, 0);
     }
@@ -331,8 +321,8 @@ mod tests {
     fn work_accounting_is_positive() {
         let g = chain();
         let empty = NodeSet::new(3);
-        let c = front_rear_counts(&&g, 0, &empty, &empty, 100, 1, 1);
-        assert!(c.work >= 2 * c.theta as u64, "each set has >= 1 node");
+        let c = front_rear_counts_shared(&&g, 0, &empty, &empty, 100, 1, 1);
+        assert!(c.work >= c.theta as u64, "each set has >= 1 node");
     }
 
     #[test]
