@@ -86,9 +86,10 @@ pub trait PolicyStepper: Send {
 pub trait DoubleGreedyRule: Send {
     /// Decides whether to keep candidate `u`, which is alive on the current
     /// residual graph; `rear` is `T_{i−1} ∖ {u}`. The front condition
-    /// `S_{i−1}` is always empty there, because every selected seed was
-    /// activated and removed. May record sampling effort on the session but
-    /// must not mutate the residual state.
+    /// `S_{i−1}` is empty: every observed seed was activated and removed
+    /// (seeds of a batch still being decided are the batching gap). May
+    /// record sampling effort on the session but must not mutate the
+    /// residual state.
     fn keep(&mut self, session: &mut AdaptiveSession<'_>, u: Node, rear: &NodeSet) -> bool;
 }
 
@@ -108,7 +109,7 @@ pub struct DoubleGreedy<R> {
 
 impl<R> DoubleGreedy<R> {
     /// Policy `name`, examining the whole target set with `rule`.
-    pub fn new(name: &'static str, rule: R) -> Self {
+    pub(crate) fn new(name: &'static str, rule: R) -> Self {
         DoubleGreedy {
             name,
             rule,
@@ -126,8 +127,9 @@ impl<R: DoubleGreedyRule> PolicyStepper for DoubleGreedy<R> {
     fn next_seed(&mut self, session: &mut AdaptiveSession<'_>) -> Option<Node> {
         let target = session.instance().target();
         let n = session.instance().graph().num_nodes();
-        let t_rest =
-            (self.t_rest).get_or_insert_with(|| NodeSet::from_iter(n, target.iter().copied()));
+        let t_rest = self
+            .t_rest
+            .get_or_insert_with(|| NodeSet::from_iter(n, target.iter().copied()));
         while let Some(&u) = target.get(self.idx) {
             self.idx += 1;
             t_rest.remove(u);
