@@ -1,8 +1,8 @@
 //! Load generator for the `atpm-serve` HTTP service.
 //!
-//! Two modes, both extending the committed perf trajectory in
-//! `BENCH_serve.json` (same spirit as `BENCH_ris.json` for the in-process
-//! engine):
+//! Two modes, both reported in a JSON array (`BENCH_serve.json` by
+//! default; git-ignored, uploaded as a CI artifact — the served session's
+//! committed price is perfbench's):
 //!
 //! * **Closed-loop** (default): `level` concurrent connections each drive
 //!   full adaptive sessions (create → next/observe loop → ledger → delete)
@@ -25,12 +25,12 @@
 //! on `503 Service Unavailable` (the server shedding load) and on
 //! transport failures (a server restart mid-session). Retries and sheds
 //! are counted per level, and the server's `recovered_sessions` healthz
-//! counter is sampled after each level, so `BENCH_serve.json` records how
-//! rough the run was, not just how fast.
+//! counter is sampled after each level, so the report records how rough
+//! the run was, not just how fast.
 //!
 //! After each level the generator also scrapes `GET /metrics` and folds
 //! the server-side `atpm_http_request_seconds` histogram into the report
-//! (`srv_requests`, `srv_p50/95/99_us`) — so `BENCH_serve.json` carries
+//! (`srv_requests`, `srv_p50/95/99_us`) — so the report carries
 //! both halves of every latency: what the client saw (network included)
 //! and what the server spent handling. The scrape is load-bearing: an
 //! unreachable endpoint, an exposition that fails the format lint, or a

@@ -23,7 +23,8 @@
 //!
 //! The serving tier renders its per-instance [`Registry`] merged with
 //! [`global()`] at `GET /metrics`; atpm-loadgen scrapes that endpoint and
-//! folds server-side histograms into `BENCH_serve.json`.
+//! folds server-side histograms into its JSON report (`BENCH_serve.json`,
+//! a CI artifact, not a committed file).
 
 pub mod events;
 pub mod expo;

@@ -14,17 +14,10 @@
 //!
 //! ## Wire format
 //!
-//! Two segment generations share the frame discipline; readers accept
-//! both, writers produce v2:
+//! One segment generation:
 //!
 //! ```text
-//! "ATPMJNL1"                         8-byte magic (legacy v1 segments)
-//! repeat:
-//!   len: u32 LE                      payload byte length
-//!   crc: u32 LE                      CRC-32 (IEEE) of payload
-//!   payload: len bytes               one JSON record, {"op": ...}
-//!
-//! "ATPMJNL2"                         8-byte magic (current segments)
+//! "ATPMJNL2"                         8-byte magic
 //! repeat:
 //!   len: u32 LE                      payload byte length
 //!   crc: u32 LE                      CRC-32 (IEEE) of seq ++ payload
@@ -34,10 +27,15 @@
 //!
 //! Appends are `write_all` + `flush` per record, so a crash can only tear
 //! the *final* record. Opening validates each record's length and checksum
-//! and truncates the active segment at the first torn or corrupt offset —
-//! everything before the checksum boundary replays, everything after never
-//! happened (the client's retry layer re-drives the lost tail). Torn tails
-//! are counted and reported in [`OpenInfo`], never silently swallowed.
+//! and truncates the active segment at the first torn offset — everything
+//! before the checksum boundary replays, everything after never happened
+//! (the client's retry layer re-drives the lost tail). Torn tails are
+//! counted and reported in [`OpenInfo`], never silently swallowed. A frame
+//! that passes its checksum but does not parse is no crash artifact: it
+//! fails the open, naming the file and byte offset, and nothing is
+//! truncated. Files of retired formats — `ATPMJNL1` segments, the
+//! `next`/`observe` records, `ATPMCKP1` checkpoints — are refused the same
+//! way and never rewritten.
 //!
 //! ## Durability: group-commit fsync
 //!
@@ -55,15 +53,30 @@
 //! would silently ack lost writes). A poisoned journal fails every
 //! subsequent append/commit; the server degrades to read-only.
 //!
-//! ## Checkpoint + rotation (`ATPMCKP1`)
+//! ## Checkpoint = compacted journal (`ATPMCKP2`)
 //!
 //! Rotation seals the active segment as `<path>.old.<seq>` and starts a
-//! fresh one; a checkpoint then serializes every live session's replayable
-//! history into `<path>.ckp` (CRC-framed like the journal, written to a
-//! temp file, fsynced, atomically renamed) and deletes segments older than
-//! the checkpoint. Recovery = load checkpoint + replay tail segments,
-//! skipping records already folded into a session's checkpointed
-//! `last_seq` — bounded work, regardless of how long the server ran.
+//! fresh one. A checkpoint then compacts everything sealed — the previous
+//! checkpoint and the sealed segments, read by the same loader as
+//! [`Journal::open_with`] — into `<path>.ckp`, keeping the records of the
+//! sessions the manager still holds, verbatim with their original seqs,
+//! grouped by session:
+//!
+//! ```text
+//! "ATPMCKP2"                         8-byte magic
+//! head frame                         seq = sealed high-water seq,
+//!                                    {"op":"ckp-head","next_id":N,"records":M}
+//! M record frames                    ATPMJNL2 frames, each session's
+//!                                    starting with its create
+//! ```
+//!
+//! The file is written to a temp file, fsynced, atomically renamed, and
+//! the sealed segments are deleted. Recovery = checkpoint records, then
+//! sealed records above the head seq (left by a failed deletion), then the
+//! active segment, whose records are all above it — bounded work,
+//! regardless of how long the server ran. A torn checkpoint drops the
+//! session whose frames straddle the tear: a session loads whole or not
+//! at all.
 //!
 //! ## Fault injection
 //!
@@ -73,7 +86,7 @@
 //! `atpm-net`'s `SysPolicy`, with process-wide injection counters exported
 //! as `atpm_serve_journal_fault_injected_total`.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -82,12 +95,14 @@ use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use crate::json::Json;
-use crate::protocol::{nodes_field, ApiError, CreateSessionReq, ObserveBatchReq, ObserveReq};
+use crate::protocol::{nodes_field, ApiError, CreateSessionReq, ObserveBatchReq};
 use atpm_graph::Node;
 
-const MAGIC_V1: &[u8; 8] = b"ATPMJNL1";
-const MAGIC_V2: &[u8; 8] = b"ATPMJNL2";
-const CKP_MAGIC: &[u8; 8] = b"ATPMCKP1";
+const MAGIC: &[u8; 8] = b"ATPMJNL2";
+const CKP_MAGIC: &[u8; 8] = b"ATPMCKP2";
+/// Magics of retired formats, refused by name.
+const RETIRED_MAGIC: &[u8; 8] = b"ATPMJNL1";
+const RETIRED_CKP_MAGIC: &[u8; 8] = b"ATPMCKP1";
 /// Upper bound on a single record's payload; a declared length beyond this
 /// is treated as tail corruption, not an allocation request.
 const MAX_RECORD: usize = 16 * 1024 * 1024;
@@ -180,10 +195,8 @@ impl Record {
         }
     }
 
-    /// Parses a payload. The `next`/`observe` ops of journals written
-    /// before the single-seed verbs became batches of one still parse, as
-    /// a `k = 1` [`Record::NextBatch`] and a one-seed
-    /// [`Record::ObserveBatch`].
+    /// Parses a payload. Any other op — including the retired
+    /// `next`/`observe` — is an error.
     pub fn from_json(v: &Json) -> Result<Record, ApiError> {
         let op = v
             .get("op")
@@ -207,32 +220,24 @@ impl Record {
                         .ok_or_else(|| ApiError::bad_request("create record missing 'req'"))?,
                 )?,
             }),
-            "next" | "next_batch" => Ok(Record::NextBatch {
+            "next_batch" => Ok(Record::NextBatch {
                 token: token(v)?,
                 seeds: nodes_field(v, "seeds")?,
-                k: if op == "next" {
-                    1
-                } else {
-                    v.get("k")
-                        .and_then(Json::as_u64)
-                        .ok_or_else(|| ApiError::bad_request("next_batch record missing 'k'"))?
-                        as usize
-                },
+                k: v.get("k")
+                    .and_then(Json::as_u64)
+                    .ok_or_else(|| ApiError::bad_request("next_batch record missing 'k'"))?
+                    as usize,
                 done: v
                     .get("done")
                     .and_then(Json::as_bool)
-                    .ok_or_else(|| ApiError::bad_request(format!("{op} record missing 'done'")))?,
+                    .ok_or_else(|| ApiError::bad_request("next_batch record missing 'done'"))?,
             }),
-            "observe" | "observe_batch" => {
-                let req = v
-                    .get("req")
-                    .ok_or_else(|| ApiError::bad_request(format!("{op} record missing 'req'")))?;
+            "observe_batch" => {
                 Ok(Record::ObserveBatch {
                     token: token(v)?,
-                    req: match op {
-                        "observe" => ObserveReq::from_json(req)?.into(),
-                        _ => ObserveBatchReq::from_json(req)?,
-                    },
+                    req: ObserveBatchReq::from_json(v.get("req").ok_or_else(|| {
+                        ApiError::bad_request("observe_batch record missing 'req'")
+                    })?)?,
                 })
             }
             "delete" => Ok(Record::Delete { token: token(v)? }),
@@ -538,188 +543,7 @@ fn retry_eintr<T>(mut op: impl FnMut() -> io::Result<T>) -> io::Result<T> {
 }
 
 // ---------------------------------------------------------------------------
-// Checkpoint sessions
-
-/// One committed adaptivity round as checkpointed: the observation that
-/// closed it, tagged with the `k` the batch was requested with (replay
-/// must re-ask with the same `k` — the request size is part of the
-/// policy's deterministic decision state).
-#[derive(Debug, Clone, PartialEq)]
-pub struct RoundRec {
-    /// The `next`/`next_batch` request size that opened the round
-    /// (1 for the single-seed routes).
-    pub k: usize,
-    /// The observation that closed the round.
-    pub req: ObserveBatchReq,
-}
-
-impl RoundRec {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("k", Json::UInt(self.k as u64)),
-            ("req", self.req.to_json()),
-        ])
-    }
-
-    /// Parses a round. Accepts the pre-batch shape (a bare `ObserveReq`
-    /// with its `seed` field) as a round of `k = 1`, so checkpoints
-    /// written before batched seeding keep loading.
-    fn from_json(v: &Json) -> Result<RoundRec, ApiError> {
-        if let Some(req) = v.get("req") {
-            return Ok(RoundRec {
-                k: v.get("k")
-                    .and_then(Json::as_u64)
-                    .ok_or_else(|| ApiError::bad_request("round missing 'k'"))?
-                    as usize,
-                req: ObserveBatchReq::from_json(req)?,
-            });
-        }
-        Ok(RoundRec {
-            k: 1,
-            req: ObserveReq::from_json(v)?.into(),
-        })
-    }
-}
-
-/// One live session's replayable history, as serialized into an
-/// `ATPMCKP1` checkpoint. The stepper itself (internal RNG, residual
-/// graph cursors) is never serialized — the session is re-derived by
-/// replaying `req` + `rounds` through the live manager, which is exactly
-/// the journal-recovery path and therefore bit-equal by construction.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CkpSession {
-    /// Session token.
-    pub token: String,
-    /// Counter value the token was minted from.
-    pub id: u64,
-    /// The creating request.
-    pub req: CreateSessionReq,
-    /// Every committed round, in order (each carries its batch).
-    pub rounds: Vec<RoundRec>,
-    /// A handed-out-but-unobserved batch, if any (empty = none).
-    pub pending: Vec<Node>,
-    /// The request size of the most recent stepper round — the `k` to
-    /// replay the pending batch (or the final, policy-exhausting round)
-    /// with. 1 for sessions driven over the single-seed routes.
-    pub pending_k: usize,
-    /// Whether the policy finished.
-    pub done: bool,
-    /// Highest journal seq folded into this state; tail records at or
-    /// below it are already reflected here and must not replay.
-    pub last_seq: u64,
-}
-
-impl CkpSession {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("op", Json::Str("ckp-session".into())),
-            ("token", Json::Str(self.token.clone())),
-            ("id", Json::UInt(self.id)),
-            ("req", self.req.to_json()),
-            (
-                "rounds",
-                Json::Arr(self.rounds.iter().map(RoundRec::to_json).collect()),
-            ),
-            ("pending", Json::nums(self.pending.iter().copied())),
-            ("pending_k", Json::UInt(self.pending_k as u64)),
-            ("done", Json::Bool(self.done)),
-            ("last_seq", Json::UInt(self.last_seq)),
-        ])
-    }
-
-    fn from_json(v: &Json) -> Result<CkpSession, ApiError> {
-        if v.get("op").and_then(Json::as_str) != Some("ckp-session") {
-            return Err(ApiError::bad_request("not a ckp-session frame"));
-        }
-        let token = v
-            .get("token")
-            .and_then(Json::as_str)
-            .ok_or_else(|| ApiError::bad_request("ckp-session missing 'token'"))?
-            .to_string();
-        let rounds = v
-            .get("rounds")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| ApiError::bad_request("ckp-session missing 'rounds'"))?
-            .iter()
-            .map(RoundRec::from_json)
-            .collect::<Result<Vec<_>, _>>()?;
-        // Pre-batch checkpoints hold a scalar (or null) pending seed;
-        // current ones hold the pending batch as an array.
-        let pending = match v.get("pending") {
-            None | Some(Json::Null) => Vec::new(),
-            Some(Json::Arr(_)) => nodes_field(v, "pending")?,
-            Some(p) => vec![p
-                .as_u64()
-                .and_then(|n| Node::try_from(n).ok())
-                .ok_or_else(|| ApiError::bad_request("ckp-session bad 'pending'"))?],
-        };
-        Ok(CkpSession {
-            token,
-            id: v
-                .get("id")
-                .and_then(Json::as_u64)
-                .ok_or_else(|| ApiError::bad_request("ckp-session missing 'id'"))?,
-            req: CreateSessionReq::from_json(
-                v.get("req")
-                    .ok_or_else(|| ApiError::bad_request("ckp-session missing 'req'"))?,
-            )?,
-            rounds,
-            pending,
-            pending_k: v.get("pending_k").and_then(Json::as_u64).unwrap_or(1) as usize,
-            done: v
-                .get("done")
-                .and_then(Json::as_bool)
-                .ok_or_else(|| ApiError::bad_request("ckp-session missing 'done'"))?,
-            last_seq: v.get("last_seq").and_then(Json::as_u64).unwrap_or(0),
-        })
-    }
-
-    /// The transition sequence that rebuilds this session through
-    /// [`SessionManager::recover`] — the same records the journal would
-    /// have held. Rounds synthesize uniformly as batch records: a
-    /// single-seed round is a batch round of `k = 1`, byte-identical by
-    /// the stepper contract.
-    fn synthesize(&self) -> Vec<Record> {
-        let mut records = Vec::with_capacity(2 + self.rounds.len() * 2);
-        records.push(Record::Create {
-            id: self.id,
-            token: self.token.clone(),
-            req: self.req.clone(),
-        });
-        for round in &self.rounds {
-            records.push(Record::NextBatch {
-                token: self.token.clone(),
-                seeds: round.req.seeds().to_vec(),
-                k: round.k,
-                done: false,
-            });
-            records.push(Record::ObserveBatch {
-                token: self.token.clone(),
-                req: round.req.clone(),
-            });
-        }
-        if !self.pending.is_empty() {
-            records.push(Record::NextBatch {
-                token: self.token.clone(),
-                seeds: self.pending.clone(),
-                k: self.pending_k,
-                done: false,
-            });
-        }
-        if self.done {
-            records.push(Record::NextBatch {
-                token: self.token.clone(),
-                seeds: vec![],
-                k: self.pending_k.max(1),
-                done: true,
-            });
-        }
-        records
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Open-time report
+// Reading segments and checkpoints
 
 /// What [`Journal::open_with`] found on disk — surfaced so the server can
 /// count torn tails, log offsets, and advance its id counter.
@@ -740,140 +564,210 @@ pub struct OpenInfo {
     pub next_id_floor: u64,
 }
 
-/// One parsed segment file.
-struct ParsedSegment {
-    /// `(seq, record)` in append order; v1 frames carry seq 0.
-    records: Vec<(u64, Record)>,
-    /// Byte offset just past the last intact frame.
-    good_len: u64,
-    /// Total byte length scanned (`> good_len` means a torn tail).
-    total_len: u64,
-    /// Whether the segment uses the v1 (seq-less) frame layout.
-    v1: bool,
+fn invalid(message: String) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, message)
 }
 
-/// Walks a segment's frames, stopping at the first torn or corrupt one.
-/// Errors only on a bad magic.
-fn parse_segment(bytes: &[u8]) -> io::Result<ParsedSegment> {
-    let v1 = if bytes.len() >= 8 && &bytes[..8] == MAGIC_V2 {
-        false
-    } else if bytes.len() >= 8 && &bytes[..8] == MAGIC_V1 {
-        true
-    } else {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "not an ATPMJNL1/ATPMJNL2 journal (bad magic)",
-        ));
-    };
-    let head = if v1 { 8usize } else { 16usize };
-    let mut records = Vec::new();
+/// The intact frames of one file, as `(seq, parsed payload)` in file order.
+struct Walk<T> {
+    frames: Vec<(u64, T)>,
+    /// Byte offset just past the last intact frame (below the file length
+    /// means a torn tail).
+    good_len: u64,
+}
+
+/// The one frame walker, for segments and checkpoints alike: walks the
+/// `ATPMJNL2` frames behind the 8-byte magic of `bytes`, parsing each
+/// payload with `parse`. A torn frame (short, oversized, or failing its
+/// CRC) ends the walk — it is the crash window. A frame that passes its
+/// CRC but does not parse is no crash artifact but a bug or another
+/// build's record; truncating there would destroy every acked record
+/// behind it, so it is an error naming `file`, the offset and the cause.
+fn walk_frames<T>(
+    file: &Path,
+    bytes: &[u8],
+    mut parse: impl FnMut(&Json) -> Result<T, ApiError>,
+) -> io::Result<Walk<T>> {
+    let mut frames = Vec::new();
     let mut offset = 8usize;
-    while let Some(header) = bytes.get(offset..offset + head) {
+    while let Some(header) = bytes.get(offset..offset + 16) {
         let len = u32::from_le_bytes(header[0..4].try_into().unwrap()) as usize;
         let crc = u32::from_le_bytes(header[4..8].try_into().unwrap());
         if len > MAX_RECORD {
             break;
         }
-        // v2 checksums cover seq ++ payload (contiguous on disk), so a
+        // Checksums cover seq ++ payload (contiguous on disk), so a
         // flipped sequence number is corruption, not a silent replay skew.
-        let Some(checked) = bytes.get(offset + 8..offset + head + len) else {
+        let Some(checked) = bytes.get(offset + 8..offset + 16 + len) else {
             break;
         };
         if crc32(checked) != crc {
             break;
         }
-        let seq = if v1 {
-            0
-        } else {
-            u64::from_le_bytes(checked[0..8].try_into().unwrap())
-        };
-        let payload = &checked[if v1 { 0 } else { 8 }..];
-        let parsed = std::str::from_utf8(payload)
-            .ok()
-            .and_then(|text| Json::parse(text).ok())
-            .and_then(|json| Record::from_json(&json).ok());
-        let Some(record) = parsed else {
-            // A record that checksums but doesn't parse is corruption
-            // (or a future format); treat it as the tail boundary.
-            break;
-        };
-        records.push((seq, record));
-        offset += head + len;
+        let seq = u64::from_le_bytes(checked[0..8].try_into().unwrap());
+        let parsed = std::str::from_utf8(&checked[8..])
+            .map_err(|e| e.to_string())
+            .and_then(|text| Json::parse(text).map_err(|e| e.to_string()))
+            .and_then(|json| parse(&json).map_err(|e| e.message));
+        let value = parsed.map_err(|cause| {
+            invalid(format!(
+                "{}: frame at byte {offset} passes its checksum but does not parse: {cause}",
+                file.display()
+            ))
+        })?;
+        frames.push((seq, value));
+        offset += 16 + len;
     }
-    Ok(ParsedSegment {
-        records,
+    Ok(Walk {
+        frames,
         good_len: offset as u64,
-        total_len: bytes.len() as u64,
-        v1,
     })
 }
 
-/// A parsed `ATPMCKP1` checkpoint.
-struct ParsedCkp {
-    max_seq: u64,
+/// Reads one segment: its magic, then its frames as records.
+fn read_segment(file: &Path, bytes: &[u8]) -> io::Result<Walk<Record>> {
+    match bytes.get(..8) {
+        Some(magic) if magic == MAGIC => walk_frames(file, bytes, Record::from_json),
+        Some(magic) if magic == RETIRED_MAGIC => Err(invalid(format!(
+            "{}: ATPMJNL1 is a retired journal format; this build reads only ATPMJNL2",
+            file.display()
+        ))),
+        _ => Err(invalid(format!(
+            "{}: not an ATPMJNL2 journal (bad magic)",
+            file.display()
+        ))),
+    }
+}
+
+/// Everything recovery reads ahead of the active segment.
+#[derive(Default)]
+struct Sealed {
+    /// The checkpoint's records, then the sealed segments' records above
+    /// its head seq: `(seq, record)` in replay order.
+    records: Vec<(u64, Record)>,
+    /// The sealed segments read, oldest first.
+    segments: Vec<PathBuf>,
+    /// Every record sealed so far is at or below this seq (the checkpoint
+    /// head's or the newest sealed segment's); every active one is above.
+    sealed_seq: u64,
+    info: OpenInfo,
+}
+
+/// The loader [`Journal::open_with`] and the checkpoint compaction share:
+/// the checkpoint at `path.ckp`, then the sealed `path.old.*` segments.
+/// Sealed records at or below the checkpoint's head seq were compacted
+/// into it (their segment outlived a failed deletion) and are skipped.
+fn load_sealed(path: &Path) -> io::Result<Sealed> {
+    let mut sealed = Sealed::default();
+    let ckp = ckp_path(path);
+    if let Ok(bytes) = std::fs::read(&ckp) {
+        read_checkpoint(&ckp, &bytes, &mut sealed)?;
+    }
+    let head_seq = sealed.info.checkpoint_seq;
+    for (seal_seq, old_path) in list_old_segments(path) {
+        let bytes = std::fs::read(&old_path)?;
+        let walk = read_segment(&old_path, &bytes)?;
+        if walk.good_len < bytes.len() as u64 {
+            sealed
+                .info
+                .torn
+                .push((old_path.display().to_string(), walk.good_len));
+        }
+        sealed.info.segments_replayed += 1;
+        sealed
+            .records
+            .extend(walk.frames.into_iter().filter(|(seq, _)| *seq > head_seq));
+        sealed.sealed_seq = sealed.sealed_seq.max(seal_seq);
+        sealed.segments.push(old_path);
+    }
+    Ok(sealed)
+}
+
+/// A checkpoint's head frame payload.
+struct CkpHead {
     next_id: u64,
-    sessions: Vec<CkpSession>,
-    /// Byte offset of a torn/corrupt tail, if any frame failed its check.
-    torn_at: Option<u64>,
+    /// Record frames written behind the head; fewer on disk means the
+    /// file was cut, even at a frame boundary.
+    records: u64,
 }
 
-/// Parses a checkpoint file. `None` when the magic or head frame is
-/// unusable (the checkpoint contributes nothing; tail segments still
-/// replay). Broken session frames mark the tail: the sessions before them
-/// load, everything after is discarded — never a panic.
-fn parse_checkpoint(bytes: &[u8]) -> Option<ParsedCkp> {
-    if bytes.len() < 8 || &bytes[..8] != CKP_MAGIC {
-        return None;
+impl CkpHead {
+    fn to_json(&self) -> Json {
+        Json::obj([
+            ("op", Json::Str("ckp-head".into())),
+            ("next_id", Json::UInt(self.next_id)),
+            ("records", Json::UInt(self.records)),
+        ])
     }
-    let mut offset = 8usize;
-    let mut frames = Vec::new();
-    let mut torn_at = None;
-    while let Some(header) = bytes.get(offset..offset + 8) {
-        let len = u32::from_le_bytes(header[0..4].try_into().unwrap()) as usize;
-        let crc = u32::from_le_bytes(header[4..8].try_into().unwrap());
-        if len > MAX_RECORD {
-            break;
-        }
-        let Some(payload) = bytes.get(offset + 8..offset + 8 + len) else {
-            break;
+
+    fn from_json(v: &Json) -> Result<CkpHead, ApiError> {
+        let field = |key: &str| {
+            v.get(key)
+                .and_then(Json::as_u64)
+                .ok_or_else(|| ApiError::bad_request(format!("ckp-head missing '{key}'")))
         };
-        if crc32(payload) != crc {
-            break;
+        if v.get("op").and_then(Json::as_str) != Some("ckp-head") {
+            return Err(ApiError::bad_request(
+                "checkpoint does not open with a ckp-head",
+            ));
         }
-        let Some(json) = std::str::from_utf8(payload)
-            .ok()
-            .and_then(|text| Json::parse(text).ok())
-        else {
-            break;
-        };
-        frames.push(json);
-        offset += 8 + len;
+        Ok(CkpHead {
+            next_id: field("next_id")?,
+            records: field("records")?,
+        })
     }
-    if (offset as u64) < bytes.len() as u64 {
-        torn_at = Some(offset as u64);
-    }
-    let mut frames = frames.into_iter();
-    let head = frames.next()?;
-    if head.get("op").and_then(Json::as_str) != Some("ckp-head") {
-        return None;
-    }
-    let max_seq = head.get("max_seq").and_then(Json::as_u64)?;
-    let next_id = head.get("next_id").and_then(Json::as_u64).unwrap_or(0);
-    let mut sessions = Vec::new();
-    for frame in frames {
-        match CkpSession::from_json(&frame) {
-            Ok(session) => sessions.push(session),
-            // A session frame that checksums but doesn't parse is
-            // corruption; it and everything after it are untrustworthy.
-            Err(_) => break,
+}
+
+/// Loads the checkpoint `bytes` into `sealed`. A checkpoint with a foreign
+/// magic or no intact head contributes nothing and is reported as a tear:
+/// boot degrades to the segments, it never fails. A torn record tail drops
+/// the session whose frames straddle the tear.
+fn read_checkpoint(file: &Path, bytes: &[u8], sealed: &mut Sealed) -> io::Result<()> {
+    let name = file.display().to_string();
+    match bytes.get(..8) {
+        Some(magic) if magic == CKP_MAGIC => {}
+        Some(magic) if magic == RETIRED_CKP_MAGIC => {
+            return Err(invalid(format!(
+                "{name}: ATPMCKP1 is a retired checkpoint format; this build reads only ATPMCKP2"
+            )))
+        }
+        _ => {
+            sealed.info.torn.push((name, 0));
+            return Ok(());
         }
     }
-    Some(ParsedCkp {
-        max_seq,
-        next_id,
-        sessions,
-        torn_at,
-    })
+    let mut head = None;
+    let walk = walk_frames(file, bytes, |json| {
+        if head.is_some() {
+            return Record::from_json(json).map(Some);
+        }
+        head = Some(CkpHead::from_json(json)?);
+        Ok(None)
+    })?;
+    let mut frames = walk.frames.into_iter();
+    let (Some(head), Some((head_seq, _))) = (head, frames.next()) else {
+        sealed.info.torn.push((name, walk.good_len));
+        return Ok(());
+    };
+    let mut records: Vec<(u64, Record)> = frames
+        .filter_map(|(seq, record)| record.map(|r| (seq, r)))
+        .collect();
+    if walk.good_len < bytes.len() as u64 || (records.len() as u64) < head.records {
+        sealed.info.torn.push((name, walk.good_len));
+        // Sessions are grouped, so the straddling one is the last read.
+        if let Some(token) = records.last().map(|(_, r)| r.token().to_string()) {
+            records.retain(|(_, r)| r.token() != token);
+        }
+    }
+    sealed.info.checkpoint_sessions = records
+        .iter()
+        .filter(|(_, r)| matches!(r, Record::Create { .. }))
+        .count() as u64;
+    sealed.info.checkpoint_seq = head_seq;
+    sealed.info.next_id_floor = head.next_id;
+    sealed.sealed_seq = head_seq;
+    sealed.records = records;
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -885,9 +779,6 @@ struct ActiveSegment {
     /// Seq of the last record appended (globally monotonic across
     /// rotations and restarts).
     appended_seq: u64,
-    /// Legacy v1 segment — appends keep the seq-less frame layout so the
-    /// file stays self-consistent.
-    v1: bool,
 }
 
 /// Group-commit state: the durable high-water mark plus leader election.
@@ -939,74 +830,23 @@ impl Journal {
     }
 
     /// Opens (creating if absent) the journal at `path`, loading the full
-    /// recovery sequence: checkpoint sessions first (synthesized back into
-    /// transition records), then leftover sealed segments, then the active
-    /// segment — skipping tail records a checkpointed session has already
-    /// folded in. The active segment is truncated at the first torn or
-    /// corrupt offset; every truncation is reported in [`OpenInfo`].
+    /// recovery sequence: the checkpoint's records, then the sealed
+    /// segments' records above its head seq, then the active segment. The
+    /// active segment is truncated at its torn tail; every tear is
+    /// reported in [`OpenInfo`]. A frame that passes its checksum but does
+    /// not parse, a retired format, or a foreign segment fails the open
+    /// and leaves every file as it was.
     pub fn open_with(
         path: impl AsRef<Path>,
         policy: FsyncPolicy,
         io: Arc<dyn JournalIo>,
     ) -> io::Result<(Journal, Vec<Record>)> {
         let path = path.as_ref().to_path_buf();
-        let mut info = OpenInfo::default();
-        let mut records: Vec<Record> = Vec::new();
-        let mut last_seq_by_token: HashMap<String, u64> = HashMap::new();
-        let mut max_seq = 0u64;
+        let sealed = load_sealed(&path)?;
+        let mut info = sealed.info;
+        let mut records: Vec<Record> = sealed.records.into_iter().map(|(_, r)| r).collect();
+        let mut max_seq = sealed.sealed_seq;
 
-        // 1. Checkpoint, if present.
-        let ckp_path = ckp_path(&path);
-        if let Ok(bytes) = std::fs::read(&ckp_path) {
-            if let Some(ckp) = parse_checkpoint(&bytes) {
-                if let Some(offset) = ckp.torn_at {
-                    info.torn.push((ckp_path.display().to_string(), offset));
-                }
-                info.checkpoint_sessions = ckp.sessions.len() as u64;
-                info.checkpoint_seq = ckp.max_seq;
-                info.next_id_floor = ckp.next_id;
-                max_seq = max_seq.max(ckp.max_seq);
-                for session in &ckp.sessions {
-                    last_seq_by_token.insert(session.token.clone(), session.last_seq);
-                    max_seq = max_seq.max(session.last_seq);
-                    records.extend(session.synthesize());
-                }
-            }
-        }
-
-        // Skip rule: a record at or below a checkpointed session's
-        // `last_seq` is already reflected in its synthesized history.
-        // (v1 frames read back as seq 0 and only survive in sealed
-        // segments, which by construction predate the serialization.)
-        let keep = |seq: u64, record: &Record| -> bool {
-            last_seq_by_token
-                .get(record.token())
-                .is_none_or(|last| seq > *last)
-        };
-
-        // 2. Sealed segments left by an interrupted checkpoint, oldest
-        // first. They are replayed but never truncated — the next
-        // successful checkpoint deletes them whole.
-        for (_, old_path) in list_old_segments(&path) {
-            let bytes = std::fs::read(&old_path)?;
-            let Ok(parsed) = parse_segment(&bytes) else {
-                info.torn.push((old_path.display().to_string(), 0));
-                continue;
-            };
-            if parsed.good_len < parsed.total_len {
-                info.torn
-                    .push((old_path.display().to_string(), parsed.good_len));
-            }
-            info.segments_replayed += 1;
-            for (seq, record) in parsed.records {
-                max_seq = max_seq.max(seq);
-                if keep(seq, &record) {
-                    records.push(record);
-                }
-            }
-        }
-
-        // 3. The active segment, truncated at the first bad frame.
         let mut file = OpenOptions::new()
             .read(true)
             .write(true)
@@ -1015,25 +855,22 @@ impl Journal {
             .open(&path)?;
         let mut bytes = Vec::new();
         file.read_to_end(&mut bytes)?;
-        let (good_len, v1) = if bytes.is_empty() {
-            io.write_all(&file, MAGIC_V2)?;
+        let good_len = if bytes.is_empty() {
+            io.write_all(&file, MAGIC)?;
             file.flush()?;
-            (8u64, false)
+            8
         } else {
-            let parsed = parse_segment(&bytes)?;
-            if parsed.good_len < parsed.total_len {
-                info.torn
-                    .push((path.display().to_string(), parsed.good_len));
-                file.set_len(parsed.good_len)?;
+            let walk = read_segment(&path, &bytes)?;
+            if walk.good_len < bytes.len() as u64 {
+                info.torn.push((path.display().to_string(), walk.good_len));
+                file.set_len(walk.good_len)?;
             }
-            file.seek(SeekFrom::Start(parsed.good_len))?;
-            for (seq, record) in parsed.records {
+            file.seek(SeekFrom::Start(walk.good_len))?;
+            for (seq, record) in walk.frames {
                 max_seq = max_seq.max(seq);
-                if keep(seq, &record) {
-                    records.push(record);
-                }
+                records.push(record);
             }
-            (parsed.good_len, parsed.v1)
+            walk.good_len
         };
 
         let segments = 1 + info.segments_replayed;
@@ -1044,7 +881,6 @@ impl Journal {
             active: Mutex::new(ActiveSegment {
                 file,
                 appended_seq: max_seq,
-                v1,
             }),
             commit: Mutex::new(CommitState {
                 durable_seq: max_seq,
@@ -1130,15 +966,7 @@ impl Journal {
         }
         let mut active = self.active.lock().unwrap_or_else(|p| p.into_inner());
         let seq = active.appended_seq + 1;
-        let frame = if active.v1 {
-            let mut frame = Vec::with_capacity(8 + payload.len());
-            frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-            frame.extend_from_slice(&crc32(payload).to_le_bytes());
-            frame.extend_from_slice(payload);
-            frame
-        } else {
-            encode_frame_v2(seq, payload)
-        };
+        let frame = encode_frame_v2(seq, payload);
         // A failed or torn append leaves an unparseable frame mid-file;
         // appending more records after it would strand them past the
         // recovery truncation point. Poison instead of pretending.
@@ -1284,7 +1112,7 @@ impl Journal {
                 return Err(e);
             }
         };
-        if let Err(e) = self.io.write_all(&fresh, MAGIC_V2).and_then(|()| {
+        if let Err(e) = self.io.write_all(&fresh, MAGIC).and_then(|()| {
             let mut f = &fresh;
             f.flush()
         }) {
@@ -1295,7 +1123,6 @@ impl Journal {
             return Err(e);
         }
         active.file = fresh;
-        active.v1 = false;
         self.bytes.store(8, Ordering::Relaxed);
         self.segments.fetch_add(1, Ordering::Relaxed);
         drop(active);
@@ -1308,27 +1135,44 @@ impl Journal {
         Ok(())
     }
 
-    /// Writes an `ATPMCKP1` checkpoint covering `sessions` (temp file →
-    /// fsync → atomic rename → directory fsync), then deletes every
-    /// sealed segment — their records are all reflected in the
-    /// checkpoint. Call [`Journal::rotate`] first so the active segment
-    /// holds only post-serialization records.
-    pub fn write_checkpoint(&self, next_id: u64, sessions: &[CkpSession]) -> io::Result<()> {
-        let max_seq = {
-            let active = self.active.lock().unwrap_or_else(|p| p.into_inner());
-            active.appended_seq
+    /// Compacts everything sealed — the previous checkpoint and the sealed
+    /// segments — into a fresh `ATPMCKP2` checkpoint holding the records
+    /// of the `live` sessions, verbatim and grouped by session, then
+    /// deletes the sealed segments. Returns how many sessions it wrote. Call
+    /// [`Journal::rotate`] first: records appended since stay in the
+    /// active segment, above the head seq, and replay after the
+    /// checkpoint. A live session whose create is not sealed yet is left
+    /// out; the active segment holds all of it. The write is crash-safe
+    /// (temp file → fsync → atomic rename → directory fsync).
+    pub fn write_checkpoint(&self, next_id: u64, live: &HashSet<String>) -> io::Result<usize> {
+        let sealed = load_sealed(&self.path)?;
+        // Each live session ranks by the position of its create; one
+        // whose first sealed record is anything else is not written.
+        let mut rank: HashMap<&str, Option<usize>> = HashMap::new();
+        for (i, (_, record)) in sealed.records.iter().enumerate() {
+            rank.entry(record.token()).or_insert_with(|| {
+                (live.contains(record.token()) && matches!(record, Record::Create { .. }))
+                    .then_some(i)
+            });
+        }
+        let mut kept: Vec<&(u64, Record)> = sealed
+            .records
+            .iter()
+            .filter(|(_, r)| rank[r.token()].is_some())
+            .collect();
+        // Stable: each session's records keep their journal order.
+        kept.sort_by_key(|(_, r)| rank[r.token()]);
+        let head = CkpHead {
+            next_id,
+            records: kept.len() as u64,
         };
-        let mut buf = Vec::with_capacity(1024);
-        buf.extend_from_slice(CKP_MAGIC);
-        let head = Json::obj([
-            ("op", Json::Str("ckp-head".into())),
-            ("max_seq", Json::UInt(max_seq)),
-            ("next_id", Json::UInt(next_id)),
-            ("sessions", Json::UInt(sessions.len() as u64)),
-        ]);
-        push_ckp_frame(&mut buf, &head);
-        for session in sessions {
-            push_ckp_frame(&mut buf, &session.to_json());
+        let mut buf = CKP_MAGIC.to_vec();
+        buf.extend(encode_frame_v2(
+            sealed.sealed_seq,
+            head.to_json().encode().as_bytes(),
+        ));
+        for (seq, record) in kept {
+            buf.extend(encode_frame_v2(*seq, record.to_json().encode().as_bytes()));
         }
         let ckp = ckp_path(&self.path);
         let tmp = ckp_tmp_path(&self.path);
@@ -1343,17 +1187,18 @@ impl Journal {
         if let Ok(dir) = File::open(parent_dir(&self.path)) {
             retry_eintr(|| self.io.fsync(&dir))?;
         }
-        self.last_ckp_seq.store(max_seq, Ordering::Relaxed);
-        // Retention: every sealed segment predates the checkpoint.
-        // Removal failures only delay retirement until the next round.
+        self.last_ckp_seq
+            .store(sealed.sealed_seq, Ordering::Relaxed);
+        // Retention: every segment read is compacted. A removal failure
+        // only delays retirement; the loader skips what the head covers.
         let mut remaining = 1u64;
-        for (_, old_path) in list_old_segments(&self.path) {
-            if self.io.remove(&old_path).is_err() {
+        for old_path in &sealed.segments {
+            if self.io.remove(old_path).is_err() {
                 remaining += 1;
             }
         }
         self.segments.store(remaining, Ordering::Relaxed);
-        Ok(())
+        Ok(rank.values().filter(|r| r.is_some()).count())
     }
 }
 
@@ -1371,14 +1216,6 @@ fn encode_frame_v2(seq: u64, payload: &[u8]) -> Vec<u8> {
     frame.extend_from_slice(&crc32(&checked).to_le_bytes());
     frame.extend_from_slice(&checked);
     frame
-}
-
-fn push_ckp_frame(buf: &mut Vec<u8>, json: &Json) {
-    let payload = json.encode();
-    let payload = payload.as_bytes();
-    buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    buf.extend_from_slice(&crc32(payload).to_le_bytes());
-    buf.extend_from_slice(payload);
 }
 
 fn ckp_path(path: &Path) -> PathBuf {
@@ -1578,32 +1415,6 @@ mod tests {
     }
 
     #[test]
-    fn v1_segments_still_replay() {
-        let path = temp_path("v1compat");
-        scrub(&path);
-        // Hand-write a legacy segment: v1 magic, 8-byte frame headers.
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(MAGIC_V1);
-        for record in sample_records() {
-            let payload = record.to_json().encode();
-            let payload = payload.as_bytes();
-            bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-            bytes.extend_from_slice(&crc32(payload).to_le_bytes());
-            bytes.extend_from_slice(payload);
-        }
-        std::fs::write(&path, &bytes).unwrap();
-        let (journal, replayed) = Journal::open(&path).unwrap();
-        assert_eq!(replayed, sample_records());
-        // Appends to a v1 file keep the v1 frame layout, so the mixed
-        // file stays parseable end to end.
-        journal.append(&sample_records()[0]).unwrap();
-        drop(journal);
-        let (_journal, replayed) = Journal::open(&path).unwrap();
-        assert_eq!(replayed.len(), sample_records().len() + 1);
-        scrub(&path);
-    }
-
-    #[test]
     fn bad_magic_is_refused_not_clobbered() {
         let path = temp_path("magic");
         scrub(&path);
@@ -1735,6 +1546,77 @@ mod tests {
         scrub(&path);
     }
 
+    const TOKEN: &str = "s00000001";
+
+    fn live(tokens: &[&str]) -> HashSet<String> {
+        tokens.iter().map(|t| t.to_string()).collect()
+    }
+
+    fn create(token: &str, id: u64) -> Record {
+        Record::Create {
+            id,
+            token: token.into(),
+            req: CreateSessionReq {
+                snapshot: "g".into(),
+                policy: PolicySpec::Ars { prob: 0.5, seed: 9 },
+                world_seed: 42,
+            },
+        }
+    }
+
+    fn next(token: &str, seed: Node) -> Record {
+        Record::NextBatch {
+            token: token.into(),
+            seeds: vec![seed],
+            k: 1,
+            done: false,
+        }
+    }
+
+    #[test]
+    fn a_checksummed_frame_that_does_not_parse_fails_the_open_untouched() {
+        let path = temp_path("bogus");
+        scrub(&path);
+        let all = sample_records();
+        let mut bytes = b"ATPMJNL2".to_vec();
+        bytes.extend(encode_frame_v2(1, all[0].to_json().encode().as_bytes()));
+        let bogus_at = bytes.len();
+        bytes.extend(encode_frame_v2(2, br#"{"op":"bogus"}"#));
+        bytes.extend(encode_frame_v2(3, all[1].to_json().encode().as_bytes()));
+        std::fs::write(&path, &bytes).unwrap();
+        let err = Journal::open(&path).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        let message = err.to_string();
+        assert!(message.contains("atpm-journal-bogus"), "{message}");
+        assert!(message.contains(&format!("byte {bogus_at}")), "{message}");
+        assert!(message.contains("'bogus'"), "{message}");
+        // Nothing was truncated: the acked record behind the frame stays.
+        assert_eq!(std::fs::read(&path).unwrap(), bytes);
+        scrub(&path);
+    }
+
+    #[test]
+    fn a_checksummed_checkpoint_frame_that_does_not_parse_fails_the_open() {
+        let path = temp_path("bogusckp");
+        scrub(&path);
+        let head = CkpHead {
+            next_id: 2,
+            records: 1,
+        };
+        let mut bytes = CKP_MAGIC.to_vec();
+        bytes.extend(encode_frame_v2(1, head.to_json().encode().as_bytes()));
+        bytes.extend(encode_frame_v2(1, br#"{"op":"bogus"}"#));
+        std::fs::write(ckp_path(&path), &bytes).unwrap();
+        let err = Journal::open(&path).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        let message = err.to_string();
+        assert!(message.contains(".ckp"), "{message}");
+        assert!(message.contains("'bogus'"), "{message}");
+        assert_eq!(std::fs::read(ckp_path(&path)).unwrap(), bytes);
+        assert!(!path.exists(), "a failed open creates no segment");
+        scrub(&path);
+    }
+
     #[test]
     fn checkpoint_retires_sealed_segments_and_reloads() {
         let path = temp_path("ckp");
@@ -1745,23 +1627,7 @@ mod tests {
         journal.append(&all[0]).unwrap();
         journal.append(&all[1]).unwrap();
         journal.rotate().unwrap();
-        let session = CkpSession {
-            token: "s00000001".into(),
-            id: 1,
-            req: CreateSessionReq {
-                snapshot: "g".into(),
-                policy: PolicySpec::Ars { prob: 0.5, seed: 9 },
-                world_seed: 42,
-            },
-            rounds: vec![],
-            pending: vec![17],
-            pending_k: 1,
-            done: false,
-            last_seq: 2,
-        };
-        journal
-            .write_checkpoint(7, std::slice::from_ref(&session))
-            .unwrap();
+        assert_eq!(journal.write_checkpoint(7, &live(&[TOKEN])).unwrap(), 1);
         assert_eq!(journal.segments(), 1, "sealed segments retired");
         assert!(list_old_segments(&path).is_empty());
         assert_eq!(journal.last_checkpoint_seq(), 2);
@@ -1769,24 +1635,8 @@ mod tests {
         journal.append(&all[2]).unwrap();
         drop(journal);
         let (journal, replayed) = Journal::open(&path).unwrap();
-        // Synthesized: Create + pending NextBatch; then the tail Observe.
-        assert_eq!(
-            replayed,
-            vec![
-                Record::Create {
-                    id: 1,
-                    token: "s00000001".into(),
-                    req: session.req.clone(),
-                },
-                Record::NextBatch {
-                    token: "s00000001".into(),
-                    seeds: vec![17],
-                    k: 1,
-                    done: false,
-                },
-                all[2].clone(),
-            ]
-        );
+        // The compacted Create + pending NextBatch; then the tail Observe.
+        assert_eq!(replayed, all[..3]);
         assert_eq!(journal.open_info().checkpoint_sessions, 1);
         assert_eq!(journal.open_info().next_id_floor, 7);
         assert_eq!(journal.open_info().checkpoint_seq, 2);
@@ -1794,125 +1644,111 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_skips_tail_records_already_folded_in() {
-        let path = temp_path("ckpskip");
+    fn a_failed_segment_removal_still_replays_each_record_once() {
+        let path = temp_path("ckpremove");
         scrub(&path);
-        let (journal, _) =
-            Journal::open_with(&path, FsyncPolicy::Shutdown, Arc::new(RealIo)).unwrap();
+        let io = Arc::new(FaultIo::new().fail(IoSite::Remove, 1, atpm_net::fault::ENOSPC));
+        let (journal, _) = Journal::open_with(&path, FsyncPolicy::Shutdown, io).unwrap();
         let all = sample_records();
-        // Records land in the *active* segment with seqs 1..=3, then the
-        // checkpoint claims the session has folded in everything up to
-        // seq 2 — as happens when appends race the serialization scan.
         journal.append(&all[0]).unwrap();
         journal.append(&all[1]).unwrap();
+        journal.rotate().unwrap();
         journal.append(&all[2]).unwrap();
-        let session = CkpSession {
-            token: "s00000001".into(),
-            id: 1,
-            req: CreateSessionReq {
-                snapshot: "g".into(),
-                policy: PolicySpec::Ars { prob: 0.5, seed: 9 },
-                world_seed: 42,
-            },
-            rounds: vec![],
-            pending: vec![17],
-            pending_k: 1,
-            done: false,
-            last_seq: 2,
-        };
-        journal.write_checkpoint(2, &[session]).unwrap();
+        assert_eq!(journal.write_checkpoint(2, &live(&[TOKEN])).unwrap(), 1);
+        assert_eq!(
+            journal.segments(),
+            2,
+            "the sealed segment outlived its removal"
+        );
+        assert_eq!(list_old_segments(&path).len(), 1);
+        drop(journal);
+        let (journal, replayed) = Journal::open(&path).unwrap();
+        assert_eq!(
+            replayed,
+            all[..3],
+            "records the checkpoint holds are skipped"
+        );
+        assert_eq!(journal.open_info().segments_replayed, 1);
+        // The next checkpoint compacts and retires the leftover too.
+        journal.rotate().unwrap();
+        assert_eq!(journal.write_checkpoint(2, &live(&[TOKEN])).unwrap(), 1);
+        assert!(list_old_segments(&path).is_empty());
         drop(journal);
         let (_journal, replayed) = Journal::open(&path).unwrap();
-        // Synthesized Create + pending NextBatch, then only the seq-3 tail
-        // record — seqs 1 and 2 are already folded into the checkpoint.
-        assert_eq!(replayed.len(), 3);
-        assert_eq!(replayed[2], all[2]);
+        assert_eq!(replayed, all[..3]);
         scrub(&path);
     }
 
     #[test]
-    fn ckp_session_json_round_trips() {
-        let session = CkpSession {
-            token: "sdeadbeef".into(),
-            id: 12,
-            req: CreateSessionReq {
-                snapshot: "g".into(),
-                policy: PolicySpec::Hatp {
-                    eps_threshold: Some(0.25),
-                    max_theta: Some(1 << 12),
-                    seed: 3,
-                    threads: 1,
-                },
-                world_seed: 8,
-            },
-            rounds: vec![
-                RoundRec {
-                    k: 1,
-                    req: ObserveReq::Simulate { seed: 4 }.into(),
-                },
-                RoundRec {
-                    k: 4,
-                    req: ObserveBatchReq::Report {
-                        seeds: vec![9, 13],
-                        activated: vec![9, 2, 5, 13],
-                    },
-                },
-            ],
-            pending: vec![],
-            pending_k: 4,
-            done: true,
-            last_seq: 31,
-        };
-        let encoded = session.to_json().encode();
-        let parsed = CkpSession::from_json(&Json::parse(&encoded).unwrap()).unwrap();
-        assert_eq!(parsed, session);
+    fn a_record_appended_between_rotate_and_checkpoint_replays_once() {
+        let path = temp_path("ckprace");
+        scrub(&path);
+        let (journal, _) = Journal::open(&path).unwrap();
+        let all = sample_records();
+        journal.append(&all[0]).unwrap();
+        journal.append(&all[1]).unwrap();
+        journal.rotate().unwrap();
+        // Lands in the fresh segment while the checkpoint is being built.
+        journal.append(&all[2]).unwrap();
+        journal.write_checkpoint(2, &live(&[TOKEN])).unwrap();
+        journal.append(&all[3]).unwrap();
+        drop(journal);
+        let (journal, replayed) = Journal::open(&path).unwrap();
+        assert_eq!(replayed, all[..4]);
+        assert_eq!(journal.open_info().checkpoint_seq, 2);
+        scrub(&path);
     }
 
     #[test]
-    fn pre_batch_ckp_session_shape_still_parses() {
-        // A checkpoint written before batched seeding: rounds are bare
-        // ObserveReq objects and 'pending' is a scalar seed.
-        let old = Json::obj([
-            ("op", Json::Str("ckp-session".into())),
-            ("token", Json::Str("sfeedface".into())),
-            ("id", Json::UInt(3)),
-            (
-                "req",
-                CreateSessionReq {
-                    snapshot: "g".into(),
-                    policy: PolicySpec::DeployAll,
-                    world_seed: 6,
-                }
-                .to_json(),
-            ),
-            (
-                "rounds",
-                Json::Arr(vec![ObserveReq::Simulate { seed: 4 }.to_json()]),
-            ),
-            ("pending", Json::UInt(9)),
-            ("done", Json::Bool(false)),
-            ("last_seq", Json::UInt(5)),
-        ]);
-        let parsed = CkpSession::from_json(&Json::parse(&old.encode()).unwrap()).unwrap();
-        assert_eq!(parsed.pending, vec![9]);
-        assert_eq!(parsed.pending_k, 1, "legacy rounds replay at k = 1");
+    fn successive_checkpoints_keep_a_long_lived_sessions_full_history() {
+        let path = temp_path("ckptwice");
+        scrub(&path);
+        let (journal, _) = Journal::open(&path).unwrap();
+        let all = sample_records();
+        let keep = live(&[TOKEN]);
+        journal.append(&all[0]).unwrap();
+        journal.append(&all[1]).unwrap();
+        journal.rotate().unwrap();
+        journal.write_checkpoint(2, &keep).unwrap();
+        journal.append(&all[2]).unwrap();
+        journal.append(&all[3]).unwrap();
+        journal.rotate().unwrap();
+        journal.write_checkpoint(2, &keep).unwrap();
+        journal.append(&all[4]).unwrap();
+        drop(journal);
+        assert!(list_old_segments(&path).is_empty());
+        let (journal, replayed) = Journal::open(&path).unwrap();
+        assert_eq!(replayed, all[..5]);
+        assert_eq!(journal.open_info().checkpoint_seq, 4);
+        assert_eq!(journal.open_info().checkpoint_sessions, 1);
+        scrub(&path);
+    }
+
+    #[test]
+    fn checkpoint_leaves_out_dropped_sessions_and_histories_without_a_create() {
+        let path = temp_path("ckpdrop");
+        scrub(&path);
+        let (journal, _) = Journal::open(&path).unwrap();
+        // "sa" is deleted; "sb" is live but its create is not sealed.
+        for record in [
+            create("sa", 1),
+            create("sc", 3),
+            next("sa", 5),
+            next("sb", 6),
+            next("sc", 7),
+            Record::Delete { token: "sa".into() },
+        ] {
+            journal.append(&record).unwrap();
+        }
+        journal.rotate().unwrap();
         assert_eq!(
-            parsed.rounds,
-            vec![RoundRec {
-                k: 1,
-                req: ObserveBatchReq::Simulate { seeds: vec![4] },
-            }]
+            journal.write_checkpoint(4, &live(&["sb", "sc"])).unwrap(),
+            1
         );
-        // Legacy pending synthesizes as a batch-of-one NextBatch.
-        let records = parsed.synthesize();
-        assert_eq!(
-            records.last(),
-            Some(&Record::NextBatch {
-                token: "sfeedface".into(),
-                seeds: vec![9],
-                k: 1,
-                done: false,
-            })
-        );
+        drop(journal);
+        let (journal, replayed) = Journal::open(&path).unwrap();
+        assert_eq!(replayed, [create("sc", 3), next("sc", 7)]);
+        assert_eq!(journal.open_info().checkpoint_sessions, 1);
+        scrub(&path);
     }
 }

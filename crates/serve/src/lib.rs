@@ -34,7 +34,8 @@
 //! [`client`] provides the in-process [`client::LocalClient`] (no sockets)
 //! and the socket [`client::HttpClient`] behind one [`client::ProtocolClient`]
 //! trait; the `atpm-loadgen` binary in `atpm-bench` uses the latter to
-//! measure throughput/latency (`BENCH_serve.json`).
+//! measure throughput/latency (an uncommitted `BENCH_serve.json` report;
+//! the served session's committed price is perfbench's).
 //!
 //! ## Quick start
 //!

@@ -48,7 +48,7 @@
 //! The sweep is driven by the server's reactor tick; the manager itself
 //! never spawns.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::io;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -57,7 +57,7 @@ use std::time::Instant;
 use atpm_core::{AdaptiveSession, PolicyStepper, SessionState};
 use atpm_graph::Node;
 
-use crate::journal::{CkpSession, Journal, Record, RoundRec};
+use crate::journal::{Journal, Record};
 use crate::metrics::ServeMetrics;
 use crate::protocol::{ApiError, CreateSessionReq, Ledger, ObserveBatchReq, ObserveReq};
 use crate::snapshot::{Snapshot, SnapshotStore};
@@ -100,28 +100,11 @@ struct SessionEntry {
     /// (empty = nothing pending; the single-seed route pends a batch of
     /// one).
     pending: Vec<Node>,
-    /// The `k` of the most recent stepper round — checkpointed so replay
-    /// re-asks the pending (or final, policy-exhausting) round with the
-    /// same request size.
-    pending_k: usize,
     /// Policy exhausted (stepper returned an empty batch).
     done: bool,
     /// Manager-clock milliseconds of the last request that touched this
     /// session (any verb counts as a sign of life).
     last_touched_ms: u64,
-    /// Counter value the token was minted from (checkpoints persist it so
-    /// a reload can keep replay-checking against journaled creates).
-    id: u64,
-    /// The creating request — with `rounds`, the session's full
-    /// replayable history for checkpoint serialization.
-    req: CreateSessionReq,
-    /// Every committed round, in order. The stepper itself (RNG,
-    /// residual-graph cursors) cannot be serialized; replaying this
-    /// history through the live handlers rebuilds it bit-for-bit.
-    rounds: Vec<RoundRec>,
-    /// Highest journal seq reflected in this state; a checkpoint captures
-    /// it so tail replay skips records already folded in.
-    last_seq: u64,
 }
 
 /// The 503 a mutating request answers with when the journal is poisoned:
@@ -329,19 +312,19 @@ impl SessionManager {
     }
 
     /// Appends a record to the attached journal and blocks until it is
-    /// durable under the configured fsync policy, returning its commit
-    /// seq (0 when no journal is attached or while replaying). A
-    /// durability failure poisons the journal and surfaces as a 503 —
-    /// fsyncgate semantics: never ack a transition the disk may not hold.
+    /// durable under the configured fsync policy (a no-op when no journal
+    /// is attached or while replaying). A durability failure poisons the
+    /// journal and surfaces as a 503 — fsyncgate semantics: never ack a
+    /// transition the disk may not hold.
     /// A record over the journal's size limit is a 413 and poisons
     /// nothing. `make` runs only when a journal is attached and not
     /// replaying, so the hot path never clones request payloads.
-    fn log(&self, make: impl FnOnce() -> Record) -> Result<u64, ApiError> {
+    fn log(&self, make: impl FnOnce() -> Record) -> Result<(), ApiError> {
         if self.replaying.load(Ordering::SeqCst) {
-            return Ok(0);
+            return Ok(());
         }
         let Some(journal) = self.journal() else {
-            return Ok(0);
+            return Ok(());
         };
         let t0 = Instant::now();
         let seq = journal.append(&make()).map_err(|e| match e.kind() {
@@ -351,14 +334,14 @@ impl SessionManager {
         if let Some(m) = self.metrics.get() {
             m.journal_append_seconds.record_duration(t0.elapsed());
         }
-        journal.commit(seq).map_err(degraded_error)?;
-        Ok(seq)
+        journal.commit(seq).map_err(degraded_error)
     }
 
-    /// Rotates the journal and writes an `ATPMCKP1` checkpoint of every
-    /// live session, then retires the sealed segments. Returns the number
-    /// of sessions checkpointed (0 without a journal). Recovery becomes
-    /// load-checkpoint + replay-tail: bounded, regardless of run length.
+    /// Rotates the journal and has it compact the sealed records of every
+    /// live session into an `ATPMCKP2` checkpoint, retiring the sealed
+    /// segments. Returns the number of sessions checkpointed (0 without a
+    /// journal). Recovery becomes load-checkpoint + replay-tail: bounded
+    /// in records, regardless of run length.
     pub fn checkpoint(&self) -> io::Result<usize> {
         let Some(journal) = self.journal() else {
             return Ok(0);
@@ -372,9 +355,7 @@ impl SessionManager {
             .get()
             .map(|m| m.journal_checkpoint_seconds.start_timer());
         // Rotate first: from here on, every new append lands in the fresh
-        // segment, so a record is either (a) sealed and therefore folded
-        // into the state serialized below, or (b) in the surviving active
-        // segment. The per-session `last_seq` disambiguates the overlap.
+        // segment, above the checkpoint's head seq, and replays after it.
         journal.rotate()?;
         let entries: Vec<(String, Arc<Mutex<SessionEntry>>)> = {
             let table = self.sessions.lock().expect("session table poisoned");
@@ -383,29 +364,16 @@ impl SessionManager {
                 .map(|(token, entry)| (token.clone(), entry.clone()))
                 .collect()
         };
-        let mut sessions = Vec::with_capacity(entries.len());
-        for (token, entry) in entries {
-            let guard = lock_entry(&entry);
-            // A panic-quarantined session (state taken) cannot be
-            // serialized; it is discarded at the next restart, which is
-            // strictly better than resurrecting a corrupt run.
-            if guard.state.is_none() {
-                continue;
-            }
-            sessions.push(CkpSession {
-                token,
-                id: guard.id,
-                req: guard.req.clone(),
-                rounds: guard.rounds.clone(),
-                pending: guard.pending.clone(),
-                pending_k: guard.pending_k,
-                done: guard.done,
-                last_seq: guard.last_seq,
-            });
-        }
+        // A panic-quarantined session (state taken) is left out; it is
+        // discarded at the next restart, which is strictly better than
+        // resurrecting a corrupt run.
+        let live: HashSet<String> = entries
+            .into_iter()
+            .filter(|(_, entry)| lock_entry(entry).state.is_some())
+            .map(|(token, _)| token)
+            .collect();
         let next_id = self.next_id.load(Ordering::Relaxed);
-        journal.write_checkpoint(next_id, &sessions)?;
-        Ok(sessions.len())
+        journal.write_checkpoint(next_id, &live)
     }
 
     /// Replays journal records through the live handlers, rebuilding every
@@ -415,8 +383,7 @@ impl SessionManager {
     /// Sessions are deterministic given `(snapshot, policy, world seed,
     /// observations)`, so re-driving `next_batch`/`observe_batch`
     /// reproduces each session bit-for-bit. That covers single-seed
-    /// rounds too: they are journaled as batches of one, and the legacy
-    /// `next`/`observe` records of older journals parse as such. Every
+    /// rounds too: they are journaled as batches of one. Every
     /// replayed round is checked against the journaled batch, and a
     /// divergence (the named snapshot was rebuilt differently than the one
     /// the journal ran against) discards that session rather than
@@ -429,7 +396,7 @@ impl SessionManager {
                 Record::Create { id, token, req } => {
                     // New tokens must never collide with recovered ones.
                     self.next_id.fetch_max(id + 1, Ordering::Relaxed);
-                    let _ = self.create_with_token(req, token, *id);
+                    let _ = self.create_with_token(req, token);
                     continue;
                 }
                 Record::NextBatch {
@@ -478,32 +445,29 @@ impl SessionManager {
     ///
     /// Write-ahead ordering: the `Create` record is journaled (and made
     /// durable) while the entry's lock is held across the table insert,
-    /// so a checkpoint can never serialize a session whose creation is
-    /// only in a segment it is about to retire. A journal failure undoes
-    /// the insert and answers 503 — no orphan state.
+    /// so no transition of the session can reach the journal ahead of its
+    /// creation (replay would drop it as a stray). A journal failure
+    /// undoes the insert and answers 503 — no orphan state.
     pub fn create(&self, req: &CreateSessionReq) -> Result<(String, String, usize), ApiError> {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let token = format!("s{:08x}", splitmix64(id));
-        let (entry, algorithm, k) = self.build_entry(req, id)?;
+        let (entry, algorithm, k) = self.build_entry(req)?;
         let entry = Arc::new(Mutex::new(entry));
-        let mut guard = lock_entry(&entry);
+        let guard = lock_entry(&entry);
         self.sessions
             .lock()
             .expect("session table poisoned")
             .insert(token.clone(), entry.clone());
-        match self.log(|| Record::Create {
+        if let Err(e) = self.log(|| Record::Create {
             id,
             token: token.clone(),
             req: req.clone(),
         }) {
-            Ok(seq) => guard.last_seq = seq,
-            Err(e) => {
-                self.sessions
-                    .lock()
-                    .expect("session table poisoned")
-                    .remove(&token);
-                return Err(e);
-            }
+            self.sessions
+                .lock()
+                .expect("session table poisoned")
+                .remove(&token);
+            return Err(e);
         }
         drop(guard);
         // Counted here (not in build_entry) so journal recovery's
@@ -514,15 +478,14 @@ impl SessionManager {
         Ok((token, algorithm, k))
     }
 
-    /// [`create`](Self::create) under a caller-chosen token and id —
-    /// journal recovery, which must reuse the journaled ones.
+    /// [`create`](Self::create) under a caller-chosen token — journal
+    /// recovery, which must reuse the journaled one.
     fn create_with_token(
         &self,
         req: &CreateSessionReq,
         token: &str,
-        id: u64,
     ) -> Result<(String, String, usize), ApiError> {
-        let (entry, algorithm, k) = self.build_entry(req, id)?;
+        let (entry, algorithm, k) = self.build_entry(req)?;
         self.sessions
             .lock()
             .expect("session table poisoned")
@@ -534,7 +497,6 @@ impl SessionManager {
     fn build_entry(
         &self,
         req: &CreateSessionReq,
-        id: u64,
     ) -> Result<(SessionEntry, String, usize), ApiError> {
         let snapshot = self
             .store
@@ -549,13 +511,8 @@ impl SessionManager {
             stepper,
             state: Some(state),
             pending: Vec::new(),
-            pending_k: 1,
             done: false,
             last_touched_ms: self.now_ms(),
-            id,
-            req: req.clone(),
-            rounds: Vec::new(),
-            last_seq: 0,
         };
         Ok((entry, algorithm, k))
     }
@@ -677,15 +634,13 @@ impl SessionManager {
         let seeds = entry.with_session(|stepper, session| stepper.next_batch(session, k))?;
         let done = seeds.is_empty();
         entry.pending = seeds.clone();
-        entry.pending_k = k;
         entry.done = done;
-        let seq = self.log(|| Record::NextBatch {
+        self.log(|| Record::NextBatch {
             token: token.to_string(),
             seeds: seeds.clone(),
             k,
             done,
         })?;
-        entry.last_seq = entry.last_seq.max(seq);
         Ok(NextBatch { seeds, done })
     }
 
@@ -753,16 +708,10 @@ impl SessionManager {
             }
         };
         entry.pending.clear();
-        let k = entry.pending_k;
-        entry.rounds.push(RoundRec {
-            k,
-            req: req.clone(),
-        });
-        let seq = self.log(|| Record::ObserveBatch {
+        self.log(|| Record::ObserveBatch {
             token: token.to_string(),
             req: req.clone(),
         })?;
-        entry.last_seq = entry.last_seq.max(seq);
         let ledger = entry.ledger()?;
         Ok(Observed {
             newly_activated,

@@ -410,8 +410,9 @@ pub struct ServeConfig {
     /// fsyncs every record. Replies to mutating session routes are held
     /// until their record's barrier completes.
     pub fsync: FsyncPolicy,
-    /// Checkpoint period: serialize every live session, rotate the journal,
-    /// and retire sealed segments this often. 0 disables checkpointing
+    /// Checkpoint period: rotate the journal, compact the live sessions'
+    /// sealed records into the checkpoint, and retire sealed segments this
+    /// often. 0 disables checkpointing
     /// (the journal grows without bound, as before).
     pub checkpoint_every_ms: u64,
     /// On shutdown, give in-flight requests this long to finish writing

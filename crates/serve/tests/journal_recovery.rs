@@ -233,31 +233,10 @@ fn killed_mid_batch_server_reserves_the_exact_pending_batch() {
 }
 
 /// A journal written by a build that journaled the single-seed verbs as
-/// their own `next`/`observe` records: one `session_req()` session with a
-/// simulated round, a reported round (`activated` = just the seed, unlike
-/// its simulated cascade) and a third seed handed out but never observed.
+/// their own `next`/`observe` records: one `session_req()` session with
+/// two observed rounds and a third seed handed out but never observed.
+/// Those ops are a retired format now.
 const LEGACY_JOURNAL: &[u8] = include_bytes!("golden/legacy_single_seed.journal");
-
-/// The history `LEGACY_JOURNAL` holds, driven on `token`: two observed
-/// rounds; the third seed is left for the caller.
-fn legacy_history<C: ProtocolClient>(client: &mut C, token: &str, seeds: &mut Vec<u32>) {
-    let seed = client.next(token).unwrap().unwrap()[0];
-    seeds.push(seed);
-    client
-        .observe(token, &ObserveReq::Simulate { seed })
-        .unwrap();
-    let seed = client.next(token).unwrap().unwrap()[0];
-    seeds.push(seed);
-    client
-        .observe(
-            token,
-            &ObserveReq::Report {
-                seed,
-                activated: vec![seed],
-            },
-        )
-        .unwrap();
-}
 
 /// Re-frames an `ATPMJNL2` segment as `ATPMJNL1`: the same payloads with
 /// 8-byte `len ++ crc(payload)` headers and no sequence numbers.
@@ -276,95 +255,43 @@ fn reframe_as_v1(v2: &[u8]) -> Vec<u8> {
     v1
 }
 
+/// Writes `bytes` as `file` next to a journal in a fresh directory and
+/// opens the journal: the open must fail naming `expected`, and the
+/// directory must hold exactly that file, byte-identical.
+fn assert_refused(tag: &str, file: &str, bytes: &[u8], expected: &str) {
+    let mut dir = std::env::temp_dir();
+    dir.push(format!("atpm-retired-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(dir.join(file), bytes).unwrap();
+    let err = atpm_serve::journal::Journal::open(dir.join("journal")).unwrap_err();
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{tag}: {err}");
+    assert!(err.to_string().contains(expected), "{tag}: {err}");
+    assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 1, "{tag}");
+    assert_eq!(
+        std::fs::read(dir.join(file)).unwrap(),
+        bytes,
+        "{tag}: a refused file is never rewritten"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
-fn legacy_single_seed_journal_replays_bit_equal() {
-    use atpm_serve::journal::{Journal, Record};
-    use atpm_serve::protocol::ObserveBatchReq;
-
-    // Reference: the journaled history, then the rest of the run, driven
-    // uninterrupted and journal-free in process.
-    let mut reference_seeds = Vec::new();
-    let reference = {
-        let mut client = LocalClient::new(state_with_snapshot());
-        let token = client.create_session(&session_req()).unwrap();
-        legacy_history(&mut client, &token, &mut reference_seeds);
-        drive(&mut client, &token, &mut reference_seeds)
-    };
-    assert!(reference_seeds.len() > 3, "{reference_seeds:?}");
-
-    for (form, bytes) in [
-        ("ATPMJNL2", LEGACY_JOURNAL.to_vec()),
-        ("ATPMJNL1", reframe_as_v1(LEGACY_JOURNAL)),
-    ] {
-        let mut path = std::env::temp_dir();
-        path.push(format!("atpm-legacy-{form}-{}", std::process::id()));
-        std::fs::write(&path, &bytes).unwrap();
-
-        let state = state_with_snapshot();
-        let (journal, records) = Journal::open(&path).unwrap();
-        let Some(Record::Create { token, .. }) = records.first() else {
-            panic!("{form}: journal must open with a create record");
-        };
-        let token = token.clone();
-        // The legacy `next`/`observe` records read back as batches of one.
-        let s = &reference_seeds;
-        let next = |seed: u32| Record::NextBatch {
-            token: token.clone(),
-            seeds: vec![seed],
-            k: 1,
-            done: false,
-        };
-        let observe = |req| Record::ObserveBatch {
-            token: token.clone(),
-            req,
-        };
-        assert_eq!(
-            records[1..],
-            [
-                next(s[0]),
-                observe(ObserveBatchReq::Simulate { seeds: vec![s[0]] }),
-                next(s[1]),
-                observe(ObserveBatchReq::Report {
-                    seeds: vec![s[1]],
-                    activated: vec![s[1]],
-                }),
-                next(s[2]),
-            ],
-            "{form}: create + 2 rounds + pending next"
-        );
-        assert_eq!(state.manager.recover(&records), 1, "{form}");
-        state.manager.attach_journal(Arc::new(journal));
-        let mut client = LocalClient::new(state);
-        // The retried `next` re-serves the seed pending at the crash.
-        let pending = client.next(&token).unwrap().unwrap();
-        assert_eq!(pending, reference_seeds[2..3], "{form}: pending seed");
-        let mut seeds = reference_seeds[..3].to_vec();
-        client
-            .observe(&token, &ObserveReq::Simulate { seed: pending[0] })
-            .unwrap();
-        let ledger = drive(&mut client, &token, &mut seeds);
-        assert_eq!(seeds, reference_seeds, "{form}: seed sequence");
-        let profit = |l: &Json| l.get("profit").and_then(Json::as_f64).unwrap();
-        assert_eq!(
-            profit(&ledger).to_bits(),
-            profit(&reference).to_bits(),
-            "{form}: recovered profit must be bit-equal"
-        );
-        assert_eq!(ledger.encode(), reference.encode(), "{form}: ledger");
-
-        // The journal now holds the legacy records followed by the ones
-        // this build appended; the mixed file replays to the same ledger.
-        let state = state_with_snapshot();
-        let (_journal, records) = Journal::open(&path).unwrap();
-        assert_eq!(state.manager.recover(&records), 1, "{form}: mixed replay");
-        let replayed = state.manager.ledger(&token).unwrap().to_json();
-        assert_eq!(
-            replayed.encode(),
-            reference.encode(),
-            "{form}: mixed ledger"
-        );
-        let _ = std::fs::remove_file(&path);
-    }
+fn retired_journal_and_checkpoint_formats_are_refused_untouched() {
+    assert_refused(
+        "ops",
+        "journal",
+        LEGACY_JOURNAL,
+        "unknown journal op 'next'",
+    );
+    assert_refused("v1", "journal", &reframe_as_v1(LEGACY_JOURNAL), "ATPMJNL1");
+    // A hand-written ATPMCKP1 checkpoint: its magic and head frame.
+    let head = br#"{"op":"ckp-head","max_seq":0,"next_id":1,"sessions":0}"#;
+    let mut ckp = b"ATPMCKP1".to_vec();
+    ckp.extend_from_slice(&(head.len() as u32).to_le_bytes());
+    ckp.extend_from_slice(&atpm_serve::journal::crc32(head).to_le_bytes());
+    ckp.extend_from_slice(head);
+    assert_refused("ckp1", "journal.ckp", &ckp, "ATPMCKP1");
 }
 
 /// Recovery fuzz: journal and checkpoint files mutilated at every byte.
