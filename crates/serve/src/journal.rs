@@ -76,7 +76,12 @@
 //! active segment, whose records are all above it — bounded work,
 //! regardless of how long the server ran. A torn checkpoint drops the
 //! session whose frames straddle the tear: a session loads whole or not
-//! at all.
+//! at all. A checkpoint that exists but cannot be read fails the open.
+//!
+//! An idle rotation seals nothing, so a segment that a failed checkpoint
+//! left behind waits for the next compaction. A compaction that finds the
+//! checkpoint vanished, or a tear the open did not report, fails before it
+//! writes or removes anything.
 //!
 //! ## Fault injection
 //!
@@ -650,18 +655,27 @@ struct Sealed {
     /// Every record sealed so far is at or below this seq (the checkpoint
     /// head's or the newest sealed segment's); every active one is above.
     sealed_seq: u64,
+    /// A checkpoint file was there to read.
+    ckp_found: bool,
     info: OpenInfo,
 }
 
 /// The loader [`Journal::open_with`] and the checkpoint compaction share:
 /// the checkpoint at `path.ckp`, then the sealed `path.old.*` segments.
 /// Sealed records at or below the checkpoint's head seq were compacted
-/// into it (their segment outlived a failed deletion) and are skipped.
+/// into it (their segment outlived a failed deletion) and are skipped. A
+/// checkpoint that exists but cannot be read fails the load, like a
+/// sealed segment: skipping it would lose its sessions.
 fn load_sealed(path: &Path) -> io::Result<Sealed> {
     let mut sealed = Sealed::default();
     let ckp = ckp_path(path);
-    if let Ok(bytes) = std::fs::read(&ckp) {
-        read_checkpoint(&ckp, &bytes, &mut sealed)?;
+    match std::fs::read(&ckp) {
+        Ok(bytes) => {
+            sealed.ckp_found = true;
+            read_checkpoint(&ckp, &bytes, &mut sealed)?;
+        }
+        Err(e) if e.kind() == io::ErrorKind::NotFound => {}
+        Err(e) => return Err(e),
     }
     let head_seq = sealed.info.checkpoint_seq;
     for (seal_seq, old_path) in list_old_segments(path) {
@@ -781,6 +795,16 @@ struct ActiveSegment {
     appended_seq: u64,
 }
 
+/// What the next compaction must find on disk. Anything else is damage
+/// done since the open: compacting over it would overwrite or delete the
+/// only durable copy of live sessions.
+struct Expected {
+    /// A checkpoint file exists: read by the open, or written since.
+    ckp: bool,
+    /// Tears the open reported; recovery already dropped what they cut.
+    torn: Vec<(String, u64)>,
+}
+
 /// Group-commit state: the durable high-water mark plus leader election.
 struct CommitState {
     durable_seq: u64,
@@ -806,6 +830,8 @@ pub struct Journal {
     segments: AtomicU64,
     /// High-water seq of the last durable checkpoint (0 when none).
     last_ckp_seq: AtomicU64,
+    /// Held across a compaction, which it also serializes.
+    expected: Mutex<Expected>,
     /// Fsync latency sink, bound by the server's metrics registry.
     fsync_hist: OnceLock<Arc<atpm_obs::Histogram>>,
     open_info: OpenInfo,
@@ -874,6 +900,10 @@ impl Journal {
         };
 
         let segments = 1 + info.segments_replayed;
+        let expected = Expected {
+            ckp: sealed.ckp_found,
+            torn: info.torn.clone(),
+        };
         let journal = Journal {
             path,
             policy,
@@ -891,6 +921,7 @@ impl Journal {
             bytes: AtomicU64::new(good_len),
             segments: AtomicU64::new(segments),
             last_ckp_seq: AtomicU64::new(info.checkpoint_seq),
+            expected: Mutex::new(expected),
             fsync_hist: OnceLock::new(),
             open_info: info,
         };
@@ -1078,12 +1109,18 @@ impl Journal {
     /// Seals the active segment as `<path>.old.<seq>` (fsynced first, so
     /// the sealed file is fully durable) and starts a fresh empty
     /// segment. New appends land in the fresh segment with the seq
-    /// counter continuing uninterrupted.
+    /// counter continuing uninterrupted. An active segment with no records
+    /// is left as it is: its seal name is the last seal's, and renaming
+    /// it there would replace a sealed segment not yet compacted.
     pub fn rotate(&self) -> io::Result<()> {
         if self.poisoned() {
             return Err(poisoned_error());
         }
         let mut active = self.active.lock().unwrap_or_else(|p| p.into_inner());
+        // `bytes` only moves under the active lock.
+        if self.bytes() == MAGIC.len() as u64 {
+            return Ok(());
+        }
         // Seal: everything in the old segment becomes durable before the
         // file stops being the append target.
         let t0 = Instant::now();
@@ -1144,8 +1181,27 @@ impl Journal {
     /// checkpoint. A live session whose create is not sealed yet is left
     /// out; the active segment holds all of it. The write is crash-safe
     /// (temp file → fsync → atomic rename → directory fsync).
+    ///
+    /// A checkpoint that vanished, or a tear in the checkpoint or a sealed
+    /// segment that the open did not report, fails the compaction before
+    /// anything is written or removed: the live sessions those files held
+    /// are still in memory, and folding the damage in would make the loss
+    /// permanent.
     pub fn write_checkpoint(&self, next_id: u64, live: &HashSet<String>) -> io::Result<usize> {
+        let mut expected = self.expected.lock().unwrap_or_else(|p| p.into_inner());
         let sealed = load_sealed(&self.path)?;
+        let ckp = ckp_path(&self.path);
+        if expected.ckp && !sealed.ckp_found {
+            return Err(invalid(format!(
+                "{}: checkpoint vanished since the open; not compacting without it",
+                ckp.display()
+            )));
+        }
+        if let Some((file, offset)) = sealed.info.torn.iter().find(|t| !expected.torn.contains(t)) {
+            return Err(invalid(format!(
+                "{file}: torn at byte {offset} since the open; not compacting over it"
+            )));
+        }
         // Each live session ranks by the position of its create; one
         // whose first sealed record is anything else is not written.
         let mut rank: HashMap<&str, Option<usize>> = HashMap::new();
@@ -1174,7 +1230,6 @@ impl Journal {
         for (seq, record) in kept {
             buf.extend(encode_frame_v2(*seq, record.to_json().encode().as_bytes()));
         }
-        let ckp = ckp_path(&self.path);
         let tmp = ckp_tmp_path(&self.path);
         // A checkpoint failure is not a journal failure: the segments it
         // would have retired stay on disk and replay at the next open, so
@@ -1189,6 +1244,10 @@ impl Journal {
         }
         self.last_ckp_seq
             .store(sealed.sealed_seq, Ordering::Relaxed);
+        // The file just written is whole; its open-time tear is history.
+        expected.ckp = true;
+        let name = ckp.display().to_string();
+        expected.torn.retain(|(file, _)| *file != name);
         // Retention: every segment read is compacted. A removal failure
         // only delays retirement; the loader skips what the head covers.
         let mut remaining = 1u64;
@@ -1749,6 +1808,78 @@ mod tests {
         let (journal, replayed) = Journal::open(&path).unwrap();
         assert_eq!(replayed, [create("sc", 3), next("sc", 7)]);
         assert_eq!(journal.open_info().checkpoint_sessions, 1);
+        scrub(&path);
+    }
+
+    #[test]
+    fn an_idle_rotation_after_a_failed_checkpoint_keeps_the_sealed_records() {
+        let path = temp_path("ckpidle");
+        scrub(&path);
+        // Create #1 is the rotation's fresh segment, #2 the checkpoint's
+        // temp file.
+        let io = Arc::new(FaultIo::new().fail(IoSite::Create, 2, atpm_net::fault::ENOSPC));
+        let (journal, _) = Journal::open_with(&path, FsyncPolicy::Shutdown, io).unwrap();
+        let all = sample_records();
+        let keep = live(&[TOKEN]);
+        journal.append(&all[0]).unwrap();
+        journal.append(&all[1]).unwrap();
+        journal.rotate().unwrap();
+        assert!(journal.write_checkpoint(2, &keep).is_err());
+        // One idle period: nothing appended, the next checkpoint runs.
+        journal.rotate().unwrap();
+        assert_eq!(list_old_segments(&path).len(), 1);
+        assert_eq!(journal.write_checkpoint(2, &keep).unwrap(), 1);
+        assert!(list_old_segments(&path).is_empty());
+        drop(journal);
+        let (_journal, replayed) = Journal::open(&path).unwrap();
+        assert_eq!(replayed, all[..2]);
+        scrub(&path);
+    }
+
+    #[test]
+    fn a_checkpoint_damaged_since_the_open_is_not_compacted_over() {
+        let path = temp_path("ckpdamage");
+        scrub(&path);
+        let all = sample_records();
+        let keep = live(&[TOKEN]);
+        let (journal, _) = Journal::open(&path).unwrap();
+        journal.append(&all[0]).unwrap();
+        journal.append(&all[1]).unwrap();
+        journal.rotate().unwrap();
+        journal.write_checkpoint(2, &keep).unwrap();
+        journal.append(&all[2]).unwrap();
+        journal.rotate().unwrap();
+        let ckp = ckp_path(&path);
+        let intact = std::fs::read(&ckp).unwrap();
+        let mut torn = intact.clone();
+        torn.truncate(intact.len() - 3);
+        let sealed = list_old_segments(&path);
+        assert_eq!(sealed.len(), 1);
+
+        std::fs::remove_file(&ckp).unwrap();
+        let err = journal.write_checkpoint(2, &keep).unwrap_err();
+        assert!(err.to_string().contains("vanished"), "{err}");
+        assert!(!ckp.exists());
+        std::fs::write(&ckp, &torn).unwrap();
+        let err = journal.write_checkpoint(2, &keep).unwrap_err();
+        assert!(err.to_string().contains("torn"), "{err}");
+        // Nothing renamed or removed.
+        assert_eq!(std::fs::read(&ckp).unwrap(), torn);
+        assert_eq!(list_old_segments(&path), sealed);
+
+        // A tear the open reported is one recovery already took: the
+        // compaction goes ahead and writes a whole checkpoint.
+        std::fs::write(&ckp, &intact).unwrap();
+        let (_, expected) = Journal::open(&path).unwrap();
+        std::fs::write(&ckp, &torn).unwrap();
+        drop(journal);
+        let (journal, replayed) = Journal::open(&path).unwrap();
+        assert!(!journal.open_info().torn.is_empty());
+        assert_eq!(replayed, expected[2..], "the straddling session is dropped");
+        journal.write_checkpoint(2, &keep).unwrap();
+        // That checkpoint's tear is history: damage to the new file fails.
+        std::fs::write(&ckp, b"ATPMCKP2").unwrap();
+        assert!(journal.write_checkpoint(2, &keep).is_err());
         scrub(&path);
     }
 }

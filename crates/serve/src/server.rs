@@ -571,8 +571,9 @@ impl Server {
                             Duration::ZERO,
                         ),
                         // A failed checkpoint is not a durability loss —
-                        // the sealed segments stay and replay next boot —
-                        // but it must be visible.
+                        // it removes nothing, so the checkpoint and sealed
+                        // segments stay and replay next boot — but it must
+                        // be visible.
                         Err(e) => {
                             state.events.record(
                                 "journal",
