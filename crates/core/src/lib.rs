@@ -20,9 +20,12 @@
 //! * [`oracle`] — spread oracles for the oracle model (exact enumeration,
 //!   Monte-Carlo, RIS);
 //! * [`session`] — the adaptive feedback loop: select a seed, observe its
-//!   cascade in the current realization, shrink the residual graph; sessions
-//!   suspend into owned [`SessionState`]s and accept external observations,
-//!   so a network service can host them across requests;
+//!   cascade in the current realization, shrink the residual graph. A
+//!   session is its state (the residual alive bitset, the selected seeds
+//!   and ledger counters); the cascade workspace is per-thread scratch.
+//!   Sessions suspend into opaque owned [`SessionState`]s and accept
+//!   external observations, so a network service can host them across
+//!   requests;
 //! * [`stepper`] — adaptive policies in resumable one-seed-at-a-time form
 //!   ([`PolicyStepper`]), the inversion of control the serve layer drives,
 //!   and the one double-greedy stepper ([`stepper::DoubleGreedy`]) that

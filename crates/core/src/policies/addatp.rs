@@ -95,8 +95,9 @@ impl DoubleGreedyRule for AddatpRule {
     fn keep(&mut self, session: &mut AdaptiveSession<'_>, u: Node, rear: &NodeSet) -> bool {
         let k = session.instance().target().len();
         let n = session.instance().graph().num_nodes();
-        // S_{i−1} is dead on the residual graph: the front condition is empty.
-        let empty = NodeSet::new(n);
+        // S_{i−1} is dead on the residual graph: the front condition is
+        // empty, and a zero-width set reads every id as absent.
+        let empty = NodeSet::new(0);
         let ni = session.residual().num_alive();
         debug_assert!(ni >= 1, "u alive implies n_i >= 1");
         let nif = ni as f64;

@@ -200,8 +200,9 @@ pub struct HatpRule {
 
 impl DoubleGreedyRule for HatpRule {
     fn keep(&mut self, session: &mut AdaptiveSession<'_>, u: Node, rear: &NodeSet) -> bool {
-        // S_{i−1} is dead on the residual graph: the front condition is empty.
-        let empty = NodeSet::new(session.instance().graph().num_nodes());
+        // S_{i−1} is dead on the residual graph: the front condition is
+        // empty, and a zero-width set reads every id as absent.
+        let empty = NodeSet::new(0);
         let mut work = 0u64;
         let keep = self.cfg.decide_node(
             session.residual(),

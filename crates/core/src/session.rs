@@ -1,11 +1,18 @@
 //! The adaptive feedback loop: one policy run against one possible world.
 //!
-//! A session owns the residual graph for a single realization. The policy
-//! calls [`AdaptiveSession::select`] for each seed it commits; the session
-//! observes the seed's cascade `A(u)` *in that realization* (paper §II-B),
-//! removes the activated nodes from the residual graph and keeps the profit
-//! ledger. Everything a policy may legally observe is exposed here — and
-//! nothing more (no peeking at un-cascaded coins).
+//! A session is its state after `i` seeds (paper §II-B): the residual
+//! graph `G_i` as an alive bitset, the seeds selected so far, and ledger
+//! counters. The policy calls [`AdaptiveSession::select`] for each seed it
+//! commits; the session observes the seed's cascade `A(u)` *in that
+//! realization*, removes the activated nodes from the residual graph and
+//! keeps the profit ledger. A node is activated exactly when it is dead
+//! in the residual graph, so the bitset is the activation record too.
+//! Everything a policy may legally observe is exposed here — and nothing
+//! more (no peeking at un-cascaded coins).
+//!
+//! The cascade workspace is not session state: [`select`] observes with
+//! one warm `CascadeEngine` per thread, shared by every session that
+//! thread runs (a serve worker's scratch, or the runner's across worlds).
 //!
 //! Two service-friendly extensions support driving this loop over a network
 //! protocol (the `atpm-serve` crate) instead of in-process:
@@ -17,19 +24,26 @@
 //!   internally simulated cascade — `select` is itself implemented on top of
 //!   it, so the two paths cannot drift.
 //! * [`AdaptiveSession::suspend`] / [`AdaptiveSession::resume`] move a
-//!   session's entire mutable state into an owned, `'static`
-//!   [`SessionState`] and back. A server keeps the suspended state in its
-//!   session table between requests and re-attaches it to the shared
-//!   [`TpmInstance`] for the duration of one request — no self-referential
-//!   structs, no per-request allocation (the buffers are moved, not copied).
+//!   session's state into an owned, `'static` [`SessionState`] and back.
+//!   A server keeps the suspended state in its session table between
+//!   requests and re-attaches it to the shared [`TpmInstance`] for the
+//!   duration of one request — no self-referential structs, no per-request
+//!   allocation (the buffers are moved, not copied).
 //!
 //! [`select`]: AdaptiveSession::select
 
+use std::cell::RefCell;
+
 use atpm_diffusion::{CascadeEngine, HashedRealization, MaterializedRealization, Realization};
-use atpm_graph::{Edge, Node, ResidualGraph};
-use atpm_ris::NodeSet;
+use atpm_graph::{Edge, GraphView, Node, ResidualGraph};
 
 use crate::instance::TpmInstance;
+
+thread_local! {
+    /// The thread's cascade workspace: it grows to the largest graph the
+    /// thread has observed on and stays warm across sessions.
+    static ENGINE: RefCell<CascadeEngine> = RefCell::new(CascadeEngine::new());
+}
 
 /// The possible world a session runs against: hashed (O(1) memory, the
 /// default) or materialized (explicit bits, used by exact enumeration in
@@ -67,10 +81,7 @@ pub struct AdaptiveSession<'a> {
     instance: &'a TpmInstance,
     realization: SessionWorld,
     residual: ResidualGraph<'a>,
-    engine: CascadeEngine,
-    activated: NodeSet,
     selected: Vec<Node>,
-    total_activated: usize,
     /// Cumulative sampling effort reported by noise-model policies
     /// (RR sets generated); used by the runtime experiments.
     sampling_work: u64,
@@ -95,15 +106,11 @@ impl<'a> AdaptiveSession<'a> {
 
     /// Opens a session against an explicit world (exact enumeration, tests).
     pub fn with_world(instance: &'a TpmInstance, world: SessionWorld) -> Self {
-        let n = instance.graph().num_nodes();
         AdaptiveSession {
             instance,
             realization: world,
             residual: ResidualGraph::new(instance.graph()),
-            engine: CascadeEngine::new(),
-            activated: NodeSet::new(n),
             selected: Vec::new(),
-            total_activated: 0,
             sampling_work: 0,
             rounds: 0,
             oracle_queries: 0,
@@ -123,7 +130,7 @@ impl<'a> AdaptiveSession<'a> {
     /// Whether `u` has been activated by an earlier selection (the
     /// `if u_i is activated` guard of Algorithms 2–4).
     pub fn is_activated(&self, u: Node) -> bool {
-        self.activated.contains(u)
+        !self.residual.is_alive(u)
     }
 
     /// Commits `u` as a seed: observes `A(u)` in this session's realization,
@@ -152,9 +159,8 @@ impl<'a> AdaptiveSession<'a> {
     /// is the low-adaptivity gap batching accepts).
     pub fn select_batch(&mut self, seeds: &[Node]) -> Vec<Node> {
         self.validate_batch(seeds);
-        let cascade = self
-            .engine
-            .observe(&self.residual, &self.realization, seeds);
+        let cascade = ENGINE
+            .with_borrow_mut(|engine| engine.observe(&self.residual, &self.realization, seeds));
         self.apply_observations(seeds, &cascade);
         cascade
     }
@@ -194,13 +200,11 @@ impl<'a> AdaptiveSession<'a> {
         let mut newly = 0usize;
         for &v in activated {
             assert!((v as usize) < n, "activated node {v} out of range");
-            if !self.activated.contains(v) {
-                self.activated.insert(v);
+            if self.residual.is_alive(v) {
                 self.residual.remove(v);
                 newly += 1;
             }
         }
-        self.total_activated += newly;
         self.selected.extend_from_slice(seeds);
         self.rounds += 1;
         newly
@@ -233,12 +237,12 @@ impl<'a> AdaptiveSession<'a> {
 
     /// Number of nodes activated so far (`I_φ(S)` for the current `S`).
     pub fn total_activated(&self) -> usize {
-        self.total_activated
+        self.instance.graph().num_nodes() - self.residual.num_alive()
     }
 
     /// Realized profit so far: `I_φ(S) − c(S)`.
     pub fn profit(&self) -> f64 {
-        self.total_activated as f64 - self.instance.cost_of(&self.selected)
+        self.total_activated() as f64 - self.instance.cost_of(&self.selected)
     }
 
     /// Records RR-set generation effort (noise-model policies call this so
@@ -277,18 +281,15 @@ impl<'a> AdaptiveSession<'a> {
         }
     }
 
-    /// Detaches the session from its instance, returning its entire mutable
-    /// state as an owned [`SessionState`]. Buffers are moved, not copied.
+    /// Detaches the session from its instance, returning its state as an
+    /// owned [`SessionState`]. Buffers are moved, not copied.
     pub fn suspend(self) -> SessionState {
         let (alive_words, n_alive) = self.residual.into_parts();
         SessionState {
             realization: self.realization,
             alive_words,
             n_alive,
-            engine: self.engine,
-            activated: self.activated,
             selected: self.selected,
-            total_activated: self.total_activated,
             sampling_work: self.sampling_work,
             rounds: self.rounds,
             oracle_queries: self.oracle_queries,
@@ -305,10 +306,7 @@ impl<'a> AdaptiveSession<'a> {
             instance,
             realization: state.realization,
             residual,
-            engine: state.engine,
-            activated: state.activated,
             selected: state.selected,
-            total_activated: state.total_activated,
             sampling_work: state.sampling_work,
             rounds: state.rounds,
             oracle_queries: state.oracle_queries,
@@ -316,66 +314,21 @@ impl<'a> AdaptiveSession<'a> {
     }
 }
 
-/// A suspended [`AdaptiveSession`]: every mutable field in owned form, with
-/// no borrow of the instance. Produced by [`AdaptiveSession::suspend`],
-/// consumed by [`AdaptiveSession::resume`].
+/// A suspended [`AdaptiveSession`]: the alive bitset, the selected seeds,
+/// the ledger counters and the world, owned and with no borrow of the
+/// instance. Produced by [`AdaptiveSession::suspend`], consumed by
+/// [`AdaptiveSession::resume`].
 ///
-/// Read access to the ledger is provided directly so services can answer
-/// status queries without re-attaching to the instance.
+/// Opaque by design: the ledger is read from the resumed session, so every
+/// ledger field is computed in one place.
 pub struct SessionState {
     realization: SessionWorld,
     alive_words: Vec<u64>,
     n_alive: usize,
-    engine: CascadeEngine,
-    activated: NodeSet,
     selected: Vec<Node>,
-    total_activated: usize,
     sampling_work: u64,
     rounds: u64,
     oracle_queries: u64,
-}
-
-impl SessionState {
-    /// Seeds committed so far, in selection order.
-    pub fn selected(&self) -> &[Node] {
-        &self.selected
-    }
-
-    /// Observation rounds applied before suspension.
-    pub fn rounds(&self) -> u64 {
-        self.rounds
-    }
-
-    /// Oracle queries reported by batch policies before suspension.
-    pub fn oracle_queries(&self) -> u64 {
-        self.oracle_queries
-    }
-
-    /// Number of nodes activated so far.
-    pub fn total_activated(&self) -> usize {
-        self.total_activated
-    }
-
-    /// Alive-node count of the suspended residual graph.
-    pub fn num_alive(&self) -> usize {
-        self.n_alive
-    }
-
-    /// Total RR sets reported by noise-model policies.
-    pub fn sampling_work(&self) -> u64 {
-        self.sampling_work
-    }
-
-    /// Whether `u` was activated before suspension.
-    pub fn is_activated(&self, u: Node) -> bool {
-        self.activated.contains(u)
-    }
-
-    /// Realized profit so far against `instance` (the instance the session
-    /// was suspended from): `I_φ(S) − c(S)`.
-    pub fn profit(&self, instance: &TpmInstance) -> f64 {
-        self.total_activated as f64 - instance.cost_of(&self.selected)
-    }
 }
 
 #[cfg(test)]
@@ -490,14 +443,13 @@ mod tests {
         let mut s = AdaptiveSession::new(&inst, 7);
         s.select(0);
         s.add_sampling_work(42);
-        let state = s.suspend();
-        assert_eq!(state.selected(), &[0]);
-        assert_eq!(state.total_activated(), 2);
-        assert_eq!(state.num_alive(), 1);
-        assert_eq!(state.sampling_work(), 42);
-        assert!(state.is_activated(1));
-        assert!((state.profit(&inst) - (2.0 - 1.5)).abs() < 1e-12);
-        let mut s = AdaptiveSession::resume(&inst, state);
+        let mut s = AdaptiveSession::resume(&inst, s.suspend());
+        assert_eq!(s.selected(), &[0]);
+        assert_eq!(s.total_activated(), 2);
+        assert_eq!(s.residual().num_alive(), 1);
+        assert_eq!(s.sampling_work(), 42);
+        assert!(s.is_activated(1));
+        assert!((s.profit() - (2.0 - 1.5)).abs() < 1e-12);
         s.select(2);
         assert_eq!(s.selected(), &[0, 2]);
         assert_eq!(s.total_activated(), 3);
@@ -616,10 +568,7 @@ mod tests {
         let mut s = AdaptiveSession::new(&inst, 7);
         s.select_batch(&[0, 2]);
         s.add_oracle_queries(17);
-        let state = s.suspend();
-        assert_eq!(state.rounds(), 1);
-        assert_eq!(state.oracle_queries(), 17);
-        let s = AdaptiveSession::resume(&inst, state);
+        let s = AdaptiveSession::resume(&inst, s.suspend());
         assert_eq!(s.rounds(), 1);
         assert_eq!(s.oracle_queries(), 17);
     }

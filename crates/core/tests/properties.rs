@@ -6,7 +6,7 @@ use atpm_core::oracle::ExactOracle;
 use atpm_core::policies::{Adg, Ars, Hatp, Ndg};
 use atpm_core::runner::{evaluate_adaptive, evaluate_nonadaptive};
 use atpm_core::{AdaptiveSession, NonadaptivePolicy, TpmInstance};
-use atpm_graph::{GraphBuilder, GraphView};
+use atpm_graph::GraphBuilder;
 use proptest::prelude::*;
 
 /// Arbitrary tiny instance (m <= 10 edges so the exact oracle stays cheap),
@@ -44,21 +44,29 @@ fn arb_instance() -> impl Strategy<Value = TpmInstance> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Session ledger invariants: activated set and residual graph are
-    /// complements, profit equals activated − cost, selections are unique.
+    /// Session ledger invariants, checked against the cascades `select`
+    /// returned rather than against the session's own bookkeeping: the
+    /// cascades are pairwise disjoint, their sizes sum to
+    /// `total_activated`, every member reads as activated, profit equals
+    /// activated − cost, and selections are unique.
     #[test]
     fn session_ledger_invariants(inst in arb_instance(), world in 0u64..300) {
         let mut s = AdaptiveSession::new(&inst, world);
         let target = inst.target().to_vec();
-        let n = inst.graph().num_nodes();
+        let mut seen = std::collections::HashSet::new();
         for &u in &target {
             if !s.is_activated(u) {
                 let cascade = s.select(u);
                 prop_assert!(cascade.contains(&u));
+                for &v in &cascade {
+                    prop_assert!(seen.insert(v), "node {} in two cascades", v);
+                }
             }
         }
-        let alive = s.residual().num_alive();
-        prop_assert_eq!(alive + s.total_activated(), n);
+        prop_assert_eq!(seen.len(), s.total_activated());
+        for &v in &seen {
+            prop_assert!(s.is_activated(v));
+        }
         let expected = s.total_activated() as f64 - inst.cost_of(s.selected());
         prop_assert!((s.profit() - expected).abs() < 1e-9);
         // Uniqueness of selections.

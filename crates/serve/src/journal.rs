@@ -5,11 +5,11 @@
 //! Sessions are deterministic functions of `(snapshot, policy spec,
 //! world_seed, ordered observations)` — the entire adaptive run can be
 //! reconstructed by replaying the protocol calls that produced it. So the
-//! journal does not serialize `SessionState` (megabytes of residual graph
-//! per record); it logs the *transitions* the manager committed, and
-//! recovery re-drives them through the same
-//! [`SessionManager`](crate::manager::SessionManager) code paths
-//! that served them live. A recovered session is therefore bit-equal to
+//! journal does not serialize `SessionState` (an n-bit alive bitset plus
+//! the seeds, rewritten by every round); it logs the *transitions* the
+//! manager committed, and recovery re-drives them through the same
+//! [`SessionManager`](crate::manager::SessionManager) code paths that
+//! served them live. A recovered session is therefore bit-equal to
 //! the lost one: same token, same seed sequence, same profit ledger.
 //!
 //! ## Wire format

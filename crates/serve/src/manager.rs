@@ -55,7 +55,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 use atpm_core::{AdaptiveSession, PolicyStepper, SessionState};
-use atpm_graph::Node;
+use atpm_graph::{GraphView, Node};
 
 use crate::journal::{Journal, Record};
 use crate::metrics::ServeMetrics;
@@ -143,18 +143,20 @@ impl SessionEntry {
         Ok(out)
     }
 
-    fn ledger(&self) -> Result<Ledger, ApiError> {
-        let state = self.state.as_ref().ok_or_else(corrupted)?;
-        Ok(Ledger {
-            algorithm: self.stepper.name().into_owned(),
-            selected: state.selected().to_vec(),
-            profit: state.profit(&self.snapshot.instance),
-            total_activated: state.total_activated(),
-            num_alive: state.num_alive(),
-            sampling_work: state.sampling_work(),
-            rounds: state.rounds(),
-            oracle_queries: state.oracle_queries(),
-            done: self.done,
+    /// The profit ledger, read from the resumed session: the suspended
+    /// state is opaque, so every ledger field has one reader.
+    fn ledger(&mut self) -> Result<Ledger, ApiError> {
+        let done = self.done;
+        self.with_session(|stepper, session| Ledger {
+            algorithm: stepper.name().into_owned(),
+            selected: session.selected().to_vec(),
+            profit: session.profit(),
+            total_activated: session.total_activated(),
+            num_alive: session.residual().num_alive(),
+            sampling_work: session.sampling_work(),
+            rounds: session.rounds(),
+            oracle_queries: session.oracle_queries(),
+            done,
         })
     }
 }
@@ -659,7 +661,7 @@ impl SessionManager {
     }
 
     /// The one observation path behind both `observe` verbs. Every check
-    /// runs before the session changes.
+    /// runs, and the record is journaled, before the session changes.
     fn observe_round(
         &self,
         token: &str,
@@ -672,46 +674,53 @@ impl SessionManager {
         if let Some(err) = conflict(verbs, &entry.pending, Some(req.seeds())) {
             return Err(err);
         }
-        let n = entry.snapshot.instance.graph().num_nodes();
-        let (activated, newly_activated) = match req {
-            ObserveBatchReq::Simulate { seeds } => {
-                let cascade = entry.with_session(|_, session| session.select_batch(seeds))?;
-                let newly = cascade.len();
-                (cascade, newly)
+        if let ObserveBatchReq::Report { seeds, activated } = req {
+            let n = entry.snapshot.instance.graph().num_nodes();
+            // A node activates at most once, so a longer report can only
+            // repeat ids — and would journal an unbounded record.
+            if activated.len() > n {
+                return Err(ApiError::bad_request(format!(
+                    "activated lists {} nodes, more than the {n}-node graph holds",
+                    activated.len()
+                )));
             }
-            ObserveBatchReq::Report { seeds, activated } => {
-                // A node activates at most once, so a longer report can
-                // only repeat ids — and would journal an unbounded record.
-                if activated.len() > n {
-                    return Err(ApiError::bad_request(format!(
-                        "activated lists {} nodes, more than the {n}-node graph holds",
-                        activated.len()
-                    )));
-                }
-                if let Some(&bad) = activated.iter().find(|&&v| v as usize >= n) {
-                    return Err(ApiError::bad_request(format!(
-                        "activated node {bad} out of range for a {n}-node graph"
-                    )));
-                }
-                // Under the IC model a committed seed always activates
-                // itself (it was alive when the stepper proposed it); a
-                // report omitting it would leave the ledger paying for a
-                // seed the residual graph still considers inactive.
-                if let Some(&seed) = seeds.iter().find(|s| !activated.contains(s)) {
-                    return Err(ApiError::bad_request(format!(
-                        "activated must include the seed {seed} itself"
-                    )));
-                }
-                let newly = entry
-                    .with_session(|_, session| session.apply_observations(seeds, activated))?;
-                (activated.clone(), newly)
+            if let Some(&bad) = activated.iter().find(|&&v| v as usize >= n) {
+                return Err(ApiError::bad_request(format!(
+                    "activated node {bad} out of range for a {n}-node graph"
+                )));
             }
-        };
-        entry.pending.clear();
+            // Under the IC model a committed seed always activates itself
+            // (it was alive when the stepper proposed it); a report
+            // omitting it would leave the ledger paying for a seed the
+            // residual graph still considers inactive.
+            if let Some(&seed) = seeds.iter().find(|s| !activated.contains(s)) {
+                return Err(ApiError::bad_request(format!(
+                    "activated must include the seed {seed} itself"
+                )));
+            }
+        }
+        // A panic-torn session must not journal a round it cannot apply.
+        if entry.state.is_none() {
+            return Err(corrupted());
+        }
+        // Write-ahead, as in `create`: a record the journal refuses (an
+        // oversized report is a 413) leaves the session untouched.
         self.log(|| Record::ObserveBatch {
             token: token.to_string(),
             req: req.clone(),
         })?;
+        let (activated, newly_activated) = entry.with_session(|_, session| match req {
+            ObserveBatchReq::Simulate { seeds } => {
+                let cascade = session.select_batch(seeds);
+                let newly = cascade.len();
+                (cascade, newly)
+            }
+            ObserveBatchReq::Report { seeds, activated } => {
+                let newly = session.apply_observations(seeds, activated);
+                (activated.clone(), newly)
+            }
+        })?;
+        entry.pending.clear();
         let ledger = entry.ledger()?;
         Ok(Observed {
             newly_activated,
@@ -1346,6 +1355,26 @@ mod tests {
             "recovered batched ledger must be bit-equal"
         );
         assert_eq!(recovered.rounds, reference.rounds);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn a_panic_torn_session_journals_no_observation() {
+        let path = temp_journal("torn");
+        let m = manager();
+        let (journal, _) = Journal::open(&path).unwrap();
+        m.attach_journal(Arc::new(journal));
+        let token = create(&m, PolicySpec::DeployAll, 5);
+        let seed = m.next(&token).unwrap().seeds[0];
+        // What a handler panic inside `with_session` leaves behind.
+        lock_entry(&m.entry(&token).unwrap()).state = None;
+        let err = m
+            .observe(&token, &ObserveReq::Simulate { seed })
+            .unwrap_err();
+        assert_eq!(err.status, 500, "{}", err.message);
+        drop(m);
+        let (_journal, records) = Journal::open(&path).unwrap();
+        assert_eq!(records.len(), 2, "create + next, no observation");
         let _ = std::fs::remove_file(&path);
     }
 

@@ -289,6 +289,68 @@ fn an_oversized_record_is_refused_without_writing_or_poisoning() {
     assert!(journal.open_info().torn.is_empty());
 }
 
+/// A store holding one hand-built snapshot: `n` isolated nodes, node 0
+/// the only target. No sampling, so a graph wide enough for a report to
+/// outgrow the journal's record limit stays cheap to build.
+fn wide_state(n: usize) -> Arc<AppState> {
+    use atpm_core::TpmInstance;
+    use atpm_graph::GraphBuilder;
+    use atpm_ris::RrCollection;
+    let state = AppState::new();
+    state.store.insert(Snapshot {
+        name: "wide".into(),
+        instance: TpmInstance::new(GraphBuilder::new(n).build(), vec![0], &[0.5]),
+        rr: RrCollection::new(n, n),
+    });
+    state
+}
+
+#[test]
+fn an_oversized_report_is_a_413_before_the_session_changes() {
+    use atpm_serve::protocol::ObserveBatchReq;
+    // Every id of a 2.5M-node graph encodes to ~19 MB of JSON, over the
+    // journal's 16 MiB record limit, yet passes every report check.
+    let n = 2_500_000;
+    let path = tmppath("oversized-report");
+    let state = wide_state(n);
+    let (journal, _) = Journal::open(&path).unwrap();
+    state.manager.attach_journal(Arc::new(journal));
+    let manager = &state.manager;
+    let req = CreateSessionReq {
+        snapshot: "wide".into(),
+        ..session_req()
+    };
+    let (token, _, _) = manager.create(&req).unwrap();
+    let seeds = manager.next_batch(&token, 1).unwrap().seeds;
+    assert_eq!(seeds, [0]);
+    let fresh = manager.ledger(&token).unwrap();
+
+    let everything = ObserveBatchReq::Report {
+        seeds: seeds.clone(),
+        activated: (0..n as u32).collect(),
+    };
+    let err = manager.observe_batch(&token, &everything).unwrap_err();
+    assert_eq!(err.status, 413, "{}", err.message);
+    assert_eq!(manager.ledger(&token).unwrap(), fresh, "ledger unchanged");
+    let retry = manager.next_batch(&token, 1).unwrap();
+    assert_eq!(retry.seeds, seeds, "the batch is still pending");
+
+    // A report the journal accepts goes through, and the journal replays
+    // the session to the same ledger.
+    let valid = ObserveBatchReq::Report {
+        seeds: seeds.clone(),
+        activated: seeds,
+    };
+    manager.observe_batch(&token, &valid).unwrap();
+    let live = manager.ledger(&token).unwrap();
+    assert_eq!((live.rounds, live.total_activated), (1, 1));
+    let restarted = wide_state(n);
+    let (_journal, records) = Journal::open(&path).unwrap();
+    assert_eq!(records.len(), 3, "create + next + observe");
+    assert_eq!(restarted.manager.recover(&records), 1);
+    assert_eq!(restarted.manager.ledger(&token).unwrap(), live);
+}
+
 #[test]
 fn checkpoint_plus_tail_recovery_is_bit_equal_after_a_kill() {
     let path = tmppath("ckp-kill");
