@@ -386,7 +386,6 @@ fn policy_spec(name: &str, session_seed: u64) -> Option<PolicySpec> {
         "threshold_batch" => Some(PolicySpec::ThresholdBatch {
             theta: 2_000,
             eps: 0.1,
-            batch: 4,
             seed: session_seed,
             threads: 1,
         }),

@@ -81,7 +81,6 @@ impl AdaptivePolicy for ThresholdBatch {
             "eps must be in (0, 1), got {}",
             self.eps
         );
-        assert!(self.batch > 0, "batch size must be positive");
         ThresholdBatchStepper {
             cfg: self.clone(),
             round_salt: self.seed,

@@ -20,17 +20,16 @@
 //!   reverse-BFS machinery in `atpm-ris`. The pre-refactor per-coin walk is
 //!   retained as `CascadeEngine::random_cascade_percoin`, the statistical
 //!   oracle of `tests/cascade_equivalence.rs`.
-//! * **Spread** ([`spread`]) — `E[I(S)]` estimators: Monte-Carlo (including
-//!   the batched, sharded [`mc_spread_batched`] driver) and, for tiny
-//!   graphs, exact enumeration over all `2^m` realizations (the paper's
-//!   oracle model made concrete; spread is #P-hard in general \[9\]).
+//! * **Spread** ([`spread`]) — `E[I(S)]` estimators: Monte-Carlo (the
+//!   batched, sharded [`mc_spread_batched`] driver and its single-stream
+//!   engine-reusing form) and, for tiny graphs, exact enumeration over
+//!   all `2^m` realizations (the paper's oracle model made concrete;
+//!   spread is #P-hard in general \[9\]).
 
 pub mod cascade;
-pub mod lt;
 pub mod realization;
 pub mod spread;
 
 pub use cascade::CascadeEngine;
-pub use lt::{lt_mc_spread, lt_observe, LtRealization};
 pub use realization::{HashedRealization, MaterializedRealization, Realization};
-pub use spread::{exact_spread, mc_spread, mc_spread_batched, mc_spread_batched_with_engine};
+pub use spread::{exact_spread, mc_spread_batched, mc_spread_batched_with_engine};

@@ -153,11 +153,6 @@ impl MaterializedRealization {
         }
         MaterializedRealization { live }
     }
-
-    /// Number of live edges.
-    pub fn live_count(&self) -> usize {
-        self.live.iter().map(|w| w.count_ones() as usize).sum()
-    }
 }
 
 impl Realization for MaterializedRealization {
@@ -227,7 +222,6 @@ mod tests {
         assert!(r.is_live(64, 0.0));
         assert!(r.is_live(99, 0.0));
         assert!(!r.is_live(1, 1.0));
-        assert_eq!(r.live_count(), 3);
     }
 
     #[test]

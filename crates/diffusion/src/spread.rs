@@ -14,7 +14,6 @@ use atpm_graph::{GraphView, Node};
 use atpm_obs::{tracer, Counter, Histogram};
 use atpm_ris::workspace::run_sharded;
 use atpm_ris::CounterRng;
-use rand::Rng;
 
 use crate::cascade::CascadeEngine;
 use crate::realization::MaterializedRealization;
@@ -44,36 +43,6 @@ fn mc_metrics() -> &'static McMetrics {
 /// Largest edge count accepted by [`exact_spread`]; `2^20` worlds ≈ 1M BFS
 /// runs is where "instant in a test" ends.
 pub const EXACT_SPREAD_MAX_EDGES: usize = 20;
-
-/// Monte-Carlo estimate of `E[I(S)]` over `samples` independent cascades.
-///
-/// The variance of a single cascade size is at most `n²/4`, so the standard
-/// error is `≤ n / (2√samples)`.
-pub fn mc_spread<V: GraphView, R: Rng + ?Sized>(
-    view: &V,
-    seeds: &[Node],
-    samples: usize,
-    rng: &mut R,
-) -> f64 {
-    assert!(samples > 0, "need at least one sample");
-    let mut engine = CascadeEngine::new();
-    mc_spread_with_engine(view, seeds, samples, rng, &mut engine)
-}
-
-/// [`mc_spread`] with a caller-provided engine (no per-call allocation).
-pub fn mc_spread_with_engine<V: GraphView, R: Rng + ?Sized>(
-    view: &V,
-    seeds: &[Node],
-    samples: usize,
-    rng: &mut R,
-    engine: &mut CascadeEngine,
-) -> f64 {
-    let mut total = 0usize;
-    for _ in 0..samples {
-        total += engine.random_cascade(view, seeds, rng);
-    }
-    total as f64 / samples as f64
-}
 
 /// The batched Monte-Carlo driver: `samples` coin-free cascades split
 /// across `threads` deterministic [`CounterRng`] streams (the same
@@ -169,8 +138,6 @@ pub fn exact_spread<V: GraphView>(view: &V, seeds: &[Node]) -> f64 {
 mod tests {
     use super::*;
     use atpm_graph::{GraphBuilder, ResidualGraph};
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     fn chain(p: f32) -> atpm_graph::Graph {
         let mut b = GraphBuilder::new(3);
@@ -229,18 +196,6 @@ mod tests {
     }
 
     #[test]
-    fn mc_spread_converges_to_exact() {
-        let g = chain(0.5);
-        let mut rng = StdRng::seed_from_u64(11);
-        let exact = exact_spread(&&g, &[0]);
-        let mc = mc_spread(&&g, &[0], 60_000, &mut rng);
-        assert!(
-            (mc - exact).abs() < 0.02,
-            "MC {mc} should approximate exact {exact}"
-        );
-    }
-
-    #[test]
     fn mc_spread_batched_converges_and_replays() {
         let g = chain(0.5);
         let exact = exact_spread(&&g, &[0]);
@@ -264,9 +219,8 @@ mod tests {
     #[test]
     fn mc_spread_monotone_in_seeds_statistically() {
         let g = chain(0.3);
-        let mut rng = StdRng::seed_from_u64(3);
-        let one = mc_spread(&&g, &[2], 20_000, &mut rng);
-        let two = mc_spread(&&g, &[0, 2], 20_000, &mut rng);
+        let one = mc_spread_batched(&&g, &[2], 20_000, 3, 1);
+        let two = mc_spread_batched(&&g, &[0, 2], 20_000, 4, 1);
         assert!(two > one, "supersets spread more: {two} vs {one}");
     }
 

@@ -2,11 +2,9 @@
 
 use std::collections::HashSet;
 
-use atpm_diffusion::{exact_spread, mc_spread, CascadeEngine, HashedRealization};
+use atpm_diffusion::{exact_spread, mc_spread_batched, CascadeEngine, HashedRealization};
 use atpm_graph::{GraphBuilder, ResidualGraph};
 use proptest::prelude::*;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 /// Small random graphs whose exact spread is enumerable (m <= 10).
 fn tiny_graph_strategy() -> impl Strategy<Value = atpm_graph::Graph> {
@@ -65,8 +63,7 @@ proptest! {
     fn mc_tracks_exact(g in tiny_graph_strategy(), seed in 0u64..100) {
         let exact = exact_spread(&&g, &[0]);
         let samples = 4000;
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mc = mc_spread(&&g, &[0], samples, &mut rng);
+        let mc = mc_spread_batched(&&g, &[0], samples, seed, 1);
         let sigma = g.num_nodes() as f64 / (2.0 * (samples as f64).sqrt());
         prop_assert!(
             (mc - exact).abs() <= 5.0 * sigma + 1e-9,

@@ -408,7 +408,7 @@ impl Graph {
 
     /// Returns a copy of this graph with every edge probability replaced by
     /// the output of `f(src, dst, old_prob)`. Both CSR directions are kept
-    /// consistent. Used by the weighting schemes and by LT normalization.
+    /// consistent. Used by the weighting schemes.
     pub fn map_probs(&self, mut f: impl FnMut(Node, Node, f32) -> f32) -> Graph {
         // Rebuild forward probs in edge-id order.
         let mut out_probs = self.out_probs.to_vec();
@@ -440,7 +440,9 @@ impl Graph {
         )
     }
 
-    /// Approximate heap footprint in bytes (diagnostics only).
+    /// Heap footprint in bytes: every CSR array at its exact length,
+    /// `28m + 48(n + 1)` in all. The serve layer's snapshot budget charges
+    /// it.
     pub fn heap_bytes(&self) -> usize {
         let m = self.num_edges();
         (self.n + 1) * 8 * 2 // two offset arrays

@@ -13,13 +13,11 @@
 //! * [`pref_attach`] — Barabási–Albert (undirected) for collaboration
 //!   networks (NetHEPT, DBLP);
 //! * [`power_law`] — Chung–Lu style fixed-expected-degree directed model for
-//!   social/trust networks (Epinions, LiveJournal);
-//! * [`small_world`] — Watts–Strogatz, used in tests.
+//!   social/trust networks (Epinions, LiveJournal).
 
 pub mod erdos_renyi;
 pub mod power_law;
 pub mod pref_attach;
 pub mod presets;
-pub mod small_world;
 
 pub use presets::Dataset;

@@ -110,7 +110,7 @@ pub fn directed_power_law(cfg: PowerLawConfig) -> Graph {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stats::DegreeHistogram;
+    use crate::stats::top1pct_edge_share;
 
     #[test]
     fn hits_target_counts() {
@@ -133,8 +133,8 @@ mod tests {
             ..Default::default()
         });
         let er = super::super::erdos_renyi::gnm_directed(3000, 15000, 1);
-        let pl_share = DegreeHistogram::top1pct_edge_share(&g);
-        let er_share = DegreeHistogram::top1pct_edge_share(&er);
+        let pl_share = top1pct_edge_share(&g);
+        let er_share = top1pct_edge_share(&er);
         assert!(
             pl_share > er_share * 2.0,
             "power-law top-1% share {pl_share:.3} vs ER {er_share:.3}"

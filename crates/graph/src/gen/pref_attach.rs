@@ -72,7 +72,7 @@ pub fn barabasi_albert(n: usize, mean_attach: f64, seed: u64) -> Graph {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stats::DegreeHistogram;
+    use crate::stats::top1pct_edge_share;
 
     #[test]
     fn node_and_edge_counts_track_parameters() {
@@ -95,8 +95,8 @@ mod tests {
         let n = 5000;
         let ba = barabasi_albert(n, 2.0, 11);
         let er = super::super::erdos_renyi::gnm_undirected(n, ba.num_edges() / 2, 11);
-        let ba_share = DegreeHistogram::top1pct_edge_share(&ba);
-        let er_share = DegreeHistogram::top1pct_edge_share(&er);
+        let ba_share = top1pct_edge_share(&ba);
+        let er_share = top1pct_edge_share(&er);
         assert!(
             ba_share > er_share * 2.0,
             "BA top-1% share {ba_share:.3} should dwarf ER's {er_share:.3}"

@@ -157,11 +157,6 @@ impl Dataset {
         };
         WeightingScheme::WeightedCascade.apply(&raw)
     }
-
-    /// Generates at [`default_scale`](Self::default_scale).
-    pub fn generate_default(self, seed: u64) -> Graph {
-        self.generate(self.default_scale(), seed)
-    }
 }
 
 impl std::fmt::Display for Dataset {
@@ -173,7 +168,7 @@ impl std::fmt::Display for Dataset {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stats::DegreeHistogram;
+    use crate::stats::top1pct_edge_share;
     use crate::GraphStats;
 
     #[test]
@@ -212,10 +207,7 @@ mod tests {
             }
         }
         assert!(asymmetric, "directed preset should not be symmetric");
-        assert!(
-            DegreeHistogram::top1pct_edge_share(&g) > 0.05,
-            "expected heavy tail"
-        );
+        assert!(top1pct_edge_share(&g) > 0.05, "expected heavy tail");
         // avg out-degree ≈ 841K/132K ≈ 6.4
         assert!(
             (4.5..=8.5).contains(&s.avg_out_degree),

@@ -80,17 +80,6 @@ pub fn read_edge_list<R: Read>(
     b.try_build()
 }
 
-/// Loads a text edge list from a file path. See [`read_edge_list`].
-pub fn load_edge_list<P: AsRef<Path>>(
-    path: P,
-    num_nodes: Option<usize>,
-    default_prob: f32,
-    undirected: bool,
-) -> Result<Graph, GraphError> {
-    let file = std::fs::File::open(path)?;
-    read_edge_list(file, num_nodes, default_prob, undirected)
-}
-
 /// Writes `g` as a text edge list (`src dst prob` per line).
 pub fn write_edge_list<W: Write>(g: &Graph, writer: W) -> Result<(), GraphError> {
     let mut w = BufWriter::new(writer);
@@ -191,16 +180,6 @@ pub fn load_auto<P: AsRef<Path>>(path: P, default_prob: f32) -> Result<Graph, Gr
     } else {
         read_edge_list(file, None, default_prob, false)
     }
-}
-
-/// Convenience: save to / load from a file path in binary format.
-pub fn save_binary<P: AsRef<Path>>(g: &Graph, path: P) -> Result<(), GraphError> {
-    write_binary(g, std::fs::File::create(path)?)
-}
-
-/// See [`save_binary`].
-pub fn load_binary<P: AsRef<Path>>(path: P) -> Result<Graph, GraphError> {
-    read_binary(std::fs::File::open(path)?)
 }
 
 #[cfg(test)]
@@ -334,7 +313,7 @@ mod tests {
         let dir = std::env::temp_dir();
         let bin_path = dir.join("atpm_io_test_auto.bin");
         let txt_path = dir.join("atpm_io_test_auto.txt");
-        save_binary(&g, &bin_path).unwrap();
+        write_binary(&g, std::fs::File::create(&bin_path).unwrap()).unwrap();
         write_edge_list(&g, std::fs::File::create(&txt_path).unwrap()).unwrap();
         let from_bin = load_auto(&bin_path, 0.1).unwrap();
         let from_txt = load_auto(&txt_path, 0.1).unwrap();

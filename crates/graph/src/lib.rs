@@ -21,8 +21,8 @@
 //! * [`GraphView`] — the trait both of the above implement, so diffusion and
 //!   sampling code is written once;
 //! * [`gen`] — synthetic graph generators (Erdős–Rényi, preferential
-//!   attachment, directed power-law configuration model, Watts–Strogatz) and
-//!   the four dataset presets from Table II of the paper;
+//!   attachment, directed power-law configuration model) and the four
+//!   dataset presets from Table II of the paper;
 //! * [`weights`] — edge-weighting schemes (weighted cascade `p = 1/indeg(v)`,
 //!   constant, trivalency);
 //! * [`io`] — plain-text edge-list and versioned binary formats;
@@ -45,7 +45,6 @@
 //! ```
 
 pub mod builder;
-pub mod components;
 pub mod csr;
 pub mod error;
 pub mod gen;

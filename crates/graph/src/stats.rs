@@ -82,51 +82,21 @@ impl std::fmt::Display for GraphStats {
     }
 }
 
-/// Out-degree histogram on a log-2 scale: `buckets[i]` counts nodes with
-/// out-degree in `[2^i, 2^{i+1})`; `buckets[0]` additionally counts degree 0
-/// and 1 separately via [`DegreeHistogram::zero`].
-#[derive(Debug, Clone)]
-pub struct DegreeHistogram {
-    /// Nodes with out-degree exactly 0.
-    pub zero: usize,
-    /// Log-2 buckets for degree ≥ 1.
-    pub buckets: Vec<usize>,
-}
-
-impl DegreeHistogram {
-    /// Builds the histogram of out-degrees.
-    pub fn out_degrees(g: &Graph) -> Self {
-        let mut zero = 0usize;
-        let mut buckets: Vec<usize> = Vec::new();
-        for u in 0..g.num_nodes() {
-            let d = g.out_degree(u as u32);
-            if d == 0 {
-                zero += 1;
-                continue;
-            }
-            let b = (usize::BITS - 1 - d.leading_zeros()) as usize; // floor(log2 d)
-            if buckets.len() <= b {
-                buckets.resize(b + 1, 0);
-            }
-            buckets[b] += 1;
-        }
-        DegreeHistogram { zero, buckets }
+/// A crude heavy-tail indicator: fraction of all edges owned by the top
+/// 1% highest-out-degree nodes. Power-law graphs score far higher than
+/// Erdős–Rényi graphs of the same density. The generator tests check
+/// their degree skew with it.
+#[cfg(test)]
+pub(crate) fn top1pct_edge_share(g: &Graph) -> f64 {
+    let n = g.num_nodes();
+    if n == 0 || g.num_edges() == 0 {
+        return 0.0;
     }
-
-    /// A crude heavy-tail indicator: fraction of all edges owned by the top
-    /// 1% highest-out-degree nodes. Power-law graphs score far higher than
-    /// Erdős–Rényi graphs of the same density.
-    pub fn top1pct_edge_share(g: &Graph) -> f64 {
-        let n = g.num_nodes();
-        if n == 0 || g.num_edges() == 0 {
-            return 0.0;
-        }
-        let mut degs: Vec<usize> = (0..n).map(|u| g.out_degree(u as u32)).collect();
-        degs.sort_unstable_by(|a, b| b.cmp(a));
-        let top = (n / 100).max(1);
-        let owned: usize = degs[..top].iter().sum();
-        owned as f64 / g.num_edges() as f64
-    }
+    let mut degs: Vec<usize> = (0..n).map(|u| g.out_degree(u as u32)).collect();
+    degs.sort_unstable_by(|a, b| b.cmp(a));
+    let top = (n / 100).max(1);
+    let owned: usize = degs[..top].iter().sum();
+    owned as f64 / g.num_edges() as f64
 }
 
 #[cfg(test)]
@@ -157,22 +127,5 @@ mod tests {
         assert_eq!(GraphStats::human(1_990_000), "1.99M");
         assert_eq!(GraphStats::human(69_000_000), "69M");
         assert_eq!(GraphStats::human(999), "999");
-    }
-
-    #[test]
-    fn histogram_buckets_by_log2() {
-        let mut b = GraphBuilder::new(8);
-        // degrees: node0 -> 1, node1 -> 2, node2 -> 4
-        b.add_edge(0, 1, 0.5).unwrap();
-        b.add_edge(1, 2, 0.5).unwrap();
-        b.add_edge(1, 3, 0.5).unwrap();
-        for t in 3..7 {
-            b.add_edge(2, t, 0.5).unwrap();
-        }
-        let h = DegreeHistogram::out_degrees(&b.build());
-        assert_eq!(h.zero, 5);
-        assert_eq!(h.buckets[0], 1); // degree 1
-        assert_eq!(h.buckets[1], 1); // degree 2..3
-        assert_eq!(h.buckets[2], 1); // degree 4..7
     }
 }

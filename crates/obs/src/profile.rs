@@ -387,33 +387,6 @@ pub fn render_folded_since(pos: usize) -> io::Result<String> {
     Ok(fold(&stacks, &symbols))
 }
 
-/// Per-function inclusive sample counts from folded text, heaviest first.
-/// Each function counts once per stack (no double-counting recursion).
-pub fn per_function_counts(folded: &str) -> Vec<(String, u64)> {
-    let mut totals: BTreeMap<&str, u64> = BTreeMap::new();
-    for line in folded.lines() {
-        let Some((stack, count)) = line.rsplit_once(' ') else {
-            continue;
-        };
-        let Ok(count) = count.parse::<u64>() else {
-            continue;
-        };
-        let mut seen: Vec<&str> = Vec::new();
-        for frame in stack.split(';') {
-            if !seen.contains(&frame) {
-                seen.push(frame);
-                *totals.entry(frame).or_insert(0) += count;
-            }
-        }
-    }
-    let mut out: Vec<(String, u64)> = totals
-        .into_iter()
-        .map(|(f, n)| (f.to_string(), n))
-        .collect();
-    out.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -507,18 +480,6 @@ mod tests {
         // to the previous function when it is not the leaf.
         let folded = fold(&[vec![0x9999_0000, 0x1010]], &syms);
         assert_eq!(folded, "root;0x99990000 1\n");
-    }
-
-    #[test]
-    fn per_function_counts_are_inclusive_without_double_counting() {
-        let folded = "root;mid;leaf 2\nroot;mid 1\nroot;rec;rec 5\n";
-        let counts = per_function_counts(folded);
-        let get = |name: &str| counts.iter().find(|(f, _)| f == name).map(|(_, n)| *n);
-        assert_eq!(get("root"), Some(8));
-        assert_eq!(get("mid"), Some(3));
-        assert_eq!(get("leaf"), Some(2));
-        assert_eq!(get("rec"), Some(5), "recursion counts once per stack");
-        assert_eq!(counts[0].0, "root", "heaviest first");
     }
 
     #[test]

@@ -17,13 +17,12 @@
 //! `atpm_obs_trace_dropped_total`) tells a scrape how much was shed.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
-/// Default cap on buffered events; past it the oldest are evicted (and
-/// counted). Tunable via [`Tracer::set_cap`].
-pub const DEFAULT_EVENT_CAP: usize = 1 << 20;
+/// Cap on buffered events; past it the oldest are evicted (and counted).
+const EVENT_CAP: usize = 1 << 20;
 
 struct Event {
     name: &'static str,
@@ -40,8 +39,7 @@ pub struct Tracer {
     enabled: AtomicBool,
     t0: Instant,
     events: Mutex<VecDeque<Event>>,
-    thread_names: Mutex<Vec<(u64, String)>>,
-    cap: AtomicUsize,
+    cap: usize,
     dropped: AtomicU64,
 }
 
@@ -49,14 +47,7 @@ pub struct Tracer {
 /// [`Tracer::set_enabled`]).
 pub fn tracer() -> &'static Tracer {
     static TRACER: OnceLock<Tracer> = OnceLock::new();
-    TRACER.get_or_init(|| Tracer {
-        enabled: AtomicBool::new(false),
-        t0: Instant::now(),
-        events: Mutex::new(VecDeque::new()),
-        thread_names: Mutex::new(Vec::new()),
-        cap: AtomicUsize::new(DEFAULT_EVENT_CAP),
-        dropped: AtomicU64::new(0),
-    })
+    TRACER.get_or_init(|| Tracer::with_cap(EVENT_CAP))
 }
 
 fn thread_id() -> u64 {
@@ -68,6 +59,16 @@ fn thread_id() -> u64 {
 }
 
 impl Tracer {
+    fn with_cap(cap: usize) -> Tracer {
+        Tracer {
+            enabled: AtomicBool::new(false),
+            t0: Instant::now(),
+            events: Mutex::new(VecDeque::new()),
+            cap,
+            dropped: AtomicU64::new(0),
+        }
+    }
+
     /// Whether spans are being collected. One relaxed load — this is the
     /// entire cost of every hook while tracing is off.
     pub fn enabled(&self) -> bool {
@@ -77,12 +78,6 @@ impl Tracer {
     /// Turns collection on or off.
     pub fn set_enabled(&self, on: bool) {
         self.enabled.store(on, Ordering::Relaxed);
-    }
-
-    /// Changes the ring capacity (minimum 1). Existing excess events are
-    /// evicted (and counted) on the next record.
-    pub fn set_cap(&self, cap: usize) {
-        self.cap.store(cap.max(1), Ordering::Relaxed);
     }
 
     /// Events evicted from the ring since process start. Cumulative —
@@ -125,9 +120,8 @@ impl Tracer {
             .checked_duration_since(self.t0)
             .unwrap_or_default()
             .as_nanos() as u64;
-        let cap = self.cap.load(Ordering::Relaxed).max(1);
         let mut events = self.events.lock().unwrap_or_else(|p| p.into_inner());
-        while events.len() >= cap {
+        while events.len() >= self.cap {
             events.pop_front();
             self.dropped.fetch_add(1, Ordering::Relaxed);
         }
@@ -141,44 +135,19 @@ impl Tracer {
         });
     }
 
-    /// Labels the calling thread in the trace output.
-    pub fn name_thread(&self, name: &str) {
-        let tid = thread_id();
-        let mut names = self.thread_names.lock().unwrap_or_else(|p| p.into_inner());
-        names.retain(|(t, _)| *t != tid);
-        names.push((tid, name.to_string()));
-    }
-
     /// Number of buffered events (tests).
     pub fn pending(&self) -> usize {
         self.events.lock().unwrap_or_else(|p| p.into_inner()).len()
     }
 
     /// Serializes and clears the buffer as Chrome trace-event JSON:
-    /// one `"X"` (complete) event per span, `ts`/`dur` in microseconds,
-    /// plus `"M"` metadata events naming threads. The output loads
-    /// directly in Perfetto / `chrome://tracing`.
+    /// one `"X"` (complete) event per span, `ts`/`dur` in microseconds.
+    /// The output loads directly in Perfetto / `chrome://tracing`.
     pub fn drain_json(&self) -> String {
         let events = std::mem::take(&mut *self.events.lock().unwrap_or_else(|p| p.into_inner()));
-        let names = self
-            .thread_names
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .clone();
         let mut out = String::with_capacity(events.len() * 96 + 256);
         out.push_str("{\"traceEvents\":[");
         let mut first = true;
-        for (tid, name) in &names {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            out.push_str("{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":");
-            out.push_str(&tid.to_string());
-            out.push_str(",\"args\":{\"name\":\"");
-            escape_into(&mut out, name);
-            out.push_str("\"}}");
-        }
         for e in &events {
             if !first {
                 out.push(',');
@@ -267,7 +236,6 @@ mod tests {
         let t = tracer();
         t.drain_json(); // reset any residue
         t.set_enabled(true);
-        t.name_thread("tester");
         {
             let _s = t.span("cat", "work");
             std::thread::sleep(Duration::from_millis(1));
@@ -284,7 +252,6 @@ mod tests {
         assert!(json.starts_with("{\"traceEvents\":["));
         assert!(json.contains("\"name\":\"work\""));
         assert!(json.contains("\"ph\":\"X\""));
-        assert!(json.contains("\"thread_name\""));
         assert!(
             json.contains("\"args\":{\"id\":\"req-00000000000000aa\"}"),
             "request id must land in span args: {json}"
@@ -294,11 +261,7 @@ mod tests {
 
     #[test]
     fn ring_caps_drop_oldest_and_count_cumulatively() {
-        let _g = SERIAL.lock().unwrap_or_else(|p| p.into_inner());
-        let t = tracer();
-        t.drain_json();
-        let dropped_before = t.dropped_total();
-        t.set_cap(4);
+        let t = Tracer::with_cap(4);
         t.set_enabled(true);
         const NAMES: [&str; 6] = ["e0", "e1", "e2", "e3", "e4", "e5"];
         for name in NAMES {
@@ -306,11 +269,7 @@ mod tests {
         }
         t.set_enabled(false);
         assert_eq!(t.pending(), 4, "ring holds exactly the cap");
-        assert_eq!(
-            t.dropped_total() - dropped_before,
-            2,
-            "two oldest evicted and counted"
-        );
+        assert_eq!(t.dropped_total(), 2, "two oldest evicted and counted");
         let json = t.drain_json();
         assert!(
             !json.contains("\"e0\"") && !json.contains("\"e1\""),
@@ -319,9 +278,8 @@ mod tests {
         assert!(json.contains("\"e5\""), "newest kept: {json}");
         assert_eq!(
             t.dropped_total(),
-            dropped_before + 2,
+            2,
             "drain must not reset the cumulative drop count"
         );
-        t.set_cap(DEFAULT_EVENT_CAP);
     }
 }

@@ -100,12 +100,6 @@ impl NodeSet {
     pub fn intersects(&self, slice: &[Node]) -> bool {
         slice.iter().any(|&u| self.contains(u))
     }
-
-    /// Number of members of `slice` that are in the set.
-    #[inline]
-    pub fn count_in(&self, slice: &[Node]) -> usize {
-        slice.iter().filter(|&&u| self.contains(u)).count()
-    }
 }
 
 #[cfg(test)]
@@ -139,7 +133,6 @@ mod tests {
         let s = NodeSet::from_iter(100, [10, 20, 30]);
         assert!(s.intersects(&[1, 2, 20]));
         assert!(!s.intersects(&[1, 2, 3]));
-        assert_eq!(s.count_in(&[10, 20, 40, 10]), 3);
     }
 
     #[test]

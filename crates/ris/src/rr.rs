@@ -30,11 +30,6 @@ use crate::workspace::EpochMarks;
 /// streaming front/rear counters use instead of scanning the output buffer.
 pub struct RrSampler {
     marks: EpochMarks,
-    /// Total nodes traversed across all samples — the paper's EPT accounting
-    /// (expected time per RR set) for the complexity experiments.
-    nodes_traversed: u64,
-    /// Total RR sets generated.
-    sets_generated: u64,
 }
 
 impl Default for RrSampler {
@@ -48,8 +43,6 @@ impl RrSampler {
     pub fn new() -> Self {
         RrSampler {
             marks: EpochMarks::new(),
-            nodes_traversed: 0,
-            sets_generated: 0,
         }
     }
 
@@ -264,8 +257,6 @@ impl RrSampler {
                 }
             }
         }
-        self.nodes_traversed += (out.len() - base) as u64;
-        self.sets_generated += 1;
     }
 
     /// The pre-refactor sampler: one fresh `f32` coin per in-edge, compared
@@ -297,23 +288,7 @@ impl RrSampler {
                 }
             }
         }
-        self.nodes_traversed += out.len() as u64;
-        self.sets_generated += 1;
         true
-    }
-
-    /// Average RR-set size so far — an empirical EPT estimate.
-    pub fn avg_set_size(&self) -> f64 {
-        if self.sets_generated == 0 {
-            0.0
-        } else {
-            self.nodes_traversed as f64 / self.sets_generated as f64
-        }
-    }
-
-    /// Total RR sets generated by this sampler.
-    pub fn sets_generated(&self) -> u64 {
-        self.sets_generated
     }
 }
 
@@ -469,21 +444,6 @@ mod tests {
             }
         }
         assert!(accepted > 0, "skip path never accepted an edge");
-    }
-
-    #[test]
-    fn ept_accounting_tracks_sizes() {
-        let g = certain_chain();
-        let mut s = RrSampler::new();
-        let mut rng = StdRng::seed_from_u64(5);
-        let mut buf = Vec::new();
-        for _ in 0..300 {
-            s.sample_into(&&g, &mut rng, &mut buf);
-        }
-        assert_eq!(s.sets_generated(), 300);
-        // Sizes are 1, 2 or 3 each with prob 1/3: mean 2.
-        let avg = s.avg_set_size();
-        assert!((1.7..=2.3).contains(&avg), "avg size {avg}");
     }
 
     #[test]

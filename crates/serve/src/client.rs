@@ -326,7 +326,6 @@ mod tests {
             policy: PolicySpec::ThresholdBatch {
                 theta: 2_000,
                 eps: 0.1,
-                batch: 4,
                 seed: 7,
                 threads: 1,
             },

@@ -114,6 +114,23 @@ fn opt_threads(v: &Json) -> Result<usize, ApiError> {
     Ok(requested as usize)
 }
 
+/// Most RR sets a wire request may ask one sampling call for
+/// (`threshold_batch.theta`, a snapshot's `rr_theta`). A batch of θ sets
+/// is allocated up front, and a failed allocation aborts the process
+/// rather than unwinding, so the cap keeps wire input from taking the
+/// server down. The operator's `--rr-theta` flag is not capped.
+pub const MAX_WIRE_THETA: u64 = 1 << 22;
+
+/// Rejects a wire RR-set count above [`MAX_WIRE_THETA`].
+fn check_wire_theta(key: &str, theta: u64) -> Result<usize, ApiError> {
+    if theta > MAX_WIRE_THETA {
+        return Err(ApiError::bad_request(format!(
+            "{key} = {theta} exceeds the cap of {MAX_WIRE_THETA}"
+        )));
+    }
+    Ok(theta as usize)
+}
+
 fn opt_f64(v: &Json, key: &str) -> Result<Option<f64>, ApiError> {
     match v.get(key) {
         None | Some(Json::Null) => Ok(None),
@@ -171,9 +188,6 @@ pub enum PolicySpec {
         theta: usize,
         /// Threshold decay per sweep, in (0, 1) (default 0.1).
         eps: f64,
-        /// Default batch size for drives that don't pass `k` per round
-        /// (default 4).
-        batch: usize,
         /// Sampling RNG seed.
         seed: u64,
         /// Sampler worker threads.
@@ -200,7 +214,6 @@ impl PolicySpec {
             "threshold_batch" => Ok(PolicySpec::ThresholdBatch {
                 theta: opt_u64(v, "theta")?.unwrap_or(4_000) as usize,
                 eps: opt_f64(v, "eps")?.unwrap_or(0.1),
-                batch: opt_u64(v, "batch")?.unwrap_or(4) as usize,
                 seed: opt_u64(v, "seed")?.unwrap_or(0),
                 threads: opt_threads(v)?,
             }),
@@ -241,14 +254,12 @@ impl PolicySpec {
             PolicySpec::ThresholdBatch {
                 theta,
                 eps,
-                batch,
                 seed,
                 threads,
             } => Json::obj([
                 ("name", Json::Str("threshold_batch".into())),
                 ("theta", Json::UInt(*theta as u64)),
                 ("eps", Json::Num(*eps)),
-                ("batch", Json::UInt(*batch as u64)),
                 ("seed", Json::UInt(*seed)),
                 ("threads", Json::UInt(*threads as u64)),
             ]),
@@ -298,28 +309,23 @@ impl PolicySpec {
             PolicySpec::ThresholdBatch {
                 theta,
                 eps,
-                batch,
                 seed,
                 threads,
             } => {
                 if *theta == 0 {
                     return Err(ApiError::bad_request("theta must be positive".to_string()));
                 }
+                check_wire_theta("theta", *theta as u64)?;
                 if !(*eps > 0.0 && *eps < 1.0) {
                     return Err(ApiError::bad_request("eps must be in (0, 1)".to_string()));
-                }
-                if *batch == 0 {
-                    return Err(ApiError::bad_request(
-                        "batch size must be positive".to_string(),
-                    ));
                 }
                 Ok(Box::new(
                     ThresholdBatch {
                         theta: *theta,
                         eps: *eps,
-                        batch: *batch,
                         seed: *seed,
                         threads: *threads,
+                        ..Default::default()
                     }
                     .stepper(),
                 ))
@@ -386,7 +392,7 @@ impl SnapshotReq {
             name: str_field(v, "name")?,
             source,
             k: u64_field(v, "k")? as usize,
-            rr_theta: opt_u64(v, "rr_theta")?.unwrap_or(20_000) as usize,
+            rr_theta: check_wire_theta("rr_theta", opt_u64(v, "rr_theta")?.unwrap_or(20_000))?,
             seed: opt_u64(v, "seed")?.unwrap_or(0),
             threads: opt_threads(v)?,
         })
@@ -683,7 +689,6 @@ mod tests {
             PolicySpec::ThresholdBatch {
                 theta: 2_000,
                 eps: 0.2,
-                batch: 8,
                 seed: 11,
                 threads: 2,
             },
@@ -716,11 +721,41 @@ mod tests {
         let bad_batch_eps = PolicySpec::ThresholdBatch {
             theta: 1_000,
             eps: 1.0,
-            batch: 4,
             seed: 0,
             threads: 1,
         };
         assert!(bad_batch_eps.build().is_err());
+    }
+
+    #[test]
+    fn wire_rr_set_counts_are_capped() {
+        let policy = |theta: u64| {
+            PolicySpec::from_json(&Json::obj([
+                ("name", Json::Str("threshold_batch".into())),
+                ("theta", Json::UInt(theta)),
+            ]))
+            .unwrap()
+            .build()
+        };
+        let snapshot = |rr_theta: u64| {
+            SnapshotReq::from_json(&Json::obj([
+                ("name", Json::Str("g".into())),
+                ("preset", Json::Str("nethept".into())),
+                ("k", Json::UInt(4)),
+                ("rr_theta", Json::UInt(rr_theta)),
+            ]))
+        };
+        assert_eq!(MAX_WIRE_THETA, 4_194_304);
+        assert!(policy(MAX_WIRE_THETA).is_ok());
+        assert_eq!(snapshot(MAX_WIRE_THETA).unwrap().rr_theta, 1 << 22);
+        let err = policy(MAX_WIRE_THETA + 1)
+            .err()
+            .expect("theta over the cap");
+        assert_eq!(err.status, 400);
+        assert_eq!(err.message, "theta = 4194305 exceeds the cap of 4194304");
+        let err = snapshot(MAX_WIRE_THETA + 1).unwrap_err();
+        assert_eq!(err.status, 400);
+        assert_eq!(err.message, "rr_theta = 4194305 exceeds the cap of 4194304");
     }
 
     #[test]

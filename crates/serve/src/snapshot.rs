@@ -87,13 +87,13 @@ impl Snapshot {
         })
     }
 
-    /// Approximate resident bytes this snapshot pins: the CSR graph at
-    /// ~12 bytes/edge (u32 head + f32 probability + amortized offsets)
-    /// plus per-node offset arrays, plus the frozen RR index. This is what
-    /// the store's LRU budget charges.
+    /// Resident bytes this snapshot pins: the graph with its baked
+    /// sampling view ([`Graph::heap_bytes`](atpm_graph::Graph::heap_bytes)),
+    /// the instance's per-node cost array and the frozen RR index. This is
+    /// what the store's LRU budget charges.
     pub fn mem_bytes(&self) -> usize {
         let graph = self.instance.graph();
-        12 * graph.num_edges() + 8 * (graph.num_nodes() + 1) + self.rr.mem_bytes()
+        graph.heap_bytes() + graph.num_nodes() * std::mem::size_of::<f64>() + self.rr.mem_bytes()
     }
 
     /// Store/info wire form.
@@ -178,16 +178,6 @@ impl SnapshotStore {
     /// Snapshots evicted by the budget over the store's lifetime.
     pub fn evictions(&self) -> u64 {
         self.evictions.load(Ordering::SeqCst)
-    }
-
-    /// Summed [`Snapshot::mem_bytes`] over the stored snapshots.
-    pub fn total_mem_bytes(&self) -> usize {
-        self.map
-            .read()
-            .expect("snapshot store poisoned")
-            .values()
-            .map(|e| e.snap.mem_bytes())
-            .sum()
     }
 
     fn stamp(&self) -> u64 {
@@ -350,6 +340,16 @@ mod tests {
         assert_eq!(store.list_json(), Json::Arr(vec![]));
     }
 
+    /// Summed `mem_bytes` over `GET /snapshots`.
+    fn listed_mem_bytes(store: &SnapshotStore) -> u64 {
+        let list = store.list_json();
+        let infos = list.as_arr().unwrap();
+        infos
+            .iter()
+            .map(|i| i.get("mem_bytes").unwrap().as_u64().unwrap())
+            .sum()
+    }
+
     #[test]
     fn mem_bytes_scales_with_edges_and_rr_index() {
         let snap = Snapshot::build(&tiny_req("g")).unwrap();
@@ -372,7 +372,7 @@ mod tests {
         drop(a); // unpin
         store.insert(Snapshot::build(&tiny_req("b")).unwrap());
         store.insert(Snapshot::build(&tiny_req("c")).unwrap());
-        assert_eq!(store.total_mem_bytes(), 3 * one);
+        assert_eq!(listed_mem_bytes(&store), 3 * one as u64);
 
         // Touch "a" so "b" becomes the coldest, then squeeze to two.
         store.get("a").unwrap();
@@ -384,7 +384,7 @@ mod tests {
         // Inserting over budget evicts again — now "a" or "c", whichever
         // is colder (c was touched last above).
         store.insert(Snapshot::build(&tiny_req("d")).unwrap());
-        assert_eq!(store.total_mem_bytes(), 2 * one);
+        assert_eq!(listed_mem_bytes(&store), 2 * one as u64);
         assert!(store.get("a").is_none(), "a was coldest at insert time");
         assert_eq!(store.evictions(), 2);
     }

@@ -59,12 +59,12 @@ fn policies() -> Vec<(PolicySpec, PolicyRunner)> {
     let mut ars = Ars { prob: 0.5, seed: 3 };
     let deploy_spec = PolicySpec::DeployAll;
     let mut deploy = DeployAll;
-    // batch: 1 — these sweeps drive the single-seed protocol verbs, and
-    // ThresholdBatch's threshold floor depends on the round's k.
+    // The in-process reference runs batches of 1: these sweeps drive the
+    // single-seed protocol verbs, and ThresholdBatch's threshold floor
+    // depends on the round's k.
     let tb_spec = PolicySpec::ThresholdBatch {
         theta: 4_000,
         eps: 0.1,
-        batch: 1,
         seed: 13,
         threads: 2,
     };
@@ -363,7 +363,6 @@ fn batched_rounds_converge_in_fewer_round_trips_with_the_same_outcome() {
     let spec = PolicySpec::ThresholdBatch {
         theta: 4_000,
         eps: 0.1,
-        batch: 4,
         seed: 13,
         threads: 2,
     };

@@ -166,7 +166,6 @@ fn killed_mid_batch_server_reserves_the_exact_pending_batch() {
         policy: PolicySpec::ThresholdBatch {
             theta: 2_000,
             eps: 0.1,
-            batch: 3,
             seed: 11,
             threads: 1,
         },
@@ -292,6 +291,71 @@ fn retired_journal_and_checkpoint_formats_are_refused_untouched() {
     ckp.extend_from_slice(&atpm_serve::journal::crc32(head).to_le_bytes());
     ckp.extend_from_slice(head);
     assert_refused("ckp1", "journal.ckp", &ckp, "ATPMCKP1");
+}
+
+/// A journal written by a build whose `threshold_batch` policy spec still
+/// carried a `batch` knob (`"batch":3` in its create record): one session
+/// (world 17) with an observed round of three seeds and a pending batch
+/// handed out but never observed.
+const BATCH_KNOB_JOURNAL: &[u8] = include_bytes!("golden/threshold_batch_knob.journal");
+
+#[test]
+fn a_create_record_with_the_retired_batch_knob_replays_bit_equal() {
+    use atpm_serve::journal::{Journal, Record};
+    use atpm_serve::protocol::ObserveBatchReq;
+
+    let mut dir = std::env::temp_dir();
+    dir.push(format!("atpm-batch-knob-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(dir.join("read")).unwrap();
+    std::fs::create_dir_all(dir.join("serve")).unwrap();
+    let read_path = dir.join("read").join("journal");
+    let serve_path = dir.join("serve").join("journal");
+    std::fs::write(&read_path, BATCH_KNOB_JOURNAL).unwrap();
+    std::fs::write(&serve_path, BATCH_KNOB_JOURNAL).unwrap();
+
+    // The record parses, and the spec it yields no longer has the knob.
+    let golden = String::from_utf8_lossy(BATCH_KNOB_JOURNAL);
+    assert!(golden.contains(r#""batch":3"#), "{golden}");
+    let (journal, records) = Journal::open(&read_path).unwrap();
+    drop(journal);
+    let Some(Record::Create { token, req, .. }) = records.first() else {
+        panic!("the golden journal opens with a create: {records:?}");
+    };
+    let spec = req.to_json().encode();
+    assert!(!spec.contains(r#""batch""#), "{spec}");
+
+    // Reference: the same request driven uninterrupted, in process.
+    let reference = LocalClient::new(state_with_snapshot())
+        .run_session_batched(req, 3)
+        .unwrap();
+
+    // Recovery re-serves the pending batch and finishes bit-equal.
+    let cfg = ServeConfig {
+        journal_path: Some(serve_path.to_string_lossy().into_owned()),
+        ..ServeConfig::default()
+    };
+    let mut server = Server::start(state_with_snapshot(), &cfg).unwrap();
+    let mut client = HttpClient::connect(server.addr()).unwrap();
+    assert_eq!(client.next_batch(token, 3).unwrap(), Some(vec![3]));
+    let mut seeds = vec![3];
+    loop {
+        client
+            .observe_batch(token, &ObserveBatchReq::Simulate { seeds })
+            .unwrap();
+        match client.next_batch(token, 3).unwrap() {
+            Some(next) => seeds = next,
+            None => break,
+        }
+    }
+    let ledger = client.ledger(token).unwrap();
+    assert_eq!(ledger.selected, reference.selected);
+    assert_eq!(ledger.profit.to_bits(), reference.profit.to_bits());
+    assert_eq!(ledger.rounds, reference.rounds);
+    assert_eq!(ledger.total_activated, reference.total_activated);
+
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Recovery fuzz: journal and checkpoint files mutilated at every byte.
