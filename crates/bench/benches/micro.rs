@@ -27,7 +27,7 @@ use atpm_diffusion::{
     mc_spread_batched, CascadeEngine, HashedRealization, MaterializedRealization, Realization,
 };
 use atpm_graph::gen::Dataset;
-use atpm_graph::GraphView;
+use atpm_graph::{quantize_prob, GraphView};
 use atpm_im::greedy::max_coverage_greedy_rescan;
 use atpm_im::{max_coverage_greedy_with, GreedyResult, GreedyScratch};
 use atpm_ris::sampler::generate_batch;
@@ -417,11 +417,12 @@ fn bench_coverage_queries(c: &mut Criterion) {
 fn bench_realizations(c: &mut Criterion) {
     let g = Dataset::NetHept.generate(0.2, 4);
     let hashed = HashedRealization::new(9);
+    let t = quantize_prob(0.3);
     c.bench_function("realization_hash_coin", |b| {
         let mut e = 0u32;
         b.iter(|| {
             e = e.wrapping_add(1) % g.num_edges() as u32;
-            hashed.is_live(e, 0.3)
+            hashed.is_live(e, t)
         });
     });
     c.bench_function("realization_materialize", |b| {

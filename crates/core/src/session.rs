@@ -57,21 +57,10 @@ pub enum SessionWorld {
 
 impl Realization for SessionWorld {
     #[inline]
-    fn is_live(&self, e: Edge, prob: f32) -> bool {
+    fn is_live(&self, e: Edge, threshold: u32) -> bool {
         match self {
-            SessionWorld::Hashed(r) => r.is_live(e, prob),
-            SessionWorld::Materialized(r) => r.is_live(e, prob),
-        }
-    }
-
-    // Forwarded explicitly so a wrapped world realizes the same quantized
-    // coins as the bare realization (the trait default would detour through
-    // the float rule).
-    #[inline]
-    fn is_live_q(&self, e: Edge, threshold: u32) -> bool {
-        match self {
-            SessionWorld::Hashed(r) => r.is_live_q(e, threshold),
-            SessionWorld::Materialized(r) => r.is_live_q(e, threshold),
+            SessionWorld::Hashed(r) => r.is_live(e, threshold),
+            SessionWorld::Materialized(r) => r.is_live(e, threshold),
         }
     }
 }

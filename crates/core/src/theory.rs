@@ -24,7 +24,7 @@
 
 use atpm_diffusion::spread::EXACT_SPREAD_MAX_EDGES;
 use atpm_diffusion::{exact_spread, CascadeEngine, MaterializedRealization};
-use atpm_graph::{Node, ResidualGraph};
+use atpm_graph::{threshold_prob, Node, ResidualGraph};
 
 use crate::instance::TpmInstance;
 use crate::session::{AdaptiveSession, SessionWorld};
@@ -39,7 +39,9 @@ pub fn enumerate_worlds(instance: &TpmInstance) -> Vec<(u64, f64)> {
         m <= EXACT_SPREAD_MAX_EDGES,
         "world enumeration needs m <= {EXACT_SPREAD_MAX_EDGES}, got {m}"
     );
-    let probs: Vec<f64> = (0..m as u32).map(|e| g.edge_prob(e) as f64).collect();
+    let probs: Vec<f64> = (0..m as u32)
+        .map(|e| threshold_prob(g.edge_threshold(e)))
+        .collect();
     let mut worlds = Vec::with_capacity(1 << m);
     for mask in 0u64..(1u64 << m) {
         let mut p = 1.0;

@@ -87,8 +87,7 @@ impl CascadeEngine {
     ///
     /// The realization's coin for slot `i` of a node's out-span `lo..hi`
     /// is queried by forward edge id `lo + i` (out-edge ids are CSR
-    /// positions), so observations stay consistent with reverse-side
-    /// traversals of the same world.
+    /// positions) against that slot's baked threshold.
     pub fn observe_into<V: GraphView, R: Realization>(
         &mut self,
         view: &V,
@@ -126,7 +125,7 @@ impl CascadeEngine {
             for i in 0..targets.len() {
                 let v = targets[i];
                 if sv.is_alive(v)
-                    && real.is_live_q(lo as u32 + i as u32, thresholds[i])
+                    && real.is_live(lo as u32 + i as u32, thresholds[i])
                     && self.marks.mark(v as usize)
                 {
                     sv.prefetch_out_meta(v);
@@ -305,8 +304,7 @@ impl CascadeEngine {
         while head < self.queue.len() {
             let u = self.queue[head];
             head += 1;
-            let (targets, _, _) = view.out_slice(u);
-            let thresholds = view.base().out_thresholds(u);
+            let (targets, thresholds) = view.out_slice(u);
             for i in 0..targets.len() {
                 let v = targets[i];
                 if view.is_alive(v)

@@ -4,43 +4,35 @@
 //! independently (paper §II-A). Sampling `Φ ~ Ω` and then asking reachability
 //! questions is how both the adaptive feedback loop and the evaluation
 //! protocol work.
+//!
+//! There is one coin rule: an edge is asked about with its baked `u32`
+//! threshold (`atpm_graph::quantize_prob`), the same integer coin the
+//! reverse-BFS samplers compare, so forward observations and RR-set
+//! estimates realize one consistent quantized world.
 
-use atpm_graph::{threshold_accept, threshold_prob, Edge, Graph};
+use atpm_graph::{threshold_accept, Edge, Graph};
 
 /// A fixed assignment of live/blocked to every edge.
 ///
-/// `is_live(e, p)` takes the edge's probability because implementations like
-/// [`HashedRealization`] evaluate the coin lazily; the caller always has `p`
-/// at hand from the adjacency slice it is scanning.
+/// `is_live(e, threshold)` takes the edge's baked threshold because
+/// implementations like [`HashedRealization`] evaluate the coin lazily; the
+/// caller always has it at hand from the adjacency slice it is scanning.
 pub trait Realization {
-    /// Whether edge `e` (with activation probability `prob`) is live in this
+    /// Whether edge `e` (with baked threshold `threshold`) is live in this
     /// possible world. Must be deterministic: repeated queries agree.
-    fn is_live(&self, e: Edge, prob: f32) -> bool;
-
-    /// Like [`is_live`](Self::is_live) but against the edge's baked `u32`
-    /// threshold (`atpm_graph::quantize_prob`) — the *same* integer coin the
-    /// reverse-BFS samplers compare, so forward observations and RR-set
-    /// estimates realize one consistent quantized world. Forward cascades
-    /// call this; the default converts the threshold back to its exact
-    /// probability for implementations that only know the float rule.
-    fn is_live_q(&self, e: Edge, threshold: u32) -> bool {
-        self.is_live(e, threshold_prob(threshold) as f32)
-    }
+    fn is_live(&self, e: Edge, threshold: u32) -> bool;
 }
 
 impl<T: Realization + ?Sized> Realization for &T {
     #[inline]
-    fn is_live(&self, e: Edge, prob: f32) -> bool {
-        (**self).is_live(e, prob)
-    }
-    #[inline]
-    fn is_live_q(&self, e: Edge, threshold: u32) -> bool {
-        (**self).is_live_q(e, threshold)
+    fn is_live(&self, e: Edge, threshold: u32) -> bool {
+        (**self).is_live(e, threshold)
     }
 }
 
 /// Lazy realization: the coin of edge `e` is a pure hash of
-/// `(realization_seed, e)`, mapped to `[0, 1)` and compared against `p(e)`.
+/// `(realization_seed, e)`, whose top 32 bits are compared against the
+/// edge's baked threshold.
 ///
 /// * O(1) memory — no per-edge state, so a 69M-edge possible world costs
 ///   eight bytes;
@@ -71,40 +63,24 @@ impl HashedRealization {
         z ^ (z >> 31)
     }
 
+    /// The raw 32-bit coin of edge `e`: the top bits of a hash of
+    /// `(seed, e)`, compared against baked thresholds by
+    /// [`Realization::is_live`].
     #[inline]
-    fn hash(&self, e: Edge) -> u64 {
-        Self::mix(
+    pub fn draw32(&self, e: Edge) -> u32 {
+        let h = Self::mix(
             self.seed
                 .wrapping_mul(0x9E3779B97F4A7C15)
                 .wrapping_add(0x632BE59BD9B4E019)
                 ^ (e as u64).wrapping_mul(0xD6E8FEB86659FD93),
-        )
-    }
-
-    /// The uniform draw assigned to edge `e` in `[0, 1)`.
-    #[inline]
-    pub fn unit(&self, e: Edge) -> f64 {
-        // Take the top 53 bits for an exactly representable uniform in [0,1).
-        (self.hash(e) >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-    }
-
-    /// The raw 32-bit coin of edge `e` — the top bits of the same hash
-    /// [`unit`](Self::unit) exposes, compared against baked thresholds by
-    /// [`Realization::is_live_q`].
-    #[inline]
-    pub fn draw32(&self, e: Edge) -> u32 {
-        (self.hash(e) >> 32) as u32
+        );
+        (h >> 32) as u32
     }
 }
 
 impl Realization for HashedRealization {
     #[inline]
-    fn is_live(&self, e: Edge, prob: f32) -> bool {
-        self.unit(e) < prob as f64
-    }
-
-    #[inline]
-    fn is_live_q(&self, e: Edge, threshold: u32) -> bool {
+    fn is_live(&self, e: Edge, threshold: u32) -> bool {
         threshold_accept(self.draw32(e), threshold)
     }
 }
@@ -140,14 +116,13 @@ impl MaterializedRealization {
     }
 
     /// Materializes a [`HashedRealization`] against a concrete graph: useful
-    /// when a world will be queried many times per edge. Evaluates the
-    /// *quantized* coin (`is_live_q`), so the bits agree with what forward
-    /// cascades and RR sampling would observe of the same world.
+    /// when a world will be queried many times per edge. The bits agree with
+    /// what forward cascades and RR sampling would observe of the same world.
     pub fn materialize(g: &Graph, hashed: &HashedRealization) -> Self {
         let m = g.num_edges();
         let mut live = vec![0u64; m.div_ceil(64)];
         for e in 0..m as Edge {
-            if hashed.is_live_q(e, g.edge_threshold(e)) {
+            if hashed.is_live(e, g.edge_threshold(e)) {
                 live[e as usize / 64] |= 1 << (e as usize % 64);
             }
         }
@@ -157,12 +132,7 @@ impl MaterializedRealization {
 
 impl Realization for MaterializedRealization {
     #[inline]
-    fn is_live(&self, e: Edge, _prob: f32) -> bool {
-        self.live[e as usize / 64] & (1 << (e as usize % 64)) != 0
-    }
-
-    #[inline]
-    fn is_live_q(&self, e: Edge, _threshold: u32) -> bool {
+    fn is_live(&self, e: Edge, _threshold: u32) -> bool {
         self.live[e as usize / 64] & (1 << (e as usize % 64)) != 0
     }
 }
@@ -170,13 +140,15 @@ impl Realization for MaterializedRealization {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use atpm_graph::quantize_prob;
 
     #[test]
     fn hashed_is_deterministic() {
         let r = HashedRealization::new(42);
+        let t = quantize_prob(0.5);
         for e in 0..100u32 {
-            assert_eq!(r.is_live(e, 0.5), r.is_live(e, 0.5));
-            assert_eq!(r.unit(e), r.unit(e));
+            assert_eq!(r.is_live(e, t), r.is_live(e, t));
+            assert_eq!(r.draw32(e), r.draw32(e));
         }
     }
 
@@ -184,12 +156,14 @@ mod tests {
     fn hashed_units_are_uniformish() {
         let r = HashedRealization::new(7);
         let n = 20_000u32;
-        let mean: f64 = (0..n).map(|e| r.unit(e)).sum::<f64>() / n as f64;
+        let unit = |e| r.draw32(e) as f64 / 4_294_967_296.0;
+        let mean: f64 = (0..n).map(unit).sum::<f64>() / n as f64;
         assert!((mean - 0.5).abs() < 0.01, "mean {mean} far from 0.5");
-        // Monotone in prob: live at p1 implies live at p2 >= p1.
+        // Monotone in the threshold: live at p1 implies live at p2 >= p1.
+        let (low, high) = (quantize_prob(0.3), quantize_prob(0.8));
         for e in 0..500u32 {
-            if r.is_live(e, 0.3) {
-                assert!(r.is_live(e, 0.8));
+            if r.is_live(e, low) {
+                assert!(r.is_live(e, high));
             }
         }
     }
@@ -198,30 +172,21 @@ mod tests {
     fn hashed_seeds_decorrelate() {
         let a = HashedRealization::new(1);
         let b = HashedRealization::new(2);
+        let t = quantize_prob(0.5);
         let agree = (0..10_000u32)
-            .filter(|&e| a.is_live(e, 0.5) == b.is_live(e, 0.5))
+            .filter(|&e| a.is_live(e, t) == b.is_live(e, t))
             .count();
         // Independent fair coins agree about half the time.
         assert!((4_500..=5_500).contains(&agree), "agreement {agree}");
     }
 
     #[test]
-    fn hashed_live_rate_tracks_probability() {
-        let r = HashedRealization::new(99);
-        for &p in &[0.1f32, 0.5, 0.9] {
-            let live = (0..50_000u32).filter(|&e| r.is_live(e, p)).count();
-            let rate = live as f64 / 50_000.0;
-            assert!((rate - p as f64).abs() < 0.01, "p = {p}: live rate {rate}");
-        }
-    }
-
-    #[test]
     fn materialized_from_live_edges() {
         let r = MaterializedRealization::from_live_edges(100, &[0, 64, 99]);
-        assert!(r.is_live(0, 0.0));
-        assert!(r.is_live(64, 0.0));
-        assert!(r.is_live(99, 0.0));
-        assert!(!r.is_live(1, 1.0));
+        assert!(r.is_live(0, 0));
+        assert!(r.is_live(64, 0));
+        assert!(r.is_live(99, 0));
+        assert!(!r.is_live(1, u32::MAX));
     }
 
     #[test]
@@ -235,19 +200,17 @@ mod tests {
         let h = HashedRealization::new(5);
         let m = MaterializedRealization::materialize(&g, &h);
         for e in 0..g.num_edges() as u32 {
-            assert_eq!(m.is_live(e, 0.0), h.is_live_q(e, g.edge_threshold(e)));
-            assert_eq!(m.is_live_q(e, 0), h.is_live_q(e, g.edge_threshold(e)));
+            assert_eq!(m.is_live(e, 0), h.is_live(e, g.edge_threshold(e)));
         }
     }
 
     #[test]
     fn quantized_coin_is_exact_at_the_endpoints() {
-        use atpm_graph::quantize_prob;
         for seed in 0..20u64 {
             let r = HashedRealization::new(seed);
             for e in 0..2_000u32 {
-                assert!(r.is_live_q(e, quantize_prob(1.0)), "certain edge blocked");
-                assert!(!r.is_live_q(e, quantize_prob(0.0)), "impossible edge fired");
+                assert!(r.is_live(e, quantize_prob(1.0)), "certain edge blocked");
+                assert!(!r.is_live(e, quantize_prob(0.0)), "impossible edge fired");
             }
         }
     }
@@ -256,8 +219,8 @@ mod tests {
     fn quantized_coin_tracks_probability() {
         let r = HashedRealization::new(99);
         for &p in &[0.1f32, 0.5, 0.9] {
-            let t = atpm_graph::quantize_prob(p);
-            let live = (0..50_000u32).filter(|&e| r.is_live_q(e, t)).count();
+            let t = quantize_prob(p);
+            let live = (0..50_000u32).filter(|&e| r.is_live(e, t)).count();
             let rate = live as f64 / 50_000.0;
             assert!((rate - p as f64).abs() < 0.01, "p = {p}: live rate {rate}");
         }

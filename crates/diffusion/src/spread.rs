@@ -10,7 +10,7 @@
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
-use atpm_graph::{GraphView, Node};
+use atpm_graph::{threshold_prob, GraphView, Node};
 use atpm_obs::{tracer, Counter, Histogram};
 use atpm_ris::workspace::run_sharded;
 use atpm_ris::CounterRng;
@@ -102,6 +102,8 @@ pub fn mc_spread_batched_with_engine<V: GraphView>(
 }
 
 /// Exact `E[I(S)]` by enumerating every realization of the base graph.
+/// Each edge is live with the probability its baked threshold encodes
+/// ([`threshold_prob`]), the coin the samplers and cascades flip.
 ///
 /// Works on residual views too: dead nodes neither count nor transmit.
 /// Panics if the base graph has more than [`EXACT_SPREAD_MAX_EDGES`] edges.
@@ -112,7 +114,9 @@ pub fn exact_spread<V: GraphView>(view: &V, seeds: &[Node]) -> f64 {
         m <= EXACT_SPREAD_MAX_EDGES,
         "exact_spread enumerates 2^m worlds; m = {m} is too large"
     );
-    let probs: Vec<f64> = (0..m as u32).map(|e| g.edge_prob(e) as f64).collect();
+    let probs: Vec<f64> = (0..m as u32)
+        .map(|e| threshold_prob(g.edge_threshold(e)))
+        .collect();
     let mut engine = CascadeEngine::new();
     let mut expectation = 0.0;
     for mask in 0u64..(1u64 << m) {

@@ -1,7 +1,7 @@
 //! Mutable edge accumulator that produces an immutable CSR [`Graph`].
 
 use crate::error::GraphError;
-use crate::{Graph, Node};
+use crate::{quantize_prob, Graph, Node};
 
 /// Accumulates edges and assembles the dual-CSR [`Graph`].
 ///
@@ -114,51 +114,18 @@ impl GraphBuilder {
             return Err(GraphError::TooManyEdges { edges: m as u64 });
         }
 
-        // Forward CSR (edges are already sorted by src).
-        let mut out_offsets = vec![0u64; n + 1];
+        // Forward CSR (edges are already sorted by src); the reverse side
+        // is laid out from it.
+        let mut out_lo = vec![0u32; n + 1];
         for &(src, _, _) in &merged {
-            out_offsets[src as usize + 1] += 1;
+            out_lo[src as usize + 1] += 1;
         }
         for i in 0..n {
-            out_offsets[i + 1] += out_offsets[i];
+            out_lo[i + 1] += out_lo[i];
         }
-        let mut out_targets = Vec::with_capacity(m);
-        let mut out_probs = Vec::with_capacity(m);
-        for &(_, dst, p) in &merged {
-            out_targets.push(dst);
-            out_probs.push(p);
-        }
-
-        // Reverse CSR, carrying forward edge ids.
-        let mut in_offsets = vec![0u64; n + 1];
-        for &(_, dst, _) in &merged {
-            in_offsets[dst as usize + 1] += 1;
-        }
-        for i in 0..n {
-            in_offsets[i + 1] += in_offsets[i];
-        }
-        let mut cursor: Vec<u64> = in_offsets[..n].to_vec();
-        let mut in_sources = vec![0 as Node; m];
-        let mut in_probs = vec![0f32; m];
-        let mut in_edge_ids = vec![0u32; m];
-        for (e, &(src, dst, p)) in merged.iter().enumerate() {
-            let slot = cursor[dst as usize] as usize;
-            cursor[dst as usize] += 1;
-            in_sources[slot] = src;
-            in_probs[slot] = p;
-            in_edge_ids[slot] = e as u32;
-        }
-
-        Ok(Graph::from_parts(
-            n,
-            out_offsets.into_boxed_slice(),
-            out_targets.into_boxed_slice(),
-            out_probs.into_boxed_slice(),
-            in_offsets.into_boxed_slice(),
-            in_sources.into_boxed_slice(),
-            in_probs.into_boxed_slice(),
-            in_edge_ids.into_boxed_slice(),
-        ))
+        let targets = merged.iter().map(|&(_, dst, _)| dst).collect();
+        let thresholds = merged.iter().map(|&(_, _, p)| quantize_prob(p)).collect();
+        Ok(Graph::from_forward(&out_lo, targets, thresholds))
     }
 }
 
@@ -211,9 +178,10 @@ mod tests {
         b.add_edge(0, 1, 0.5).unwrap();
         let g = b.build();
         assert_eq!(g.num_edges(), 1);
-        let (_, probs, _) = g.out_slice(0);
-        assert!(
-            (probs[0] - 0.75).abs() < 1e-6,
+        let (_, thresholds) = g.out_slice(0);
+        assert_eq!(
+            thresholds,
+            &[quantize_prob(0.75)],
             "noisy-or of two 0.5s is 0.75"
         );
     }

@@ -128,25 +128,24 @@ fn uniform_thr(thresholds: &[u32]) -> u32 {
 }
 
 /// Bakes the packed per-node [`SampleMeta`] array for one CSR direction
-/// (`n + 1` records, sentinel last). `offsets` is the direction's offset
-/// array, `thresholds` its per-edge quantized coins — the in-side feeds
-/// the reverse samplers, the out-side forward cascades; the two share
+/// (`n + 1` records, sentinel last). `lo` holds the direction's `n + 1`
+/// span starts, `thresholds` its per-edge quantized coins — the in-side
+/// feeds the reverse samplers, the out-side forward cascades; the two share
 /// every constant and derived quantity (`skip_inv`, `uniform_thr`, the
 /// whole-span rejection probability) by construction.
-fn bake_meta(offsets: &[u64], thresholds: &[u32]) -> Box<[SampleMeta]> {
-    let n = offsets.len() - 1;
+fn bake_meta(lo: &[u32], thresholds: &[u32]) -> Box<[SampleMeta]> {
+    let n = lo.len() - 1;
     (0..=n)
         .map(|v| {
             if v == n {
                 // Sentinel: its `lo` closes node n-1's span.
                 return SampleMeta {
-                    lo: offsets[n] as u32,
+                    lo: lo[n],
                     thr: 0,
                     inv: f64::NAN,
                 };
             }
-            let (lo, hi) = (offsets[v] as usize, offsets[v + 1] as usize);
-            let span = &thresholds[lo..hi];
+            let span = &thresholds[lo[v] as usize..lo[v + 1] as usize];
             let inv = skip_inv(span);
             let thr = if inv < 0.0 {
                 let q = threshold_prob(span[0]);
@@ -155,7 +154,7 @@ fn bake_meta(offsets: &[u64], thresholds: &[u32]) -> Box<[SampleMeta]> {
                 uniform_thr(span)
             };
             SampleMeta {
-                lo: lo as u32,
+                lo: lo[v],
                 thr,
                 inv,
             }
@@ -167,73 +166,68 @@ fn bake_meta(offsets: &[u64], thresholds: &[u32]) -> Box<[SampleMeta]> {
 ///
 /// Both the forward (out-edge) and reverse (in-edge) adjacency are stored so
 /// that forward cascades (out-edges) and reverse-reachability sampling
-/// (in-edges) are both cache-friendly linear scans.
+/// (in-edges) are both cache-friendly linear scans. Each direction is three
+/// arrays — neighbours, baked `u32` coin thresholds ([`quantize_prob`]) and
+/// the packed [`SampleMeta`] records whose `lo` fields delimit the spans —
+/// six in all, and each fact is stored once: a float probability is derived
+/// on demand with [`threshold_prob`].
 ///
-/// Every directed edge has a stable id: its position in the forward CSR. The
-/// reverse CSR carries the same ids (`in_edge_ids`) so a *realization* — a
-/// deterministic coin per edge id — is observed consistently no matter which
-/// direction the edge is traversed from.
+/// Every directed edge has a stable id: its position in the forward CSR. A
+/// *realization* flips one deterministic coin per edge id; cascades only
+/// traverse out-edges, so the reverse side carries no ids.
 #[derive(Clone)]
 pub struct Graph {
     n: usize,
-    // Forward CSR.
-    out_offsets: Box<[u64]>,
     out_targets: Box<[Node]>,
-    out_probs: Box<[f32]>,
-    // Reverse CSR.
-    in_offsets: Box<[u64]>,
-    in_sources: Box<[Node]>,
-    in_probs: Box<[f32]>,
-    in_edge_ids: Box<[Edge]>,
-    // Baked sampling view: integer coin thresholds parallel to each CSR
-    // direction, plus the packed per-node metadata records (span start,
-    // uniform threshold, geometric-skip constant; `n + 1` entries each,
-    // see [`SampleMeta`]) — the in-side for reverse-reachability sampling,
-    // the out-side for forward cascades. Derived from the probabilities at
-    // build time, rebuilt by `map_probs`.
     out_thresholds: Box<[u32]>,
+    out_meta: Box<[SampleMeta]>,
+    in_sources: Box<[Node]>,
     in_thresholds: Box<[u32]>,
     in_meta: Box<[SampleMeta]>,
-    out_meta: Box<[SampleMeta]>,
 }
 
 impl Graph {
-    /// Assembles a graph from pre-validated CSR parts. Internal; use
-    /// [`crate::GraphBuilder`] instead.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn from_parts(
-        n: usize,
-        out_offsets: Box<[u64]>,
+    /// Assembles a graph from its forward CSR: `out_lo` holds the `n + 1`
+    /// span starts, `out_targets`/`out_thresholds` the edges in edge-id
+    /// order. Lays out the reverse CSR (a stable counting sort on target,
+    /// so each in-span lists its sources in ascending order) and bakes both
+    /// sampling views. Internal; use [`crate::GraphBuilder`] instead.
+    pub(crate) fn from_forward(
+        out_lo: &[u32],
         out_targets: Box<[Node]>,
-        out_probs: Box<[f32]>,
-        in_offsets: Box<[u64]>,
-        in_sources: Box<[Node]>,
-        in_probs: Box<[f32]>,
-        in_edge_ids: Box<[Edge]>,
+        out_thresholds: Box<[u32]>,
     ) -> Self {
-        debug_assert_eq!(out_offsets.len(), n + 1);
-        debug_assert_eq!(in_offsets.len(), n + 1);
-        debug_assert_eq!(out_targets.len(), out_probs.len());
-        debug_assert_eq!(in_sources.len(), in_probs.len());
-        debug_assert_eq!(in_sources.len(), in_edge_ids.len());
-        debug_assert_eq!(out_targets.len(), in_sources.len());
-        let out_thresholds: Box<[u32]> = out_probs.iter().map(|&p| quantize_prob(p)).collect();
-        let in_thresholds: Box<[u32]> = in_probs.iter().map(|&p| quantize_prob(p)).collect();
-        let in_meta = bake_meta(&in_offsets, &in_thresholds);
-        let out_meta = bake_meta(&out_offsets, &out_thresholds);
+        let n = out_lo.len() - 1;
+        let m = out_targets.len();
+        debug_assert_eq!(out_thresholds.len(), m);
+        debug_assert_eq!(out_lo[n] as usize, m);
+        let mut in_lo = vec![0u32; n + 1];
+        for &v in out_targets.iter() {
+            in_lo[v as usize + 1] += 1;
+        }
+        for i in 0..n {
+            in_lo[i + 1] += in_lo[i];
+        }
+        let mut cursor = in_lo[..n].to_vec();
+        let mut in_sources = vec![0 as Node; m].into_boxed_slice();
+        let mut in_thresholds = vec![0u32; m].into_boxed_slice();
+        for u in 0..n {
+            for e in out_lo[u] as usize..out_lo[u + 1] as usize {
+                let v = out_targets[e] as usize;
+                let slot = cursor[v] as usize;
+                cursor[v] += 1;
+                in_sources[slot] = u as Node;
+                in_thresholds[slot] = out_thresholds[e];
+            }
+        }
         Graph {
             n,
-            out_offsets,
+            out_meta: bake_meta(out_lo, &out_thresholds),
             out_targets,
-            out_probs,
-            in_offsets,
-            in_sources,
-            in_probs,
-            in_edge_ids,
             out_thresholds,
+            in_meta: bake_meta(&in_lo, &in_thresholds),
+            in_sources,
             in_thresholds,
-            in_meta,
-            out_meta,
         }
     }
 
@@ -252,59 +246,29 @@ impl Graph {
     /// Out-degree of `u`.
     #[inline]
     pub fn out_degree(&self, u: Node) -> usize {
-        let u = u as usize;
-        (self.out_offsets[u + 1] - self.out_offsets[u]) as usize
+        span(&self.out_meta, u).len()
     }
 
     /// In-degree of `v`.
     #[inline]
     pub fn in_degree(&self, v: Node) -> usize {
-        let v = v as usize;
-        (self.in_offsets[v + 1] - self.in_offsets[v]) as usize
+        span(&self.in_meta, v).len()
     }
 
-    /// Out-neighbours of `u` with probabilities and edge ids.
-    ///
-    /// Edge ids for out-edges of `u` are contiguous: `out_range(u)`.
+    /// Out-neighbours of `u` with their baked thresholds. The out-edges of
+    /// `u` carry the contiguous edge ids starting at
+    /// [`out_meta(u).lo`](Self::out_meta).
     #[inline]
-    pub fn out_slice(&self, u: Node) -> (&[Node], &[f32], std::ops::Range<u32>) {
-        let u = u as usize;
-        let lo = self.out_offsets[u] as usize;
-        let hi = self.out_offsets[u + 1] as usize;
-        (
-            &self.out_targets[lo..hi],
-            &self.out_probs[lo..hi],
-            lo as u32..hi as u32,
-        )
+    pub fn out_slice(&self, u: Node) -> (&[Node], &[u32]) {
+        let r = span(&self.out_meta, u);
+        (&self.out_targets[r.clone()], &self.out_thresholds[r])
     }
 
-    /// In-neighbours of `v` with probabilities and (forward) edge ids.
+    /// In-neighbours of `v` with their baked thresholds.
     #[inline]
-    pub fn in_slice(&self, v: Node) -> (&[Node], &[f32], &[Edge]) {
-        let v = v as usize;
-        let lo = self.in_offsets[v] as usize;
-        let hi = self.in_offsets[v + 1] as usize;
-        (
-            &self.in_sources[lo..hi],
-            &self.in_probs[lo..hi],
-            &self.in_edge_ids[lo..hi],
-        )
-    }
-
-    /// Baked integer thresholds of `v`'s in-edges, parallel to the sources
-    /// slice of [`in_slice`](Self::in_slice).
-    #[inline]
-    pub fn in_thresholds(&self, v: Node) -> &[u32] {
-        let v = v as usize;
-        &self.in_thresholds[self.in_offsets[v] as usize..self.in_offsets[v + 1] as usize]
-    }
-
-    /// Baked integer thresholds of `u`'s out-edges, parallel to the targets
-    /// slice of [`out_slice`](Self::out_slice).
-    #[inline]
-    pub fn out_thresholds(&self, u: Node) -> &[u32] {
-        let u = u as usize;
-        &self.out_thresholds[self.out_offsets[u] as usize..self.out_offsets[u + 1] as usize]
+    pub fn in_slice(&self, v: Node) -> (&[Node], &[u32]) {
+        let r = span(&self.in_meta, v);
+        (&self.in_sources[r.clone()], &self.in_thresholds[r])
     }
 
     /// Geometric-skip constant of `v`'s in-neighborhood: `1 / ln(1 − q)`
@@ -356,12 +320,6 @@ impl Graph {
         (&self.out_meta, &self.out_targets, &self.out_thresholds)
     }
 
-    /// Probability of edge `e` (by forward edge id).
-    #[inline]
-    pub fn edge_prob(&self, e: Edge) -> f32 {
-        self.out_probs[e as usize]
-    }
-
     /// Baked integer threshold of edge `e` (by forward edge id) — the exact
     /// coin forward cascades and reverse sampling share.
     #[inline]
@@ -369,31 +327,23 @@ impl Graph {
         self.out_thresholds[e as usize]
     }
 
-    /// Target node of edge `e` (by forward edge id).
-    #[inline]
-    pub fn edge_target(&self, e: Edge) -> Node {
-        self.out_targets[e as usize]
-    }
-
-    /// Source node of edge `e`, recovered by binary search on the offset
-    /// array. O(log n); intended for tests and diagnostics, not hot loops.
-    pub fn edge_source(&self, e: Edge) -> Node {
-        let e = e as u64;
-        debug_assert!((e as usize) < self.num_edges());
-        // partition_point returns the first u with out_offsets[u] > e; the
-        // source is that index minus one.
-        let idx = self.out_offsets.partition_point(|&off| off <= e);
-        (idx - 1) as Node
-    }
-
-    /// Iterates all edges as `(src, dst, prob)` in edge-id order.
+    /// Iterates all edges as `(src, dst, prob)` in edge-id order. `prob` is
+    /// the baked threshold's probability narrowed to `f32`, which
+    /// [`quantize_prob`] maps back to the same threshold, so feeding these
+    /// triples to a [`crate::GraphBuilder`] rebuilds the same graph. A
+    /// threshold of 0 (a probability below `2^-33`) reads as the smallest
+    /// positive `f32`, which the builder accepts and quantizes back to 0.
     pub fn edges(&self) -> impl Iterator<Item = (Node, Node, f32)> + '_ {
         (0..self.n as Node).flat_map(move |u| {
-            let (targets, probs, _) = self.out_slice(u);
-            targets
-                .iter()
-                .zip(probs.iter())
-                .map(move |(&v, &p)| (u, v, p))
+            let (targets, thresholds) = self.out_slice(u);
+            targets.iter().zip(thresholds).map(move |(&v, &t)| {
+                let p = if t == 0 {
+                    f32::MIN_POSITIVE
+                } else {
+                    threshold_prob(t) as f32
+                };
+                (u, v, p)
+            })
         })
     }
 
@@ -407,49 +357,32 @@ impl Graph {
     }
 
     /// Returns a copy of this graph with every edge probability replaced by
-    /// the output of `f(src, dst, old_prob)`. Both CSR directions are kept
-    /// consistent. Used by the weighting schemes.
+    /// the output of `f(src, dst, old_prob)` (`old_prob` as
+    /// [`edges`](Self::edges) reports it). Used by the weighting schemes.
     pub fn map_probs(&self, mut f: impl FnMut(Node, Node, f32) -> f32) -> Graph {
-        // Rebuild forward probs in edge-id order.
-        let mut out_probs = self.out_probs.to_vec();
-        for u in 0..self.n as Node {
-            let (targets, _, range) = self.out_slice(u);
-            for (i, &v) in targets.iter().enumerate() {
-                let e = range.start as usize + i;
-                out_probs[e] = f(u, v, out_probs[e]);
-            }
-        }
-        // Mirror into the reverse CSR via edge ids.
-        let mut in_probs = vec![0f32; self.in_probs.len()];
-        for (slot, &e) in self.in_edge_ids.iter().enumerate() {
-            in_probs[slot] = out_probs[e as usize];
-        }
-        // Reassemble through `from_parts` so the baked thresholds and skip
-        // constants are rebuilt for the new probabilities; only the
-        // structural arrays it consumes are cloned (the derived threshold
-        // and metadata arrays would be recomputed and thrown away).
-        Graph::from_parts(
-            self.n,
-            self.out_offsets.clone(),
-            self.out_targets.clone(),
-            out_probs.into_boxed_slice(),
-            self.in_offsets.clone(),
-            self.in_sources.clone(),
-            in_probs.into_boxed_slice(),
-            self.in_edge_ids.clone(),
-        )
+        let out_lo: Vec<u32> = self.out_meta.iter().map(|m| m.lo).collect();
+        let thresholds = self
+            .edges()
+            .map(|(u, v, p)| quantize_prob(f(u, v, p)))
+            .collect();
+        Graph::from_forward(&out_lo, self.out_targets.clone(), thresholds)
     }
 
     /// Heap footprint in bytes: every CSR array at its exact length,
-    /// `28m + 48(n + 1)` in all. The serve layer's snapshot budget charges
+    /// `16m + 32(n + 1)` in all. The serve layer's snapshot budget charges
     /// it.
     pub fn heap_bytes(&self) -> usize {
         let m = self.num_edges();
-        (self.n + 1) * 8 * 2 // two offset arrays
-            + m * (4 + 4 + 4) // out targets + probs + thresholds
-            + m * (4 + 4 + 4 + 4) // in sources + probs + edge ids + thresholds
-            + (self.n + 1) * 2 * std::mem::size_of::<SampleMeta>() // packed sampling records, both directions
+        2 * m * (std::mem::size_of::<Node>() + std::mem::size_of::<u32>()) // neighbours + thresholds, both directions
+            + 2 * (self.n + 1) * std::mem::size_of::<SampleMeta>() // packed sampling records, both directions
     }
+}
+
+/// The edge slots of node `v`'s span in one direction: `meta[v].lo` up to
+/// the next record's `lo` (the sentinel closes the last span).
+#[inline]
+fn span(meta: &[SampleMeta], v: Node) -> std::ops::Range<usize> {
+    meta[v as usize].lo as usize..meta[v as usize + 1].lo as usize
 }
 
 impl std::fmt::Debug for Graph {
@@ -487,41 +420,87 @@ mod tests {
         assert!((g.avg_out_degree() - 1.0).abs() < 1e-12);
     }
 
-    #[test]
-    fn forward_and_reverse_agree_via_edge_ids() {
-        let g = diamond();
-        for v in 0..4u32 {
-            let (sources, probs, ids) = g.in_slice(v);
-            for i in 0..sources.len() {
-                let e = ids[i];
-                assert_eq!(g.edge_target(e), v);
-                assert_eq!(g.edge_source(e), sources[i]);
-                assert_eq!(g.edge_prob(e), probs[i]);
+    /// Every in-edge `u -> v` carries the threshold of the forward edge
+    /// with the same endpoints, looked up by its edge id.
+    fn assert_reverse_mirrors_forward(g: &crate::Graph) {
+        for v in 0..g.num_nodes() as u32 {
+            let (sources, thr) = g.in_slice(v);
+            for (&u, &t) in sources.iter().zip(thr) {
+                let (targets, _) = g.out_slice(u);
+                let i = targets.iter().position(|&w| w == v).unwrap();
+                let e = g.out_meta(u).lo + i as u32;
+                assert_eq!(t, g.edge_threshold(e), "edge {u} -> {v}");
             }
         }
     }
 
     #[test]
-    fn edge_source_binary_search_covers_all_edges() {
+    fn forward_and_reverse_agree_via_edge_ids() {
         let g = diamond();
-        let mut listed: Vec<(u32, u32)> = g.edges().map(|(u, v, _)| (u, v)).collect();
-        listed.sort_unstable();
-        let mut via_ids: Vec<(u32, u32)> = (0..g.num_edges() as u32)
-            .map(|e| (g.edge_source(e), g.edge_target(e)))
+        assert_reverse_mirrors_forward(&g);
+        let (sources, thr) = g.in_slice(3);
+        assert_eq!(sources, &[1, 2]);
+        assert_eq!(
+            thr,
+            &[super::quantize_prob(1.0), super::quantize_prob(0.75)]
+        );
+    }
+
+    #[test]
+    fn thresholds_mirror_probs_in_both_directions() {
+        let g = diamond();
+        let mut in_edges = Vec::new();
+        for v in 0..4u32 {
+            let (sources, thr) = g.in_slice(v);
+            in_edges.extend(sources.iter().zip(thr).map(|(&u, &t)| (u, v, t)));
+        }
+        in_edges.sort_unstable();
+        let from_probs: Vec<_> = g
+            .edges()
+            .map(|(u, v, p)| (u, v, super::quantize_prob(p)))
             .collect();
-        via_ids.sort_unstable();
-        assert_eq!(listed, via_ids);
+        assert_eq!(from_probs, in_edges);
+        for (e, (_, _, t)) in from_probs.iter().enumerate() {
+            assert_eq!(*t, g.edge_threshold(e as u32));
+        }
+    }
+
+    #[test]
+    fn edges_rebuild_the_same_graph() {
+        let mut b = GraphBuilder::new(3);
+        b.add_edge(0, 1, 1e-6).unwrap();
+        b.add_edge(1, 2, 1e-12).unwrap(); // below 2^-33: threshold 0
+        b.add_edge(2, 0, 0.3).unwrap();
+        let g = b.build();
+        let mut b2 = GraphBuilder::new(3);
+        for (u, v, p) in g.edges() {
+            b2.add_edge(u, v, p).unwrap();
+        }
+        let g2 = b2.build();
+        for u in 0..3 {
+            assert_eq!(g.out_slice(u), g2.out_slice(u));
+            assert_eq!(g.in_slice(u), g2.in_slice(u));
+        }
+        assert_eq!(g.out_slice(1).1, &[0]);
     }
 
     #[test]
     fn map_probs_updates_both_directions() {
+        let g = diamond().map_probs(|_, _, p| p / 2.0);
+        assert_reverse_mirrors_forward(&g);
+    }
+
+    #[test]
+    fn map_probs_rebakes_thresholds() {
+        use super::{quantize_prob, threshold_prob};
         let g = diamond();
         let g2 = g.map_probs(|_, _, p| p / 2.0);
-        for v in 0..4u32 {
-            let (_, probs, ids) = g2.in_slice(v);
-            for i in 0..probs.len() {
-                assert_eq!(probs[i], g2.edge_prob(ids[i]));
-                assert_eq!(probs[i], g.edge_prob(ids[i]) / 2.0);
+        for u in 0..4u32 {
+            let (targets, thr) = g.out_slice(u);
+            let (targets2, thr2) = g2.out_slice(u);
+            assert_eq!(targets, targets2);
+            for (&t, &t2) in thr.iter().zip(thr2) {
+                assert_eq!(t2, quantize_prob(threshold_prob(t) as f32 / 2.0));
             }
         }
     }
@@ -559,32 +538,6 @@ mod tests {
                 (q - p as f64).abs() <= 1.0 / 4_294_967_296.0,
                 "p {p}: quantized to {q}"
             );
-        }
-    }
-
-    #[test]
-    fn thresholds_mirror_probs_in_both_directions() {
-        let g = diamond();
-        for v in 0..4u32 {
-            let (_, probs, ids) = g.in_slice(v);
-            let thr = g.in_thresholds(v);
-            assert_eq!(thr.len(), probs.len());
-            for i in 0..probs.len() {
-                assert_eq!(thr[i], super::quantize_prob(probs[i]));
-                assert_eq!(thr[i], g.edge_threshold(ids[i]), "forward CSR agrees");
-            }
-        }
-    }
-
-    #[test]
-    fn map_probs_rebakes_thresholds() {
-        let g = diamond().map_probs(|_, _, p| p / 2.0);
-        for v in 0..4u32 {
-            let (_, probs, _) = g.in_slice(v);
-            let thr = g.in_thresholds(v);
-            for i in 0..probs.len() {
-                assert_eq!(thr[i], super::quantize_prob(probs[i]));
-            }
         }
     }
 

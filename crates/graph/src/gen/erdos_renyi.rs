@@ -78,7 +78,7 @@ mod tests {
         assert_eq!(g.num_edges(), 200);
         // symmetric adjacency
         for (u, v, _) in g.edges() {
-            let (targets, _, _) = g.out_slice(v);
+            let (targets, _) = g.out_slice(v);
             assert!(targets.contains(&u), "missing reverse arc {v}->{u}");
         }
     }

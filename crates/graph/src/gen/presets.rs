@@ -200,7 +200,7 @@ mod tests {
         // Directed: adjacency not symmetric in general.
         let mut asymmetric = false;
         'outer: for (u, v, _) in g.edges() {
-            let (back, _, _) = g.out_slice(v);
+            let (back, _) = g.out_slice(v);
             if !back.contains(&u) {
                 asymmetric = true;
                 break 'outer;
@@ -220,12 +220,13 @@ mod tests {
     fn weights_are_weighted_cascade() {
         let g = Dataset::NetHept.generate(0.05, 3);
         for v in 0..g.num_nodes() as u32 {
-            let (_, probs, _) = g.in_slice(v);
-            let d = probs.len();
-            for &p in probs {
-                assert!(
-                    (p - 1.0 / d as f32).abs() < 1e-6,
-                    "node {v} indeg {d}: prob {p}"
+            let (_, thresholds) = g.in_slice(v);
+            let d = thresholds.len();
+            for &t in thresholds {
+                assert_eq!(
+                    t,
+                    crate::quantize_prob(1.0 / d as f32),
+                    "node {v} indeg {d}"
                 );
             }
         }

@@ -172,7 +172,18 @@ pub fn read_binary<R: Read>(reader: R) -> Result<Graph, GraphError> {
 /// Loads a graph from `path`, sniffing the format: files starting with the
 /// `ATPMGRF1` magic are read as [`read_binary`], everything else as a text
 /// edge list (`n` inferred, `default_prob` for two-column lines, directed).
+///
+/// Anything but a regular file is refused before it is opened: a device
+/// such as `/dev/zero` would feed the text reader one endless line, and
+/// opening a FIFO blocks until a writer appears.
 pub fn load_auto<P: AsRef<Path>>(path: P, default_prob: f32) -> Result<Graph, GraphError> {
+    let path = path.as_ref();
+    if !std::fs::metadata(path)?.is_file() {
+        return Err(GraphError::Format(format!(
+            "{} is not a regular file",
+            path.display()
+        )));
+    }
     let mut file = BufReader::new(std::fs::File::open(path)?);
     let head = file.fill_buf()?;
     if head.starts_with(MAGIC) {
@@ -321,6 +332,19 @@ mod tests {
         assert_eq!(edges_of(&g), edges_of(&from_txt));
         let _ = std::fs::remove_file(bin_path);
         let _ = std::fs::remove_file(txt_path);
+    }
+
+    #[test]
+    fn load_auto_refuses_what_is_not_a_regular_file() {
+        for path in [Path::new("/dev/zero"), &std::env::temp_dir()] {
+            match load_auto(path, 0.1) {
+                Err(GraphError::Format(msg)) => {
+                    assert!(msg.contains(&*path.to_string_lossy()), "{msg}");
+                    assert!(msg.contains("not a regular file"), "{msg}");
+                }
+                other => panic!("{}: expected a format error, got {other:?}", path.display()),
+            }
+        }
     }
 
     #[test]

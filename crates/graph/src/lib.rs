@@ -9,12 +9,13 @@
 //!
 //! * [`Graph`] — an immutable compressed-sparse-row (CSR) representation with
 //!   both forward (out-edge) and reverse (in-edge) adjacency, built once via
-//!   [`GraphBuilder`]. Every build also bakes the *integer sampling view*:
-//!   per-edge `u32` coin thresholds ([`quantize_prob`]) in both CSR
-//!   directions and packed per-node [`SampleMeta`] records (span start,
-//!   uniform threshold, geometric-skip constant) on both sides — the
-//!   in-side drives the RIS samplers, the out-side forward cascades, all
-//!   through [`SampleView`];
+//!   [`GraphBuilder`]. It holds six arrays, three per direction: the
+//!   neighbours, the per-edge `u32` coin thresholds ([`quantize_prob`]) and
+//!   the packed per-node [`SampleMeta`] records (span start, uniform
+//!   threshold, geometric-skip constant). The threshold is the only stored
+//!   form of an edge probability ([`threshold_prob`] derives the float) and
+//!   the reverse side carries no edge ids. The in-side drives the RIS
+//!   samplers, the out-side forward cascades, all through [`SampleView`];
 //! * [`ResidualGraph`] — a cheap *view* over a base graph with an alive-node
 //!   bitmask, used by the adaptive algorithms to remove activated nodes after
 //!   each observation without copying the graph;
@@ -70,6 +71,6 @@ pub use weights::WeightingScheme;
 pub type Node = u32;
 
 /// Edge identifier: the position of a directed edge in the forward CSR
-/// (`0..m`). Realizations flip one deterministic coin per [`Edge`], so the
-/// same possible world is observed consistently from both endpoints.
+/// (`0..m`). Realizations flip one deterministic coin per [`Edge`], so every
+/// observation of one possible world agrees.
 pub type Edge = u32;

@@ -34,17 +34,17 @@ pub trait GraphView {
     /// Whether `u` is still present in this view.
     fn is_alive(&self, u: Node) -> bool;
 
-    /// Out-neighbours of `u` in the base graph: `(targets, probs, edge-id range)`.
+    /// Out-neighbours of `u` in the base graph: `(targets, thresholds)`.
     /// Callers must filter targets through [`is_alive`](Self::is_alive).
     #[inline]
-    fn out_slice(&self, u: Node) -> (&[Node], &[f32], std::ops::Range<u32>) {
+    fn out_slice(&self, u: Node) -> (&[Node], &[u32]) {
         self.base().out_slice(u)
     }
 
-    /// In-neighbours of `v` in the base graph: `(sources, probs, edge ids)`.
+    /// In-neighbours of `v` in the base graph: `(sources, thresholds)`.
     /// Callers must filter sources through [`is_alive`](Self::is_alive).
     #[inline]
-    fn in_slice(&self, v: Node) -> (&[Node], &[f32], &[crate::Edge]) {
+    fn in_slice(&self, v: Node) -> (&[Node], &[u32]) {
         self.base().in_slice(v)
     }
 
@@ -70,8 +70,8 @@ pub trait GraphView {
 }
 
 /// A frozen, `Copy` sampling view over a [`GraphView`]: the base graph's
-/// CSR arrays (probabilities pre-baked to `u32` thresholds at graph build
-/// time) plus the optional alive bitmask of a residual view.
+/// CSR arrays (neighbours, baked `u32` thresholds and packed records) plus
+/// the optional alive bitmask of a residual view.
 ///
 /// This is what the reverse-BFS inner loop actually traverses — building it
 /// per sample is free (two pointers), and it keeps the hot loop monomorphic
@@ -576,12 +576,12 @@ mod tests {
         let g = b.build();
         let sv = g.sample_view();
         for u in 0..5u32 {
-            let (targets, _, range) = g.out_slice(u);
+            let (targets, thresholds) = g.out_slice(u);
             let (lo, hi, _, _) = sv.out_meta(u);
-            assert_eq!(lo, range.start as usize, "node {u}");
-            assert_eq!(hi, range.end as usize, "node {u}");
+            assert_eq!(lo, g.out_meta(u).lo as usize, "node {u}");
+            assert_eq!(hi - lo, g.out_degree(u), "node {u}");
             assert_eq!(sv.targets(lo, hi), targets, "node {u}");
-            assert_eq!(sv.out_thresholds(lo, hi), g.out_thresholds(u));
+            assert_eq!(sv.out_thresholds(lo, hi), thresholds);
             // Slot i of the span is forward edge id lo + i.
             for (i, &t) in sv.out_thresholds(lo, hi).iter().enumerate() {
                 assert_eq!(t, g.edge_threshold((lo + i) as u32));

@@ -51,7 +51,7 @@ impl WeightingScheme {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::GraphBuilder;
+    use crate::{quantize_prob, GraphBuilder};
 
     fn star_into_center() -> Graph {
         // 4 spokes all pointing at node 0.
@@ -65,14 +65,12 @@ mod tests {
     #[test]
     fn weighted_cascade_uses_in_degree() {
         let g = WeightingScheme::WeightedCascade.apply(&star_into_center());
-        let (_, probs, _) = g.in_slice(0);
-        assert_eq!(probs.len(), 4);
-        for &p in probs {
-            assert!(
-                (p - 0.25).abs() < 1e-6,
-                "indeg 4 should give p = 1/4, got {p}"
-            );
-        }
+        let (_, thresholds) = g.in_slice(0);
+        assert_eq!(
+            thresholds,
+            &[quantize_prob(1.0 / 4.0); 4],
+            "indeg 4 gives p = 1/4"
+        );
     }
 
     #[test]
@@ -80,8 +78,8 @@ mod tests {
         let mut b = GraphBuilder::new(2);
         b.add_edge(0, 1, 0.5).unwrap();
         let g = WeightingScheme::WeightedCascade.apply(&b.build());
-        let (_, probs, _) = g.in_slice(1);
-        assert_eq!(probs, &[1.0]);
+        let (_, thresholds) = g.in_slice(1);
+        assert_eq!(thresholds, &[quantize_prob(1.0)]);
     }
 
     #[test]
@@ -103,11 +101,12 @@ mod tests {
         let base = star_into_center();
         let g1 = WeightingScheme::Trivalency { seed: 7 }.apply(&base);
         let g2 = WeightingScheme::Trivalency { seed: 7 }.apply(&base);
-        let p1: Vec<f32> = g1.edges().map(|(_, _, p)| p).collect();
-        let p2: Vec<f32> = g2.edges().map(|(_, _, p)| p).collect();
-        assert_eq!(p1, p2);
-        for p in p1 {
-            assert!([0.1, 0.01, 0.001].contains(&p));
+        let t1: Vec<u32> = (0..5).flat_map(|u| g1.out_slice(u).1.to_vec()).collect();
+        let t2: Vec<u32> = (0..5).flat_map(|u| g2.out_slice(u).1.to_vec()).collect();
+        assert_eq!(t1, t2);
+        let levels = [0.1, 0.01, 0.001].map(quantize_prob);
+        for t in t1 {
+            assert!(levels.contains(&t));
         }
     }
 }

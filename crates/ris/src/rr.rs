@@ -12,11 +12,11 @@
 //!
 //! The pre-refactor per-coin loop survives as
 //! [`sample_into_percoin`](RrSampler::sample_into_percoin): it draws one
-//! `f32` per in-edge and compares against the float probability, and the
+//! `f32` per in-edge and compares it against the edge's probability, and the
 //! statistical-equivalence suite (`tests/sampling_equivalence.rs`) pins the
 //! fast paths against it as the distribution oracle.
 
-use atpm_graph::{threshold_accept, GraphView, Node, SampleView};
+use atpm_graph::{threshold_accept, threshold_prob, GraphView, Node, SampleView};
 use rand::Rng;
 
 use crate::rng::unit_open;
@@ -259,10 +259,10 @@ impl RrSampler {
         }
     }
 
-    /// The pre-refactor sampler: one fresh `f32` coin per in-edge, compared
-    /// against the float probability. Kept as the statistical oracle the
-    /// equivalence suite pins [`sample_into`](Self::sample_into) against;
-    /// not a hot path.
+    /// The pre-refactor sampler: one fresh `f32` coin `r` per in-edge,
+    /// accepted iff `r` is below the probability its baked threshold `t`
+    /// encodes. Kept as the statistical oracle the equivalence suite pins
+    /// [`sample_into`](Self::sample_into) against; not a hot path.
     pub fn sample_into_percoin<V: GraphView, R: Rng + ?Sized>(
         &mut self,
         view: &V,
@@ -280,10 +280,13 @@ impl RrSampler {
         while head < out.len() {
             let v = out[head];
             head += 1;
-            let (sources, probs, _) = view.in_slice(v);
+            let (sources, thresholds) = view.in_slice(v);
             for i in 0..sources.len() {
                 let w = sources[i];
-                if view.is_alive(w) && rng.gen::<f32>() < probs[i] && self.visit(w) {
+                if view.is_alive(w)
+                    && (rng.gen::<f32>() as f64) < threshold_prob(thresholds[i])
+                    && self.visit(w)
+                {
                     out.push(w);
                 }
             }

@@ -784,6 +784,21 @@ mod tests {
     }
 
     #[test]
+    fn snapshot_path_that_is_not_a_regular_file_is_400() {
+        let state = AppState::new();
+        let body = Json::obj([
+            ("name", Json::Str("z".into())),
+            ("path", Json::Str("/dev/zero".into())),
+            ("k", Json::Num(1.0)),
+        ]);
+        let (status, resp) = call(&state, "POST", "/snapshots", body);
+        assert_eq!(status, 400);
+        let msg = resp.get("error").unwrap().as_str().unwrap();
+        assert!(msg.contains("/dev/zero is not a regular file"), "{msg}");
+        assert_eq!(state.store.list_json(), Json::Arr(vec![]));
+    }
+
+    #[test]
     fn server_boots_and_shuts_down() {
         let mut server = Server::start(state_with_snapshot(), &ServeConfig::default()).unwrap();
         assert_ne!(server.addr().port(), 0);

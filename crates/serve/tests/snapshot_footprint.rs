@@ -2,7 +2,10 @@
 //! [`Snapshot::mem_bytes`]; that figure must be what a built snapshot
 //! actually keeps on the heap, or `--snapshot-budget` admits more (or
 //! less) than it says. The graph with its baked sampling view dominates a
-//! snapshot with a small RR index, so this pins the graph's share too.
+//! snapshot with a small RR index, so this pins the graph's share too: a
+//! graph built on its own must retain what `Graph::heap_bytes` says, and
+//! that is `16m + 32(n + 1)` — neighbours and thresholds plus one 16-byte
+//! sampling record per node, in each direction, and nothing else.
 //!
 //! A counting global allocator tracks live heap bytes; everything runs
 //! inside one `#[test]` so no concurrent test pollutes the counter.
@@ -41,6 +44,7 @@ static GLOBAL: LiveBytes = LiveBytes;
 
 #[test]
 fn mem_bytes_is_within_ten_percent_of_what_a_snapshot_retains() {
+    use atpm_graph::gen::Dataset;
     use atpm_serve::protocol::{SnapshotReq, SnapshotSource};
     use atpm_serve::snapshot::Snapshot;
 
@@ -48,6 +52,22 @@ fn mem_bytes_is_within_ten_percent_of_what_a_snapshot_retains() {
     // concurrently with the first moments of the body; let it go quiet
     // before the counting window opens.
     std::thread::sleep(std::time::Duration::from_millis(100));
+
+    let before = LIVE.load(Ordering::Relaxed);
+    let graph = Dataset::Epinions.generate(0.05, 3);
+    let held = (LIVE.load(Ordering::Relaxed) - before) as f64;
+    let (n, m) = (graph.num_nodes(), graph.num_edges());
+    assert_eq!(
+        graph.heap_bytes(),
+        16 * m + 32 * (n + 1),
+        "n = {n}, m = {m}"
+    );
+    let charged = graph.heap_bytes() as f64;
+    assert!(
+        (charged - held).abs() <= 0.01 * held,
+        "heap_bytes charges {charged} B, but the graph retains {held} B (n = {n}, m = {m})"
+    );
+    drop(graph);
 
     let req = SnapshotReq {
         name: "g".into(),
