@@ -22,9 +22,9 @@
 //! * [`process`] — `process_*` self-metrics from `/proc/self`.
 //!
 //! The serving tier renders its per-instance [`Registry`] merged with
-//! [`global()`] at `GET /metrics`; atpm-loadgen scrapes that endpoint and
-//! folds server-side histograms into its JSON report (`BENCH_serve.json`,
-//! a CI artifact, not a committed file).
+//! [`global()`] at `GET /metrics`; atpm-loadgen scrapes that endpoint,
+//! lints it, and fails its run unless the server-side request quantiles it
+//! folds into its records are positive and ordered.
 
 pub mod events;
 pub mod expo;

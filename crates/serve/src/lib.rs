@@ -33,9 +33,10 @@
 //!
 //! [`client`] provides the in-process [`client::LocalClient`] (no sockets)
 //! and the socket [`client::HttpClient`] behind one [`client::ProtocolClient`]
-//! trait; the `atpm-loadgen` binary in `atpm-bench` uses the latter to
-//! measure throughput/latency (an uncommitted `BENCH_serve.json` report;
-//! the served session's committed price is perfbench's).
+//! trait; the `atpm-loadgen` binary in `atpm-bench` uses the latter for
+//! its end-to-end drill (batch-route passes, a kill -9 crash drill and a
+//! profile window, judged in the binary; the served session's committed
+//! price is perfbench's).
 //!
 //! ## Quick start
 //!
