@@ -615,6 +615,16 @@ impl Drop for ServedChild {
     }
 }
 
+/// A crash drill's temp directory, removed with its journal on drop, so
+/// every exit from the drill takes it along, early errors included.
+struct DrillDir(PathBuf);
+
+impl Drop for DrillDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
 /// Locates the `atpm-served` binary next to the running executable:
 /// `target/<profile>/atpm-served`, one directory up when this binary runs
 /// from `target/<profile>/deps/` (as test binaries do).
@@ -734,14 +744,16 @@ fn run_crash_drill(w: &Workload, every: usize) -> Result<Record, String> {
             .map_err(|e| format!("crash drill: probe addr: {e}"))?
             .to_string()
     };
-    let dir = std::env::temp_dir().join(format!(
+    // Declared before the child: locals drop in reverse order, so the
+    // server dies before its journal directory is removed.
+    let dir = DrillDir(std::env::temp_dir().join(format!(
         "atpm-crash-drill-{}-{}",
         std::process::id(),
         DRILLS.fetch_add(1, Ordering::Relaxed)
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).map_err(|e| format!("crash drill: mkdir {dir:?}: {e}"))?;
-    let journal = dir.join("journal");
+    )));
+    let _ = std::fs::remove_dir_all(&dir.0);
+    std::fs::create_dir_all(&dir.0).map_err(|e| format!("crash drill: mkdir {:?}: {e}", dir.0))?;
+    let journal = dir.0.join("journal");
     let boot_deadline = Duration::from_secs(120);
     let mut child = spawn_served(w, &addr, &journal)?;
     wait_healthz(&addr, boot_deadline)?;
@@ -844,8 +856,6 @@ fn run_crash_drill(w: &Workload, every: usize) -> Result<Record, String> {
         recovered_sessions: recovered_total,
         srv,
     };
-    drop(child);
-    let _ = std::fs::remove_dir_all(&dir);
     Ok(record)
 }
 
@@ -874,6 +884,15 @@ mod tests {
         rr_theta: 500,
         ..FIXED
     };
+
+    #[test]
+    fn a_drill_dir_removes_itself_and_its_journal_on_drop() {
+        let path = std::env::temp_dir().join(format!("atpm-drill-dir-{}", std::process::id()));
+        std::fs::create_dir_all(&path).unwrap();
+        std::fs::write(path.join("journal"), b"ATPMJNL2").unwrap();
+        drop(DrillDir(path.clone()));
+        assert!(!path.exists(), "{path:?} outlived its guard");
+    }
 
     #[test]
     fn parse_defaults_and_flags() {

@@ -14,9 +14,10 @@
 //!        --journal PATH        append-only session journal, replayed
 //!                              (checkpoint + tail) on restart (default: none)
 //!        --fsync POLICY        journal durability: shutdown | group:MS |
-//!                              always (default group:5 — appends batch
-//!                              behind a shared fsync barrier with a 5 ms
-//!                              latency window)
+//!                              always (default group:5). group and always
+//!                              are one group commit: a reply waits for one
+//!                              fsync, shared by the commits that arrived
+//!                              meanwhile; MS adds no delay
 //!        --checkpoint-every S  checkpoint live sessions + rotate the
 //!                              journal every S seconds; 0 disables
 //!                              (default 300)

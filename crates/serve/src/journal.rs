@@ -37,16 +37,19 @@
 //! `next`/`observe` records, `ATPMCKP1` checkpoints — are refused the same
 //! way and never rewritten.
 //!
-//! ## Durability: group-commit fsync
+//! ## Durability: self-clocking group commit
 //!
 //! [`FsyncPolicy`] decides when appended records become *durable* (past
 //! the kernel's page cache). `shutdown` defers the barrier to graceful
-//! shutdown (a power loss can lose the whole run); `always` fsyncs behind
-//! every record; `group:MS` batches concurrent appends behind one barrier
-//! with a bounded-latency window — the first committer becomes the leader,
-//! sleeps `MS`, issues one fsync for everything appended meanwhile, and
-//! wakes the group. [`Journal::commit`] blocks until the caller's record
-//! is durable, so a reply is never sent for a record a crash could lose.
+//! shutdown (a power loss can lose the whole run). `always` and `group:MS`
+//! share one self-clocking barrier: a committer that finds no fsync in
+//! flight becomes the leader and fsyncs at once; committers that arrive
+//! during that fsync park, and the next leader's single fsync covers every
+//! record appended by then. The fsync runs outside the segment lock, so
+//! appends keep landing while it is in flight: the batch is whatever
+//! arrived during the previous barrier, with no timer and no added delay.
+//! [`Journal::commit`] blocks until the caller's record is durable, so a
+//! reply is never sent for a record a crash could lose.
 //!
 //! A failed fsync **poisons** the journal (fsyncgate semantics: the
 //! kernel may have dropped the dirty pages, so retrying and pretending
@@ -271,15 +274,20 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 // Fsync policy
 
 /// When appended records become durable. Parsed from `--fsync`.
+///
+/// `Group` and `Always` run the same self-clocking group commit (see
+/// [`Journal::commit`]): every acked record is durable, and concurrent
+/// committers share one fsync. Both spellings are kept so existing
+/// command lines and `/healthz` readers stay valid.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FsyncPolicy {
     /// One fsync at graceful shutdown; a power loss can lose the run.
     Shutdown,
-    /// Group commit: batch appends behind one barrier with a bounded
-    /// window of this many milliseconds. A power loss can lose at most
-    /// the records of the last window — and none that were acked.
+    /// Group commit. The milliseconds value is parsed and rendered back
+    /// (`group:MS`) but adds no delay: the barrier is self-clocking. A
+    /// power loss can lose only records not yet acked.
     Group(u64),
-    /// Fsync behind every record (a zero-width group window).
+    /// Group commit, the same barrier as `Group`.
     Always,
 }
 
@@ -312,7 +320,7 @@ impl FsyncPolicy {
 }
 
 impl Default for FsyncPolicy {
-    /// The durable-by-default setting: a 5 ms group window.
+    /// The durable-by-default setting, `group:5`.
     fn default() -> FsyncPolicy {
         FsyncPolicy::Group(5)
     }
@@ -789,7 +797,8 @@ fn read_checkpoint(file: &Path, bytes: &[u8], sealed: &mut Sealed) -> io::Result
 
 /// The active segment: the open file plus the append high-water mark.
 struct ActiveSegment {
-    file: File,
+    /// Shared so a commit leader can fsync it outside the segment lock.
+    file: Arc<File>,
     /// Seq of the last record appended (globally monotonic across
     /// rotations and restarts).
     appended_seq: u64,
@@ -808,9 +817,14 @@ struct Expected {
 /// Group-commit state: the durable high-water mark plus leader election.
 struct CommitState {
     durable_seq: u64,
-    /// A committer is currently inside the window/fsync.
+    /// A committer is currently inside the barrier fsync.
     leader: bool,
 }
+
+/// How long a committer parked behind a leader waits before it looks
+/// again. Leaders wake the parked group when they finish, so this only
+/// bounds a missed wakeup (a poison raised outside the commit lock).
+const FOLLOWER_PARK: Duration = Duration::from_millis(50);
 
 /// An open journal, positioned for appends.
 pub struct Journal {
@@ -909,7 +923,7 @@ impl Journal {
             policy,
             io,
             active: Mutex::new(ActiveSegment {
-                file,
+                file: Arc::new(file),
                 appended_seq: max_seq,
             }),
             commit: Mutex::new(CommitState {
@@ -1006,7 +1020,7 @@ impl Journal {
             self.poison();
             return Err(e);
         }
-        if let Err(e) = active.file.flush() {
+        if let Err(e) = (&*active.file).flush() {
             drop(active);
             self.poison();
             return Err(e);
@@ -1017,18 +1031,17 @@ impl Journal {
     }
 
     /// Blocks until the record at `seq` is durable under the configured
-    /// policy. Under `group:MS`, the first committer becomes the leader:
-    /// it sleeps out the window, issues one fsync covering every record
-    /// appended meanwhile, and wakes the group. `always` is a zero-width
-    /// window; `shutdown` returns immediately (durability deferred).
+    /// policy. `shutdown` returns at once (durability deferred). Under
+    /// `group:MS` and `always` the barrier is self-clocking: a committer
+    /// that finds no fsync in flight becomes the leader and fsyncs at
+    /// once; committers arriving meanwhile park until it reports, and the
+    /// next leader's one fsync covers every record appended by then.
     pub fn commit(&self, seq: u64) -> io::Result<()> {
-        let window_ms = match self.policy {
-            FsyncPolicy::Shutdown => return Ok(()),
-            FsyncPolicy::Group(ms) => ms,
-            FsyncPolicy::Always => 0,
-        };
+        if self.policy == FsyncPolicy::Shutdown {
+            return Ok(());
+        }
+        let mut commit = self.commit.lock().unwrap_or_else(|p| p.into_inner());
         loop {
-            let mut commit = self.commit.lock().unwrap_or_else(|p| p.into_inner());
             if commit.durable_seq >= seq {
                 return Ok(());
             }
@@ -1036,35 +1049,27 @@ impl Journal {
                 return Err(poisoned_error());
             }
             if commit.leader {
-                // A leader is already in flight; park until it reports.
-                let wait = Duration::from_millis(window_ms.saturating_mul(4).max(50));
-                let (guard, _) = self
+                commit = self
                     .commit_cv
-                    .wait_timeout(commit, wait)
-                    .unwrap_or_else(|p| p.into_inner());
-                drop(guard);
+                    .wait_timeout(commit, FOLLOWER_PARK)
+                    .unwrap_or_else(|p| p.into_inner())
+                    .0;
                 continue;
             }
             commit.leader = true;
             drop(commit);
-            if window_ms > 0 {
-                std::thread::sleep(Duration::from_millis(window_ms));
-            }
             let result = self.fsync_active();
-            let mut commit = self.commit.lock().unwrap_or_else(|p| p.into_inner());
+            commit = self.commit.lock().unwrap_or_else(|p| p.into_inner());
             commit.leader = false;
             match result {
                 Ok(appended) => {
                     commit.durable_seq = commit.durable_seq.max(appended);
-                    let durable = commit.durable_seq;
-                    drop(commit);
                     self.commit_cv.notify_all();
-                    if durable >= seq {
-                        return Ok(());
-                    }
                 }
                 Err(e) => {
-                    drop(commit);
+                    // Poison before the leader role is released: a parked
+                    // committer must not lead a second fsync that would
+                    // "succeed" over pages the failed one may have dropped.
                     self.poison();
                     return Err(e);
                 }
@@ -1072,13 +1077,17 @@ impl Journal {
         }
     }
 
-    /// Fsyncs the active segment under the file lock, returning the
-    /// append high-water mark the barrier covers.
+    /// Fsyncs the active segment, returning the append high-water mark
+    /// the barrier covers. The mark is read under the segment lock; the
+    /// fsync runs outside it, so appends proceed while it is in flight.
+    /// A rotation meanwhile is harmless: it fsyncs the sealed file itself.
     fn fsync_active(&self) -> io::Result<u64> {
-        let active = self.active.lock().unwrap_or_else(|p| p.into_inner());
-        let appended = active.appended_seq;
+        let (file, appended) = {
+            let active = self.active.lock().unwrap_or_else(|p| p.into_inner());
+            (active.file.clone(), active.appended_seq)
+        };
         let t0 = Instant::now();
-        retry_eintr(|| self.io.fsync(&active.file))?;
+        retry_eintr(|| self.io.fsync(&file))?;
         if let Some(hist) = self.fsync_hist.get() {
             hist.record_duration(t0.elapsed());
         }
@@ -1159,7 +1168,7 @@ impl Journal {
             self.poison();
             return Err(e);
         }
-        active.file = fresh;
+        active.file = Arc::new(fresh);
         self.bytes.store(8, Ordering::Relaxed);
         self.segments.fetch_add(1, Ordering::Relaxed);
         drop(active);
@@ -1530,6 +1539,128 @@ mod tests {
         drop(journal);
         let (_journal, replayed) = Journal::open(&path).unwrap();
         assert_eq!(replayed.len(), 4 * sample_records().len());
+        scrub(&path);
+    }
+
+    #[test]
+    fn a_lone_commit_fsyncs_at_once_whatever_the_group_window() {
+        let path = temp_path("lone");
+        scrub(&path);
+        let (journal, _) =
+            Journal::open_with(&path, FsyncPolicy::Group(10_000), Arc::new(RealIo)).unwrap();
+        let seq = journal.append(&sample_records()[0]).unwrap();
+        let t0 = Instant::now();
+        journal.commit(seq).unwrap();
+        let took = t0.elapsed();
+        assert!(
+            took < Duration::from_secs(1),
+            "a commit with no company waited {took:?}"
+        );
+        scrub(&path);
+    }
+
+    /// Real file I/O whose first fsync blocks until the gate opens; counts
+    /// every fsync.
+    #[derive(Default)]
+    struct GatedIo {
+        fsyncs: AtomicU64,
+        open: Mutex<bool>,
+        opened: Condvar,
+    }
+
+    impl GatedIo {
+        fn open_gate(&self) {
+            *self.open.lock().unwrap() = true;
+            self.opened.notify_all();
+        }
+    }
+
+    impl JournalIo for GatedIo {
+        fn create(&self, path: &Path) -> io::Result<File> {
+            RealIo.create(path)
+        }
+
+        fn write_all(&self, file: &File, buf: &[u8]) -> io::Result<()> {
+            RealIo.write_all(file, buf)
+        }
+
+        fn fsync(&self, file: &File) -> io::Result<()> {
+            if self.fsyncs.fetch_add(1, Ordering::SeqCst) == 0 {
+                let mut open = self.open.lock().unwrap();
+                while !*open {
+                    open = self.opened.wait(open).unwrap();
+                }
+            }
+            RealIo.fsync(file)
+        }
+
+        fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
+            RealIo.rename(from, to)
+        }
+
+        fn remove(&self, path: &Path) -> io::Result<()> {
+            RealIo.remove(path)
+        }
+    }
+
+    #[test]
+    fn commits_arriving_during_an_fsync_share_the_next_one() {
+        let path = temp_path("coalesce");
+        scrub(&path);
+        let io = Arc::new(GatedIo::default());
+        let (journal, _) = Journal::open_with(&path, FsyncPolicy::Group(5), io.clone()).unwrap();
+        let journal = Arc::new(journal);
+        let records = sample_records();
+        let commit_one = |record: Record, appended: std::sync::mpsc::Sender<u64>| {
+            let journal = journal.clone();
+            std::thread::spawn(move || {
+                let seq = journal.append(&record).unwrap();
+                appended.send(seq).unwrap();
+                journal.commit(seq)
+            })
+        };
+        let (tx, rx) = std::sync::mpsc::channel();
+        let mut committers = vec![commit_one(records[0].clone(), tx.clone())];
+        // The leader is inside its (gated) fsync.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while io.fsyncs.load(Ordering::SeqCst) == 0 {
+            assert!(Instant::now() < deadline, "the first commit never fsynced");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        for record in &records[1..4] {
+            committers.push(commit_one(record.clone(), tx.clone()));
+        }
+        // All four appends land while the fsync is in flight: it must not
+        // hold the segment lock.
+        let appended: Vec<_> = (0..4)
+            .map(|_| rx.recv_timeout(Duration::from_secs(10)))
+            .collect();
+        // Let the late committers reach the barrier and park.
+        std::thread::sleep(Duration::from_millis(20));
+        let in_flight = io.fsyncs.load(Ordering::SeqCst);
+        io.open_gate();
+        assert!(
+            appended.iter().all(Result::is_ok),
+            "appends blocked behind the fsync: {appended:?}"
+        );
+        assert_eq!(in_flight, 1, "committers did not park behind the leader");
+        for committer in committers {
+            committer.join().unwrap().unwrap();
+        }
+        assert_eq!(
+            io.fsyncs.load(Ordering::SeqCst),
+            2,
+            "one fsync for the leader, one for everyone who parked"
+        );
+        drop(journal);
+        // The three late appends raced each other: compare as sets.
+        let (_journal, replayed) = Journal::open(&path).unwrap();
+        let encoded = |records: &[Record]| {
+            let mut all: Vec<String> = records.iter().map(|r| r.to_json().encode()).collect();
+            all[1..].sort();
+            all
+        };
+        assert_eq!(encoded(&replayed), encoded(&records[..4]));
         scrub(&path);
     }
 

@@ -364,12 +364,16 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 character.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
+                    // Consume the run up to the next quote or escape,
+                    // validating only the run: parsing stays linear in the
+                    // input however long its strings are.
+                    let start = self.pos;
+                    while !matches!(self.peek(), None | Some(b'"' | b'\\')) {
+                        self.pos += 1;
+                    }
+                    let run = std::str::from_utf8(&self.bytes[start..self.pos])
                         .map_err(|_| self.err("invalid utf-8"))?;
-                    let c = rest.chars().next().expect("nonempty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    out.push_str(run);
                 }
             }
         }
@@ -552,6 +556,27 @@ mod tests {
         // Reasonable nesting still parses.
         let ok = format!("{}1{}", "[".repeat(50), "]".repeat(50));
         assert!(Json::parse(&ok).is_ok());
+    }
+
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        // Many string bytes ahead of a long tail: a parser that re-checks
+        // the tail per character spends minutes here, not milliseconds.
+        let item = Json::Str("é".repeat(16) + "\"ok\"");
+        let doc = Json::Arr(vec![item; 20_000]).encode();
+        let t0 = std::time::Instant::now();
+        let parsed = Json::parse(&doc).unwrap();
+        let took = t0.elapsed();
+        assert_eq!(parsed.as_arr().unwrap().len(), 20_000);
+        assert_eq!(
+            parsed.as_arr().unwrap()[0].as_str(),
+            Some(format!("{}\"ok\"", "é".repeat(16)).as_str())
+        );
+        assert!(
+            took < std::time::Duration::from_secs(2),
+            "{} bytes took {took:?}",
+            doc.len()
+        );
     }
 
     #[test]

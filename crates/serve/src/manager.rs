@@ -272,12 +272,8 @@ impl SessionManager {
         let Some(journal) = self.journal() else {
             return Ok(());
         };
-        let t0 = Instant::now();
-        let result = journal.sync();
-        if let Some(m) = self.metrics.get() {
-            m.journal_fsync_seconds.record_duration(t0.elapsed());
-        }
-        result
+        // The journal times the fsync into `journal_fsync_seconds` itself.
+        journal.sync()
     }
 
     /// Journal health for `/healthz` (inert defaults without a journal).
@@ -333,10 +329,15 @@ impl SessionManager {
             io::ErrorKind::InvalidInput => ApiError::new(413, e.to_string()),
             _ => degraded_error(e),
         })?;
+        let t1 = Instant::now();
         if let Some(m) = self.metrics.get() {
-            m.journal_append_seconds.record_duration(t0.elapsed());
+            m.journal_append_seconds.record_duration(t1 - t0);
         }
-        journal.commit(seq).map_err(degraded_error)
+        let committed = journal.commit(seq);
+        if let Some(m) = self.metrics.get() {
+            m.journal_commit_seconds.record_duration(t1.elapsed());
+        }
+        committed.map_err(degraded_error)
     }
 
     /// Rotates the journal and has it compact the sealed records of every

@@ -113,8 +113,12 @@ pub struct ServeMetrics {
     pub queue_wait_seconds: Arc<Histogram>,
     /// One journal record append (write + flush).
     pub journal_append_seconds: Arc<Histogram>,
-    /// One journal fsync (shutdown durability barrier).
+    /// One journal fsync: every commit barrier, segment seal and the
+    /// shutdown barrier.
     pub journal_fsync_seconds: Arc<Histogram>,
+    /// Time a request spends in the journal commit barrier, parked behind
+    /// another committer's fsync or running its own.
+    pub journal_commit_seconds: Arc<Histogram>,
     /// Journal replay at boot (one value per boot that replayed).
     pub journal_replay_seconds: Arc<Histogram>,
     /// One checkpoint cycle (rotate + serialize + fsync + retire).
@@ -193,6 +197,10 @@ impl ServeMetrics {
             journal_fsync_seconds: registry.histogram(
                 "atpm_journal_fsync_seconds",
                 "Session journal fsync durability barrier, seconds",
+            ),
+            journal_commit_seconds: registry.histogram(
+                "atpm_journal_commit_seconds",
+                "Session journal commit wait (parked + fsync) per record, seconds",
             ),
             journal_replay_seconds: registry.histogram(
                 "atpm_journal_replay_seconds",
@@ -330,6 +338,8 @@ mod tests {
             "atpm_http_route_seconds",
             "atpm_net_fault_injected_total",
             "atpm_journal_append_seconds",
+            "atpm_journal_fsync_seconds",
+            "atpm_journal_commit_seconds",
             "atpm_journal_checkpoint_seconds",
             "atpm_serve_journal_torn_tail_total",
             "atpm_serve_journal_fault_injected_total",

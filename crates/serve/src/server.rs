@@ -405,10 +405,11 @@ pub struct ServeConfig {
     /// memory-only.
     pub journal_path: Option<String>,
     /// When to fsync journal appends (see [`FsyncPolicy`]): `shutdown`
-    /// defers durability to the final barrier, `group:MS` batches appends
-    /// behind a shared barrier with a bounded-latency window, `always`
-    /// fsyncs every record. Replies to mutating session routes are held
-    /// until their record's barrier completes.
+    /// defers durability to the final barrier; `group:MS` and `always`
+    /// share one self-clocking group commit, where a commit with no fsync
+    /// in flight fsyncs at once and commits arriving meanwhile share the
+    /// next fsync (`MS` adds no delay). Replies to mutating session routes
+    /// are held until their record's barrier completes.
     pub fsync: FsyncPolicy,
     /// Checkpoint period: rotate the journal, compact the live sessions'
     /// sealed records into the checkpoint, and retire sealed segments this
