@@ -16,8 +16,6 @@
 //!   `epoll_pwait`/`eventfd2`) with a stub fallback on unsupported targets;
 //! * [`poll`] — [`poll::Poller`], a safe level-triggered epoll wrapper with
 //!   token-tagged registrations;
-//! * [`timer`] — [`timer::TimerWheel`], a hashed wheel over caller-supplied
-//!   millisecond timestamps (mock-clock friendly);
 //! * [`wake`] — [`wake::Waker`], an eventfd that lets any thread pull a
 //!   parked reactor out of `epoll_wait`;
 //! * [`buf`] — [`buf::WriteBuf`] with partial-write resumption, plus the
@@ -31,7 +29,10 @@
 //!   [`reactor::Reactor::with_metrics`];
 //! * [`reactor`] — [`reactor::Reactor`]: accept loop, per-connection state
 //!   machines (read → slice → dispatch → write, with backpressure), reply
-//!   completion, timers. Protocols plug in via [`reactor::Driver`].
+//!   completion, and an idle scan that closes quiet connections. The
+//!   reactor keeps no timers and runs no periodic work: protocols plug in
+//!   via [`reactor::Driver`], and an application's own periodic jobs run on
+//!   its own threads.
 
 pub mod buf;
 pub mod fault;
@@ -39,7 +40,6 @@ pub mod metrics;
 pub mod poll;
 pub mod reactor;
 pub mod sys;
-pub mod timer;
 pub mod wake;
 
 pub use buf::{read_nonblocking, ReadStatus, WriteBuf};
@@ -49,7 +49,6 @@ pub use poll::{Event, Interest, Poller};
 pub use reactor::{
     ConnId, Driver, Reactor, ReactorConfig, ReactorStats, Reply, ReplyQueue, Sliced,
 };
-pub use timer::{TimerId, TimerWheel};
 pub use wake::Waker;
 
 /// Whether the epoll shims work on this target (linux x86_64/aarch64).

@@ -19,8 +19,13 @@
 //! the same observable behavior as a blocking one-thread-per-connection
 //! server). Responses are produced on *other* threads and land in the
 //! shard's [`ReplyQueue`]; the queue's [`Waker`] pulls the reactor out of
-//! `epoll_wait` to write them. A hashed [`TimerWheel`] drives periodic
-//! driver ticks and optional per-connection idle deadlines.
+//! `epoll_wait` to write them.
+//!
+//! The reactor keeps no timers and runs no periodic work of its own: with
+//! an idle timeout set and at least one connection open, it wakes every
+//! `idle_timeout_ms / 8` to scan its connections and close each one that
+//! is not busy and has been quiet for the whole timeout. With no
+//! connections it parks in `epoll_wait` with no timeout at all.
 
 use std::io;
 use std::net::{TcpListener, TcpStream};
@@ -34,7 +39,6 @@ use crate::buf::{read_nonblocking, ReadStatus, WriteBuf};
 use crate::fault::{gate, Site};
 use crate::metrics::NetMetrics;
 use crate::poll::{Event, Interest, Poller};
-use crate::timer::{TimerId, TimerWheel};
 use crate::wake::Waker;
 
 /// Opaque connection identity: slot plus generation, so a reply addressed
@@ -45,8 +49,6 @@ pub type ConnId = u64;
 const TOKEN_LISTENER: u64 = 0;
 const TOKEN_WAKER: u64 = 1;
 const TOKEN_BASE: u64 = 2;
-/// Timer tag reserved for the driver's periodic tick.
-const TAG_TICK: u64 = u64::MAX;
 
 fn conn_token(slot: u32, gen: u32) -> u64 {
     TOKEN_BASE + slot as u64 + ((gen as u64) << 32)
@@ -136,16 +138,6 @@ pub trait Driver: Send {
         let _ = head_complete;
         None
     }
-
-    /// Period of the maintenance tick, if the driver wants one.
-    fn tick_every_ms(&self) -> Option<u64> {
-        None
-    }
-
-    /// Maintenance tick (session sweeps, stat flushes, ...).
-    fn on_tick(&mut self, now_ms: u64) {
-        let _ = now_ms;
-    }
 }
 
 /// Reactor knobs.
@@ -157,9 +149,9 @@ pub struct ReactorConfig {
     pub read_limit: usize,
     /// Pause reading while more than this many response bytes are queued.
     pub write_backpressure: usize,
-    /// Timer wheel granularity, milliseconds.
-    pub tick_ms: u64,
-    /// Close connections idle longer than this (no reads, no writes).
+    /// Close connections idle at least this long (no reads, no replies)
+    /// and not waiting on a dispatched frame. Connections are scanned
+    /// every eighth of the timeout, so one closes within 9/8 of it.
     /// `None` keeps them forever, like a blocking server would.
     pub idle_timeout_ms: Option<u64>,
     /// Accept cap: connections beyond this are accepted and immediately
@@ -177,7 +169,6 @@ impl Default for ReactorConfig {
         ReactorConfig {
             read_limit: 1 << 20,
             write_backpressure: 1 << 20,
-            tick_ms: 50,
             idle_timeout_ms: None,
             max_conns: 65_536,
             drain_ms: 0,
@@ -186,9 +177,8 @@ impl Default for ReactorConfig {
 }
 
 /// End-of-run accounting, returned by [`Reactor::run`]. In a leak-free
-/// shutdown every slot that ever existed is back on the free list and the
-/// timer wheel holds nothing — the chaos suite asserts exactly that after
-/// every fault schedule.
+/// shutdown every slot that ever existed is back on the free list — the
+/// chaos suite asserts exactly that after every fault schedule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReactorStats {
     /// Connections still open when the loop exited (their streams close
@@ -199,8 +189,6 @@ pub struct ReactorStats {
     pub slots: usize,
     /// Slots on the free list at exit.
     pub free_slots: usize,
-    /// Timers still scheduled (and not cancelled) at exit.
-    pub pending_timers: usize,
 }
 
 struct Conn {
@@ -216,7 +204,6 @@ struct Conn {
     close_after_flush: bool,
     interest: Interest,
     last_activity_ms: u64,
-    idle_timer: Option<TimerId>,
     /// Dispatch timestamp of the in-flight frame, kept only while tracing
     /// is enabled; closes the dispatch→reply span in `reply_ready`.
     dispatched_at: Option<Instant>,
@@ -232,7 +219,6 @@ pub struct Reactor {
     conns: Vec<Option<Conn>>,
     free: Vec<u32>,
     gens: Vec<u32>,
-    wheel: TimerWheel,
     t0: Instant,
     live: usize,
     metrics: Option<Arc<NetMetrics>>,
@@ -248,7 +234,6 @@ impl Reactor {
         let waker = Waker::new()?;
         poller.add(&listener, TOKEN_LISTENER, Interest::READ, true)?;
         poller.add(&waker, TOKEN_WAKER, Interest::READ, false)?;
-        let wheel = TimerWheel::new(cfg.tick_ms, 256, 0);
         Ok(Reactor {
             listener,
             poller,
@@ -260,7 +245,6 @@ impl Reactor {
             conns: Vec::new(),
             free: Vec::new(),
             gens: Vec::new(),
-            wheel,
             t0: Instant::now(),
             live: 0,
             metrics: None,
@@ -287,15 +271,15 @@ impl Reactor {
     }
 
     /// Runs the event loop until `stop` is raised. Consumes the reactor;
-    /// every owned connection closes on exit. Returns slot/timer
-    /// accounting so harnesses can assert the shard leaked nothing.
+    /// every owned connection closes on exit. Returns slot accounting so
+    /// harnesses can assert the shard leaked nothing.
     ///
-    /// With no pending timer the reactor parks *indefinitely* — there is no
-    /// polling heartbeat. Shutdown is therefore a two-step contract: raise
-    /// `stop`, then fire the shard's waker
-    /// ([`ReplyQueue::waker`](ReplyQueue::waker)) to pull the loop out of
-    /// `epoll_wait`. [`ReplyQueue::push`] wakes as a side effect, so reply
-    /// traffic can never stall the loop either.
+    /// With no connection open, or no idle timeout, the reactor parks
+    /// *indefinitely* — there is no polling heartbeat. Shutdown is
+    /// therefore a two-step contract: raise `stop`, then fire the shard's
+    /// waker ([`ReplyQueue::waker`](ReplyQueue::waker)) to pull the loop out
+    /// of `epoll_wait`. [`ReplyQueue::push`] wakes as a side effect, so
+    /// reply traffic can never stall the loop either.
     ///
     /// With a nonzero [`ReactorConfig::drain_ms`], a raised stop flag first
     /// deregisters the listener and keeps the loop running — up to the
@@ -305,12 +289,10 @@ impl Reactor {
     pub fn run(mut self, mut driver: impl Driver, stop: &AtomicBool) -> ReactorStats {
         let mut events: Vec<Event> = Vec::new();
         let mut finished: Vec<Reply> = Vec::new();
-        let mut fired: Vec<u64> = Vec::new();
         // Drain deadline (reactor-clock ms), set when stop is first seen.
         let mut drain_until: Option<u64> = None;
-        if let Some(period) = driver.tick_every_ms() {
-            self.wheel.schedule(self.now_ms() + period, TAG_TICK);
-        }
+        // Reactor-clock ms of the next idle scan.
+        let mut next_scan = 0u64;
         loop {
             if stop.load(Ordering::SeqCst) {
                 if self.cfg.drain_ms == 0 {
@@ -330,11 +312,12 @@ impl Reactor {
                     break;
                 }
             }
-            let now = self.now_ms();
-            let mut timeout = self
-                .wheel
-                .next_deadline()
-                .map(|d| Duration::from_millis(d.saturating_sub(now)));
+            let mut timeout = match self.cfg.idle_timeout_ms {
+                Some(_) if self.live > 0 => Some(Duration::from_millis(
+                    next_scan.saturating_sub(self.now_ms()),
+                )),
+                _ => None,
+            };
             if drain_until.is_some() {
                 // Bounded naps while draining, so the deadline is honored
                 // even if no event ever arrives.
@@ -366,17 +349,11 @@ impl Reactor {
                 self.reply_ready(reply, &mut driver);
             }
 
-            let now = self.now_ms();
-            fired.clear();
-            self.wheel.advance(now, &mut fired);
-            for tag in fired.drain(..) {
-                if tag == TAG_TICK {
-                    driver.on_tick(now);
-                    if let Some(period) = driver.tick_every_ms() {
-                        self.wheel.schedule(now + period, TAG_TICK);
-                    }
-                } else {
-                    self.idle_deadline(tag, now);
+            if let Some(idle_ms) = self.cfg.idle_timeout_ms {
+                let now = self.now_ms();
+                if now >= next_scan {
+                    self.close_idle(idle_ms, now);
+                    next_scan = now + (idle_ms / 8).max(1);
                 }
             }
         }
@@ -384,7 +361,6 @@ impl Reactor {
             live_conns: self.live,
             slots: self.conns.len(),
             free_slots: self.free.len(),
-            pending_timers: self.wheel.pending(),
         }
     }
 
@@ -442,11 +418,6 @@ impl Reactor {
             self.free.push(slot);
             return Err(e);
         }
-        let now = self.now_ms();
-        let idle_timer = self
-            .cfg
-            .idle_timeout_ms
-            .map(|t| self.wheel.schedule(now + t, token));
         self.conns[slot as usize] = Some(Conn {
             stream,
             gen,
@@ -456,8 +427,7 @@ impl Reactor {
             eof: false,
             close_after_flush: false,
             interest: Interest::READ,
-            last_activity_ms: now,
-            idle_timer,
+            last_activity_ms: self.now_ms(),
             dispatched_at: None,
         });
         self.live += 1;
@@ -478,9 +448,6 @@ impl Reactor {
     fn close(&mut self, slot: u32) {
         if let Some(conn) = self.conns[slot as usize].take() {
             let _ = self.poller.remove(&conn.stream);
-            if let Some(id) = conn.idle_timer {
-                self.wheel.cancel(id);
-            }
             self.gens[slot as usize] = self.gens[slot as usize].wrapping_add(1);
             self.free.push(slot);
             self.live -= 1;
@@ -636,26 +603,16 @@ impl Reactor {
         }
     }
 
-    /// An idle deadline fired for `tag` (= connection token). Closes truly
-    /// idle connections; re-arms for ones that were active since.
-    fn idle_deadline(&mut self, tag: u64, now: u64) {
-        let Some(slot) = self.lookup(tag) else {
-            return;
-        };
-        let timeout = match self.cfg.idle_timeout_ms {
-            Some(t) => t,
-            None => return,
-        };
-        let (idle_since, busy) = {
-            let conn = self.conns[slot as usize].as_ref().expect("live slot");
-            (conn.last_activity_ms, conn.busy)
-        };
-        if !busy && now.saturating_sub(idle_since) >= timeout {
-            self.close(slot);
-        } else {
-            let id = self.wheel.schedule(idle_since + timeout, tag);
-            let conn = self.conns[slot as usize].as_mut().expect("live slot");
-            conn.idle_timer = Some(id);
+    /// Closes every connection that is not waiting on a dispatched frame's
+    /// reply and has seen no read or reply for at least `idle_ms`.
+    fn close_idle(&mut self, idle_ms: u64, now: u64) {
+        for slot in 0..self.conns.len() {
+            let quiet = self.conns[slot]
+                .as_ref()
+                .is_some_and(|c| !c.busy && now.saturating_sub(c.last_activity_ms) >= idle_ms);
+            if quiet {
+                self.close(slot as u32);
+            }
         }
     }
 }

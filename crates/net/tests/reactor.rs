@@ -3,11 +3,12 @@
 //! is the line uppercased (same terminator). A line starting with `!` is a
 //! protocol error ("fatal"), answered with `ERR\n` and a close — enough
 //! surface to exercise framing, dispatch, deferred replies from a worker
-//! thread, pipelining, partial writes, EOF handling, and idle timeouts.
+//! thread, pipelining, partial writes, EOF handling, and idle timeouts. On
+//! the worker, a line starting with `slow` takes [`SLOW_MS`] to answer.
 
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::Duration;
 
@@ -24,9 +25,10 @@ enum Mode {
 
 struct EchoDriver {
     mode: Mode,
-    ticks: Arc<AtomicUsize>,
-    tick_period: Option<u64>,
 }
+
+/// How long the worker takes over a `slow` line.
+const SLOW_MS: u64 = 300;
 
 fn echo_reply(conn: ConnId, frame: &[u8]) -> Reply {
     if frame.first() == Some(&b'!') {
@@ -68,14 +70,6 @@ impl Driver for EchoDriver {
     fn eof_reply(&mut self, _head_complete: bool) -> Option<Vec<u8>> {
         Some(b"EOF MID FRAME\n".to_vec())
     }
-
-    fn tick_every_ms(&self) -> Option<u64> {
-        self.tick_period
-    }
-
-    fn on_tick(&mut self, _now_ms: u64) {
-        self.ticks.fetch_add(1, Ordering::SeqCst);
-    }
 }
 
 struct Harness {
@@ -84,17 +78,15 @@ struct Harness {
     reactor_thread: Option<std::thread::JoinHandle<()>>,
     worker_thread: Option<std::thread::JoinHandle<()>>,
     queue: Arc<ReplyQueue>,
-    ticks: Arc<AtomicUsize>,
 }
 
 impl Harness {
-    fn start(cfg: ReactorConfig, deferred: bool, tick_period: Option<u64>) -> Harness {
+    fn start(cfg: ReactorConfig, deferred: bool) -> Harness {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let reactor = Reactor::new(listener, cfg).unwrap();
         let queue = reactor.replies();
         let stop = Arc::new(AtomicBool::new(false));
-        let ticks = Arc::new(AtomicUsize::new(0));
 
         let (worker_thread, mode) = if deferred {
             let (tx, rx) = mpsc::channel::<(ConnId, Vec<u8>, Arc<ReplyQueue>)>();
@@ -102,7 +94,12 @@ impl Harness {
             let handle = std::thread::spawn(move || {
                 while let Ok((conn, frame, replies)) = rx.lock().unwrap().recv() {
                     // Simulate real work happening off the reactor thread.
-                    std::thread::sleep(Duration::from_millis(1));
+                    let ms = if frame.starts_with(b"slow") {
+                        SLOW_MS
+                    } else {
+                        1
+                    };
+                    std::thread::sleep(Duration::from_millis(ms));
                     replies.push(echo_reply(conn, &frame));
                 }
             });
@@ -111,11 +108,7 @@ impl Harness {
             (None, Mode::Inline)
         };
 
-        let driver = EchoDriver {
-            mode,
-            ticks: ticks.clone(),
-            tick_period,
-        };
+        let driver = EchoDriver { mode };
         let stop2 = stop.clone();
         let reactor_thread = Some(std::thread::spawn(move || {
             reactor.run(driver, &stop2);
@@ -126,7 +119,6 @@ impl Harness {
             reactor_thread,
             worker_thread,
             queue,
-            ticks,
         }
     }
 
@@ -160,7 +152,7 @@ fn read_exactly(stream: &mut TcpStream, n: usize) -> Vec<u8> {
 
 #[test]
 fn inline_echo_roundtrip_and_keepalive() {
-    let h = Harness::start(ReactorConfig::default(), false, None);
+    let h = Harness::start(ReactorConfig::default(), false);
     let mut c = h.connect();
     for word in ["alpha\n", "beta\n", "gamma\n"] {
         c.write_all(word.as_bytes()).unwrap();
@@ -173,7 +165,7 @@ fn inline_echo_roundtrip_and_keepalive() {
 
 #[test]
 fn deferred_worker_replies_via_waker() {
-    let h = Harness::start(ReactorConfig::default(), true, None);
+    let h = Harness::start(ReactorConfig::default(), true);
     let mut c = h.connect();
     c.write_all(b"deferred\n").unwrap();
     assert_eq!(read_exactly(&mut c, 9), b"DEFERRED\n");
@@ -181,7 +173,7 @@ fn deferred_worker_replies_via_waker() {
 
 #[test]
 fn pipelined_frames_answered_in_order() {
-    let h = Harness::start(ReactorConfig::default(), true, None);
+    let h = Harness::start(ReactorConfig::default(), true);
     let mut c = h.connect();
     // Three frames in one segment; replies must come back sequentially.
     c.write_all(b"one\ntwo\nthree\n").unwrap();
@@ -190,7 +182,7 @@ fn pipelined_frames_answered_in_order() {
 
 #[test]
 fn byte_by_byte_frames_assemble() {
-    let h = Harness::start(ReactorConfig::default(), false, None);
+    let h = Harness::start(ReactorConfig::default(), false);
     let mut c = h.connect();
     for b in b"drip\n" {
         c.write_all(&[*b]).unwrap();
@@ -201,7 +193,7 @@ fn byte_by_byte_frames_assemble() {
 
 #[test]
 fn fatal_frame_answers_then_closes() {
-    let h = Harness::start(ReactorConfig::default(), false, None);
+    let h = Harness::start(ReactorConfig::default(), false);
     let mut c = h.connect();
     c.write_all(b"!boom\n").unwrap();
     assert_eq!(read_exactly(&mut c, 4), b"ERR\n");
@@ -211,7 +203,7 @@ fn fatal_frame_answers_then_closes() {
 
 #[test]
 fn eof_mid_frame_gets_the_parting_reply() {
-    let h = Harness::start(ReactorConfig::default(), false, None);
+    let h = Harness::start(ReactorConfig::default(), false);
     let mut c = h.connect();
     c.write_all(b"no newline").unwrap();
     c.shutdown(std::net::Shutdown::Write).unwrap();
@@ -222,7 +214,7 @@ fn eof_mid_frame_gets_the_parting_reply() {
 
 #[test]
 fn clean_disconnect_is_silent() {
-    let h = Harness::start(ReactorConfig::default(), false, None);
+    let h = Harness::start(ReactorConfig::default(), false);
     let c = h.connect();
     drop(c); // no bytes sent: the reactor should just reap it
     let mut c2 = h.connect();
@@ -234,7 +226,7 @@ fn clean_disconnect_is_silent() {
 fn many_concurrent_idle_connections_do_not_starve_service() {
     // The whole point of the reactor: with one thread, hold dozens of idle
     // connections while still serving new traffic promptly.
-    let h = Harness::start(ReactorConfig::default(), true, None);
+    let h = Harness::start(ReactorConfig::default(), true);
     let idle: Vec<TcpStream> = (0..64).map(|_| h.connect()).collect();
     let mut active = h.connect();
     active.write_all(b"work\n").unwrap();
@@ -249,7 +241,7 @@ fn many_concurrent_idle_connections_do_not_starve_service() {
 fn large_frames_exercise_partial_writes() {
     // A reply far larger than a socket buffer forces the EPOLLOUT
     // resumption path.
-    let h = Harness::start(ReactorConfig::default(), false, None);
+    let h = Harness::start(ReactorConfig::default(), false);
     let mut c = h.connect();
     let line = "x".repeat(900);
     let mut expected = Vec::new();
@@ -264,23 +256,12 @@ fn large_frames_exercise_partial_writes() {
 }
 
 #[test]
-fn driver_tick_fires_periodically() {
-    let h = Harness::start(ReactorConfig::default(), false, Some(20));
-    std::thread::sleep(Duration::from_millis(200));
-    let ticks = h.ticks.load(Ordering::SeqCst);
-    assert!(
-        (2..=20).contains(&ticks),
-        "expected a handful of 20ms ticks in 200ms, got {ticks}"
-    );
-}
-
-#[test]
 fn waker_shutdown_interrupts_an_indefinite_park() {
-    // With no timers and no ticks the reactor parks in epoll_wait with no
-    // timeout at all; the stop flag alone can never be observed. The
+    // With no connections the reactor parks in epoll_wait with no timeout
+    // at all; the stop flag alone can never be observed. The
     // shutdown contract — raise stop, then wake — must tear it down
     // promptly anyway.
-    let h = Harness::start(ReactorConfig::default(), false, None);
+    let h = Harness::start(ReactorConfig::default(), false);
     // Give the loop time to reach its indefinite park.
     std::thread::sleep(Duration::from_millis(50));
     let t0 = std::time::Instant::now();
@@ -296,10 +277,9 @@ fn waker_shutdown_interrupts_an_indefinite_park() {
 fn idle_timeout_reaps_quiet_connections_but_not_active_ones() {
     let cfg = ReactorConfig {
         idle_timeout_ms: Some(100),
-        tick_ms: 10,
         ..Default::default()
     };
-    let h = Harness::start(cfg, false, None);
+    let h = Harness::start(cfg, false);
     let mut quiet = h.connect();
     let mut chatty = h.connect();
     // Keep one connection active past the other's deadline.
@@ -321,4 +301,23 @@ fn idle_timeout_reaps_quiet_connections_but_not_active_ones() {
     // And the chatty one survives.
     chatty.write_all(b"still\n").unwrap();
     assert_eq!(read_exactly(&mut chatty, 6), b"STILL\n");
+}
+
+#[test]
+fn idle_timeout_spares_a_connection_waiting_on_a_slow_reply() {
+    // The worker takes three idle timeouts over the frame. The connection
+    // sends and receives nothing meanwhile, but it is busy, so the idle
+    // scan must leave it open for the reply and the frame after it.
+    let cfg = ReactorConfig {
+        idle_timeout_ms: Some(SLOW_MS / 3),
+        ..Default::default()
+    };
+    let h = Harness::start(cfg, true);
+    let mut c = h.connect();
+    let t0 = std::time::Instant::now();
+    c.write_all(b"slow\n").unwrap();
+    assert_eq!(read_exactly(&mut c, 5), b"SLOW\n");
+    assert!(t0.elapsed() >= Duration::from_millis(SLOW_MS));
+    c.write_all(b"after\n").unwrap();
+    assert_eq!(read_exactly(&mut c, 6), b"AFTER\n");
 }

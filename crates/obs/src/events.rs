@@ -8,8 +8,7 @@
 //! history the window actually covers.
 //!
 //! Unlike the metrics registry this is per-instance state (each
-//! `AppState` owns one), so at-rest servers stay byte-identical across
-//! backends: an empty log renders as an empty tail on both.
+//! `AppState` owns one), so a fresh server renders an empty tail.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -8,8 +8,8 @@
 //! histogram bucket lines appear only for buckets that hold data (plus the
 //! mandatory `+Inf`), and all numbers format through `Display` (fixed
 //! notation, shortest round-trip). Two registries holding equal values
-//! therefore render byte-identical bodies — the property the
-//! pool-vs-epoll `/metrics` differential test pins.
+//! therefore render byte-identical bodies; the unit tests below pin that
+//! determinism.
 
 use std::fmt::Write as _;
 use std::sync::Arc;

@@ -23,8 +23,9 @@
 //! answer `503 Retry-After` straight from the reactor thread, counted in
 //! `/healthz`).
 //!
-//! Shard 0's reactor tick doubles as the session-expiry sweeper when a TTL
-//! is configured.
+//! Reactors do I/O only: session expiry and checkpoints run on the
+//! server's maintenance thread (see [`Server`](crate::server::Server)), so
+//! their journal fsyncs never stall a shard's connections.
 
 use std::io;
 use std::net::TcpListener;
@@ -82,8 +83,6 @@ fn shed_request_id(frame: &[u8]) -> Option<&str> {
 struct HttpDriver {
     jobs: mpsc::Sender<Job>,
     state: Arc<AppState>,
-    /// `Some((ttl_ms, period_ms))` on the shard that owns the expiry sweep.
-    sweep: Option<(u64, u64)>,
 }
 
 impl Driver for HttpDriver {
@@ -142,16 +141,6 @@ impl Driver for HttpDriver {
         // head was valid, so there is no protocol error to report, only an
         // abandoned request.
         (!head_complete).then(|| error_bytes(400, "connection closed mid-header"))
-    }
-
-    fn tick_every_ms(&self) -> Option<u64> {
-        self.sweep.map(|(_, period)| period)
-    }
-
-    fn on_tick(&mut self, _now_ms: u64) {
-        if let Some((ttl, _)) = self.sweep {
-            self.state.manager.sweep_expired(ttl);
-        }
     }
 }
 
@@ -243,9 +232,6 @@ impl EpollBackend {
     ) -> io::Result<EpollBackend> {
         let (tx, rx) = mpsc::channel::<Job>();
         let rx = Arc::new(Mutex::new(rx));
-        let sweep = cfg
-            .session_ttl_ms
-            .map(|ttl| (ttl, cfg.sweep_every_ms.max(1)));
 
         // Reactors first: if epoll is unsupported, fail before spawning
         // anything.
@@ -258,7 +244,6 @@ impl EpollBackend {
                     // caps; beyond that reads pause, not break.
                     read_limit: http::MAX_HEAD + http::MAX_BODY + 1024,
                     write_backpressure: 1 << 20,
-                    tick_ms: 50,
                     idle_timeout_ms: Some(cfg.idle_timeout_ms),
                     max_conns: 65_536,
                     drain_ms: cfg.drain_ms,
@@ -278,13 +263,11 @@ impl EpollBackend {
 
         let mut queues = Vec::new();
         let mut shards = Vec::new();
-        for (i, reactor) in reactors.into_iter().enumerate() {
+        for reactor in reactors {
             queues.push(reactor.replies());
             let driver = HttpDriver {
                 jobs: tx.clone(),
                 state: state.clone(),
-                // Exactly one shard runs the expiry sweep.
-                sweep: if i == 0 { sweep } else { None },
             };
             let stop = stop.clone();
             shards.push(std::thread::spawn(move || {

@@ -45,8 +45,9 @@
 //! past a TTL — abandoned runs would otherwise pin their suspended
 //! residual graph forever. Evicted tokens leave a bounded tombstone so
 //! later requests get an honest `410 Gone` instead of a confusable 404.
-//! The sweep is driven by the server's reactor tick; the manager itself
-//! never spawns.
+//! The sweep runs on the server's maintenance thread, off the reactors,
+//! since each eviction journals a `Delete` and waits for its fsync; the
+//! manager itself never spawns.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::io;

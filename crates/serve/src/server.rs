@@ -18,7 +18,7 @@
 use std::io;
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, TryLockError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -342,9 +342,10 @@ pub(crate) fn respond(
 /// 99 Hz for the window and disarmed after, so the endpoint works — and
 /// costs nothing — on an otherwise unprofiled server.
 ///
-/// The handler *blocks its worker* for the window (clamped to 1..=30 s);
-/// a process-wide mutex serializes overlapping windows so a second
-/// concurrent call waits rather than disarming under the first.
+/// The handler *blocks its worker* for the window (clamped to 1..=30 s).
+/// One window is open at a time, process-wide: a call that finds one open
+/// answers `409` at once, rather than parking a second worker until the
+/// first window closes (or disarming under it).
 fn debug_profile(req: &Request) -> (u16, RespBody) {
     static WINDOW: Mutex<()> = Mutex::new(());
     let seconds = req
@@ -352,7 +353,21 @@ fn debug_profile(req: &Request) -> (u16, RespBody) {
         .and_then(|v| v.parse::<u64>().ok())
         .unwrap_or(1)
         .clamp(1, 30);
-    let _window = WINDOW.lock().unwrap_or_else(|p| p.into_inner());
+    let _window = match WINDOW.try_lock() {
+        Ok(guard) => guard,
+        // The guard protects no data; a panic inside a window leaves
+        // nothing to repair.
+        Err(TryLockError::Poisoned(p)) => p.into_inner(),
+        Err(TryLockError::WouldBlock) => {
+            return (
+                409,
+                RespBody::Text(
+                    "text/plain",
+                    "a profile window is already open; retry when it closes\n".into(),
+                ),
+            )
+        }
+    };
     let temporary = atpm_net::sys::profiler_hz() == 0;
     if temporary {
         if let Err(e) = atpm_net::sys::profiler_arm(99) {
@@ -388,10 +403,10 @@ pub struct ServeConfig {
     /// `EPOLLEXCLUSIVE`.
     pub shards: usize,
     /// Evict sessions idle this long, answering later requests with
-    /// `410 Gone`. `None` keeps sessions forever.
+    /// `410 Gone`. The maintenance thread sweeps every `min(ttl, 1 s)`,
+    /// so a session outlives its TTL by at most that. `None` keeps
+    /// sessions forever.
     pub session_ttl_ms: Option<u64>,
-    /// Expiry sweep period (only meaningful with a TTL set).
-    pub sweep_every_ms: u64,
     /// Snapshot-store LRU budget in bytes; `None` is unbounded.
     pub snapshot_budget_bytes: Option<usize>,
     /// Close *connections* (not sessions) idle this long — slowloris
@@ -411,10 +426,10 @@ pub struct ServeConfig {
     /// next fsync (`MS` adds no delay). Replies to mutating session routes
     /// are held until their record's barrier completes.
     pub fsync: FsyncPolicy,
-    /// Checkpoint period: rotate the journal, compact the live sessions'
-    /// sealed records into the checkpoint, and retire sealed segments this
-    /// often. 0 disables checkpointing
-    /// (the journal grows without bound, as before).
+    /// Checkpoint period: this often the maintenance thread rotates the
+    /// journal, compacts the live sessions' sealed records into the
+    /// checkpoint, and retires sealed segments. 0 disables checkpointing
+    /// (the journal grows without bound).
     pub checkpoint_every_ms: u64,
     /// On shutdown, give in-flight requests this long to finish writing
     /// before connections are torn down.
@@ -441,7 +456,6 @@ impl Default for ServeConfig {
             workers: 4,
             shards: 2,
             session_ttl_ms: None,
-            sweep_every_ms: 1_000,
             snapshot_budget_bytes: None,
             idle_timeout_ms: 60_000,
             max_queue: 1_024,
@@ -470,9 +484,9 @@ pub struct Server {
     /// Where shutdown dumps the folded CPU profile, when the lifetime
     /// profiler (`profile_hz > 0`) armed successfully.
     profile_path: Option<String>,
-    /// The periodic checkpoint thread, when journaling with
-    /// `checkpoint_every_ms > 0`.
-    checkpointer: Option<JoinHandle<()>>,
+    /// The maintenance thread, when there is periodic work (see
+    /// [`maintain`]).
+    maintenance: Option<JoinHandle<()>>,
     /// The shutdown durability barrier's failure, if any. Surfaced via
     /// [`durability_error`](Server::durability_error) so the binary can
     /// exit nonzero — a supervisor must notice lost durability.
@@ -546,48 +560,17 @@ impl Server {
             state.metrics.recovered_sessions.add(recovered as u64);
         }
         let backend = EpollBackend::start(state.clone(), cfg, &listener, stop.clone())?;
-        let checkpointer = (cfg.journal_path.is_some() && cfg.checkpoint_every_ms > 0).then(|| {
+        let mut jobs = Vec::new();
+        if let Some(ttl_ms) = cfg.session_ttl_ms {
+            jobs.push((Job::Sweep { ttl_ms }, ttl_ms.clamp(1, 1_000)));
+        }
+        if cfg.journal_path.is_some() && cfg.checkpoint_every_ms > 0 {
+            jobs.push((Job::Checkpoint, cfg.checkpoint_every_ms));
+        }
+        let maintenance = (!jobs.is_empty()).then(|| {
             let state = state.clone();
             let stop = stop.clone();
-            let period = Duration::from_millis(cfg.checkpoint_every_ms);
-            std::thread::spawn(move || {
-                while !stop.load(Ordering::SeqCst) {
-                    // Sleep in short slices so shutdown isn't gated on the
-                    // checkpoint period.
-                    let mut slept = Duration::ZERO;
-                    while slept < period && !stop.load(Ordering::SeqCst) {
-                        let slice = Duration::from_millis(50).min(period - slept);
-                        std::thread::sleep(slice);
-                        slept += slice;
-                    }
-                    if stop.load(Ordering::SeqCst) {
-                        return;
-                    }
-                    match state.manager.checkpoint() {
-                        Ok(sessions) => state.events.record(
-                            "journal",
-                            "checkpoint",
-                            &format!("checkpointed {sessions} sessions"),
-                            0,
-                            Duration::ZERO,
-                        ),
-                        // A failed checkpoint is not a durability loss —
-                        // it removes nothing, so the checkpoint and sealed
-                        // segments stay and replay next boot — but it must
-                        // be visible.
-                        Err(e) => {
-                            state.events.record(
-                                "journal",
-                                "checkpoint",
-                                &format!("checkpoint failed: {e}"),
-                                0,
-                                Duration::ZERO,
-                            );
-                            eprintln!("# journal checkpoint failed: {e}");
-                        }
-                    }
-                }
-            })
+            std::thread::spawn(move || maintain(&state, &stop, jobs))
         });
         Ok(Server {
             addr,
@@ -596,7 +579,7 @@ impl Server {
             state,
             trace_path: cfg.trace_path.clone(),
             profile_path,
-            checkpointer,
+            maintenance,
             durability_error: None,
         })
     }
@@ -623,7 +606,8 @@ impl Server {
         }
         self.state.metrics.draining.set(1);
         self.backend.shutdown();
-        if let Some(handle) = self.checkpointer.take() {
+        if let Some(handle) = self.maintenance.take() {
+            handle.thread().unpark();
             let _ = handle.join();
         }
         // Every worker has exited: nothing appends anymore, so this is the
@@ -650,6 +634,63 @@ impl Server {
                 Err(e) => eprintln!("# profile write to {path} failed: {e}"),
             }
         }
+    }
+}
+
+/// A periodic job of the maintenance thread.
+enum Job {
+    /// Evict sessions idle at least `ttl_ms`.
+    Sweep { ttl_ms: u64 },
+    /// Compact the journal into a checkpoint.
+    Checkpoint,
+}
+
+/// The server's periodic work, on one thread so that the reactors do only
+/// I/O: an eviction journals a `Delete` and a checkpoint rewrites the
+/// journal, and each waits on disk. Runs each `(job, period_ms)` once per
+/// period until `stop` is raised; between jobs the thread parks until the
+/// next one is due, and [`Server::shutdown`] unparks it.
+fn maintain(state: &AppState, stop: &AtomicBool, jobs: Vec<(Job, u64)>) {
+    let t0 = Instant::now();
+    let now_ms = || t0.elapsed().as_millis() as u64;
+    let mut due: Vec<u64> = jobs.iter().map(|&(_, period)| period).collect();
+    while !stop.load(Ordering::SeqCst) {
+        for ((job, period), due) in jobs.iter().zip(due.iter_mut()) {
+            if now_ms() < *due {
+                continue;
+            }
+            match job {
+                Job::Sweep { ttl_ms } => {
+                    state.manager.sweep_expired(*ttl_ms);
+                }
+                Job::Checkpoint => match state.manager.checkpoint() {
+                    Ok(sessions) => state.events.record(
+                        "journal",
+                        "checkpoint",
+                        &format!("checkpointed {sessions} sessions"),
+                        0,
+                        Duration::ZERO,
+                    ),
+                    // A failed checkpoint is not a durability loss — it
+                    // removes nothing, so the checkpoint and sealed
+                    // segments stay and replay next boot — but it must be
+                    // visible.
+                    Err(e) => {
+                        state.events.record(
+                            "journal",
+                            "checkpoint",
+                            &format!("checkpoint failed: {e}"),
+                            0,
+                            Duration::ZERO,
+                        );
+                        eprintln!("# journal checkpoint failed: {e}");
+                    }
+                },
+            }
+            *due = now_ms().saturating_add(*period);
+        }
+        let next = due.iter().min().expect("at least one job");
+        std::thread::park_timeout(Duration::from_millis(next.saturating_sub(now_ms())));
     }
 }
 

@@ -2,13 +2,13 @@
 //! window and the structured request event log, end-to-end over HTTP.
 //!
 //! The profiler (SIGPROF + per-process itimer) and its sample buffer are
-//! process-wide singletons, so the two tests serialize on one mutex.
+//! process-wide singletons, so the tests serialize on one mutex.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use atpm_serve::server::{AppState, ServeConfig, Server};
 
@@ -89,6 +89,43 @@ fn debug_profile_returns_parseable_folded_stacks() {
         s
     };
     let mut server = server;
+    server.shutdown();
+}
+
+#[test]
+fn a_second_profile_window_is_refused_at_once_and_other_requests_still_serve() {
+    let _guard = serial();
+    let mut server = boot();
+    let addr = server.addr();
+    let first = std::thread::spawn(move || get(addr, "/debug/profile?seconds=2", ""));
+    // An unprofiled server arms the profiler for the window and disarms
+    // it after: once it reads armed, the first window is open.
+    let t0 = Instant::now();
+    while atpm_net::sys::profiler_hz() == 0 {
+        assert!(
+            t0.elapsed() < Duration::from_secs(10),
+            "the first window never opened"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let t1 = Instant::now();
+    let (status, _, body) = get(addr, "/debug/profile?seconds=1", "");
+    assert_eq!(status, 409, "{body}");
+    assert!(
+        t1.elapsed() < Duration::from_millis(500),
+        "the refusal took {:?}",
+        t1.elapsed()
+    );
+    // The refusal parked no worker: requests are served while the first
+    // window is still open.
+    let (status, _, _) = get(addr, "/healthz", "");
+    assert_eq!(status, 200);
+    assert!(
+        atpm_net::sys::profiler_hz() > 0,
+        "the first window closed early"
+    );
+    let (status, _, body) = first.join().unwrap();
+    assert_eq!(status, 200, "{body}");
     server.shutdown();
 }
 
