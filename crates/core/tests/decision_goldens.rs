@@ -1,7 +1,8 @@
-//! Decision goldens for the double-greedy family: ADG (over the exact,
-//! Monte-Carlo and RIS oracles), ADDATP (base and dynamic-threshold) and
-//! HATP. For every world the test pins the selected seeds, the profit's
-//! `to_bits()` and the RR sets sampled.
+//! Decision goldens for every policy of the target walk: ADG (over the
+//! exact, Monte-Carlo and RIS oracles), ADDATP (base and dynamic-threshold),
+//! HATP, ARS (at `prob` 0.5 and 1.0) and DeployAll. For every world the
+//! test pins the selected seeds, the profit's `to_bits()` and the RR sets
+//! sampled.
 //!
 //! One policy value runs all worlds in order, so oracle call counters and
 //! nothing else carry across worlds, exactly as in `evaluate_adaptive`. A
@@ -11,7 +12,7 @@
 //! changed decision and must be re-recorded deliberately.
 
 use atpm_core::oracle::{ExactOracle, McOracle, RisOracle};
-use atpm_core::policies::{Addatp, Adg, Hatp};
+use atpm_core::policies::{Addatp, Adg, Ars, DeployAll, Hatp};
 use atpm_core::setup::{calibrated_instance, CalibrationConfig};
 use atpm_core::{AdaptivePolicy, AdaptiveSession, CostSplit, TpmInstance};
 use atpm_graph::gen::Dataset;
@@ -177,6 +178,51 @@ fn hatp_capped() {
             (&[1, 0, 3], 13836079374719064768, 94099),
             (&[1, 0, 3], 4609643379553585792, 94450),
             (&[1, 0, 3], 4628728327077125288, 88610),
+        ],
+    );
+}
+
+#[test]
+fn ars_fair_coin() {
+    let mut policy = Ars { prob: 0.5, seed: 9 };
+    check(
+        "ARS/0.5",
+        run_worlds(&preset_instance(), &mut policy),
+        &[
+            (&[1, 0, 12, 11], 4621666327761144940, 0),
+            (&[1, 12, 5], 4627602427170282664, 0),
+            (&[5], 13836899694970254228, 0),
+            (&[1, 0, 12], 4625350627356597416, 0),
+        ],
+    );
+}
+
+#[test]
+fn ars_prob_one() {
+    let mut policy = Ars { prob: 1.0, seed: 9 };
+    check(
+        "ARS/1.0",
+        run_worlds(&preset_instance(), &mut policy),
+        // Every coin lands heads: ARS at prob 1 is DeployAll.
+        &[
+            (&[1, 0, 3, 12, 11], 4628830867108523972, 0),
+            (&[1, 0, 3, 12, 5], 4626860542271549380, 0),
+            (&[1, 0, 3, 12, 5, 11], 13850231558907053744, 0),
+            (&[1, 0, 3, 12, 5], 4627986442178392004, 0),
+        ],
+    );
+}
+
+#[test]
+fn deploy_all() {
+    check(
+        "DeployAll",
+        run_worlds(&preset_instance(), &mut DeployAll),
+        &[
+            (&[1, 0, 3, 12, 11], 4628830867108523972, 0),
+            (&[1, 0, 3, 12, 5], 4626860542271549380, 0),
+            (&[1, 0, 3, 12, 5, 11], 13850231558907053744, 0),
+            (&[1, 0, 3, 12, 5], 4627986442178392004, 0),
         ],
     );
 }
