@@ -28,8 +28,8 @@
 //!   requests;
 //! * [`stepper`] — adaptive policies in resumable one-seed-at-a-time form
 //!   ([`PolicyStepper`]), the inversion of control the serve layer drives,
-//!   and the one double-greedy stepper ([`stepper::DoubleGreedy`]) that
-//!   ADG, ADDATP and HATP share;
+//!   and the one target walk ([`stepper::TargetWalk`]) that ADG, ADDATP,
+//!   HATP, ARS and DeployAll share, each with its own keep rule;
 //! * [`runner`] — evaluation over batches of realizations (the paper's
 //!   20-world protocol) with profit and wall-clock accounting;
 //! * [`policies`] — every algorithm of the paper:
@@ -41,7 +41,8 @@
 //!   [`Nsg`](policies::Nsg) / [`Ndg`](policies::Ndg) (nonadaptive
 //!   simple/double greedy of \[26\]),
 //!   [`Ars`](policies::Ars) / [`Rs`](policies::Rs) (random baselines of
-//!   \[10\]) and [`Baseline`](policies::Baseline) (deploy all of `T`);
+//!   \[10\]), [`Baseline`](policies::Baseline) (deploy all of `T`) and
+//!   its adaptive twin [`DeployAll`](policies::DeployAll);
 //! * [`theory`] — exact policy evaluation and a brute-force optimal adaptive
 //!   policy on tiny instances, used to machine-check Theorem 1.
 

@@ -29,7 +29,7 @@ use atpm_ris::stream::front_rear_counts_shared;
 use atpm_ris::NodeSet;
 
 use crate::session::AdaptiveSession;
-use crate::stepper::{DoubleGreedy, DoubleGreedyRule};
+use crate::stepper::{KeepRule, TargetWalk};
 use crate::AdaptivePolicy;
 
 const SQRT_2: f64 = std::f64::consts::SQRT_2;
@@ -67,7 +67,7 @@ impl Default for Addatp {
 }
 
 impl AdaptivePolicy for Addatp {
-    type Stepper<'a> = DoubleGreedy<AddatpRule>;
+    type Stepper<'a> = TargetWalk<AddatpRule>;
 
     fn stepper(&mut self) -> Self::Stepper<'_> {
         let name = match self.dynamic_eps {
@@ -79,7 +79,7 @@ impl AdaptivePolicy for Addatp {
             round_salt: self.seed,
             eta_tilde_sum: 0.0,
         };
-        DoubleGreedy::new(name, rule)
+        TargetWalk::new(name, rule)
     }
 }
 
@@ -91,7 +91,7 @@ pub struct AddatpRule {
     eta_tilde_sum: f64,
 }
 
-impl DoubleGreedyRule for AddatpRule {
+impl KeepRule for AddatpRule {
     fn keep(&mut self, session: &mut AdaptiveSession<'_>, u: Node, rear: &NodeSet) -> bool {
         let k = session.instance().target().len();
         let n = session.instance().graph().num_nodes();

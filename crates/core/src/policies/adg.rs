@@ -21,7 +21,7 @@ use atpm_ris::NodeSet;
 
 use crate::oracle::SpreadOracle;
 use crate::session::AdaptiveSession;
-use crate::stepper::{DoubleGreedy, DoubleGreedyRule};
+use crate::stepper::{KeepRule, TargetWalk};
 use crate::AdaptivePolicy;
 
 /// Adaptive double greedy over any [`SpreadOracle`].
@@ -38,19 +38,19 @@ impl<O: SpreadOracle> Adg<O> {
 
 impl<O: SpreadOracle + Send> AdaptivePolicy for Adg<O> {
     type Stepper<'a>
-        = DoubleGreedy<&'a mut Self>
+        = TargetWalk<&'a mut Self>
     where
         Self: 'a;
 
     fn stepper(&mut self) -> Self::Stepper<'_> {
-        DoubleGreedy::new("ADG", self)
+        TargetWalk::new("ADG", self)
     }
 }
 
 /// ADG's decision rule is the policy itself, borrowed for one realization:
 /// exact front and rear profits from its oracle, whose state (call
 /// counters) carries across realizations.
-impl<O: SpreadOracle + Send> DoubleGreedyRule for &mut Adg<O> {
+impl<O: SpreadOracle + Send> KeepRule for &mut Adg<O> {
     fn keep(&mut self, session: &mut AdaptiveSession<'_>, u: Node, rear: &NodeSet) -> bool {
         let instance = session.instance();
         let c = instance.cost(u);

@@ -6,15 +6,14 @@
 //! order, skip the ones already activated, flip a fair coin for the rest and
 //! observe/remove the cascade after every selection.
 
-use std::borrow::Cow;
-
 use atpm_graph::Node;
+use atpm_ris::NodeSet;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::instance::TpmInstance;
 use crate::session::AdaptiveSession;
-use crate::stepper::PolicyStepper;
+use crate::stepper::{KeepRule, TargetWalk};
 use crate::{AdaptivePolicy, NonadaptivePolicy};
 
 /// Adaptive random set.
@@ -34,48 +33,35 @@ impl Default for Ars {
 }
 
 impl AdaptivePolicy for Ars {
-    type Stepper<'a> = ArsStepper;
+    type Stepper<'a> = TargetWalk<ArsRule>;
 
-    /// Coins mix in the session's world seed, so the RNG is created lazily
-    /// on the first [`next_seed`](PolicyStepper::next_seed) call.
-    fn stepper(&mut self) -> ArsStepper {
+    fn stepper(&mut self) -> TargetWalk<ArsRule> {
         assert!((0.0..=1.0).contains(&self.prob), "prob must be in [0,1]");
-        ArsStepper {
+        let rule = ArsRule {
             cfg: self.clone(),
-            idx: 0,
             rng: None,
-        }
+        };
+        TargetWalk::new("ARS", rule)
     }
 }
 
-/// [`Ars`] in resumable, one-seed-at-a-time form.
-pub struct ArsStepper {
+/// ARS's keep rule: one coin per examined candidate. Coins mix in the
+/// session's world seed, so the RNG is created lazily on the first
+/// candidate.
+pub struct ArsRule {
     cfg: Ars,
-    idx: usize,
     rng: Option<StdRng>,
 }
 
-impl PolicyStepper for ArsStepper {
-    fn name(&self) -> Cow<'static, str> {
-        "ARS".into()
-    }
-
-    fn next_seed(&mut self, session: &mut AdaptiveSession<'_>) -> Option<Node> {
+impl KeepRule for ArsRule {
+    fn keep(&mut self, session: &mut AdaptiveSession<'_>, _: Node, _: &NodeSet) -> bool {
         let world = session.world_seed();
-        let rng = self.rng.get_or_insert_with(|| {
-            StdRng::seed_from_u64(self.cfg.seed ^ world.wrapping_mul(0x9E3779B97F4A7C15))
-        });
-        while self.idx < session.instance().target().len() {
-            let u = session.instance().target()[self.idx];
-            self.idx += 1;
-            if session.is_activated(u) {
-                continue;
-            }
-            if rng.gen_bool(self.cfg.prob) {
-                return Some(u);
-            }
-        }
-        None
+        let seed = self.cfg.seed;
+        self.rng
+            .get_or_insert_with(|| {
+                StdRng::seed_from_u64(seed ^ world.wrapping_mul(0x9E3779B97F4A7C15))
+            })
+            .gen_bool(self.cfg.prob)
     }
 }
 

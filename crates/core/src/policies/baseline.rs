@@ -11,13 +11,12 @@
 //! sampling at all, and serves as the cheap reference policy of the
 //! `atpm-serve` protocol tests.
 
-use std::borrow::Cow;
-
 use atpm_graph::Node;
+use atpm_ris::NodeSet;
 
 use crate::instance::TpmInstance;
 use crate::session::AdaptiveSession;
-use crate::stepper::PolicyStepper;
+use crate::stepper::{KeepRule, TargetWalk};
 use crate::{AdaptivePolicy, NonadaptivePolicy};
 
 /// Selects the whole target set.
@@ -40,32 +39,17 @@ impl NonadaptivePolicy for Baseline {
 pub struct DeployAll;
 
 impl AdaptivePolicy for DeployAll {
-    type Stepper<'a> = DeployAllStepper;
+    type Stepper<'a> = TargetWalk<DeployAll>;
 
-    fn stepper(&mut self) -> DeployAllStepper {
-        DeployAllStepper { idx: 0 }
+    fn stepper(&mut self) -> TargetWalk<DeployAll> {
+        TargetWalk::new("DeployAll", DeployAll)
     }
 }
 
-/// [`DeployAll`] in resumable, one-seed-at-a-time form.
-pub struct DeployAllStepper {
-    idx: usize,
-}
-
-impl PolicyStepper for DeployAllStepper {
-    fn name(&self) -> Cow<'static, str> {
-        "DeployAll".into()
-    }
-
-    fn next_seed(&mut self, session: &mut AdaptiveSession<'_>) -> Option<Node> {
-        while self.idx < session.instance().target().len() {
-            let u = session.instance().target()[self.idx];
-            self.idx += 1;
-            if !session.is_activated(u) {
-                return Some(u);
-            }
-        }
-        None
+/// DeployAll's keep rule keeps every candidate the walk reaches.
+impl KeepRule for DeployAll {
+    fn keep(&mut self, _: &mut AdaptiveSession<'_>, _: Node, _: &NodeSet) -> bool {
+        true
     }
 }
 

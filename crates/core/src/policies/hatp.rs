@@ -37,7 +37,7 @@ use atpm_ris::stream::front_rear_counts_shared;
 use atpm_ris::NodeSet;
 
 use crate::session::AdaptiveSession;
-use crate::stepper::{DoubleGreedy, DoubleGreedyRule};
+use crate::stepper::{KeepRule, TargetWalk};
 use crate::AdaptivePolicy;
 
 const SQRT_2: f64 = std::f64::consts::SQRT_2;
@@ -180,14 +180,14 @@ impl Hatp {
 }
 
 impl AdaptivePolicy for Hatp {
-    type Stepper<'a> = DoubleGreedy<HatpRule>;
+    type Stepper<'a> = TargetWalk<HatpRule>;
 
     fn stepper(&mut self) -> Self::Stepper<'_> {
         let rule = HatpRule {
             cfg: self.clone(),
             round_salt: self.seed,
         };
-        DoubleGreedy::new("HATP", rule)
+        TargetWalk::new("HATP", rule)
     }
 }
 
@@ -198,7 +198,7 @@ pub struct HatpRule {
     round_salt: u64,
 }
 
-impl DoubleGreedyRule for HatpRule {
+impl KeepRule for HatpRule {
     fn keep(&mut self, session: &mut AdaptiveSession<'_>, u: Node, rear: &NodeSet) -> bool {
         // S_{i−1} is dead on the residual graph: the front condition is
         // empty, and a zero-width set reads every id as absent.

@@ -24,9 +24,9 @@
 //! stepped run interleaved with external observations is byte-identical to
 //! the in-process run by construction — there is only one decision path,
 //! pinned across the HTTP boundary by `atpm-serve`'s end-to-end test. ADG,
-//! ADDATP and HATP share one stepper, [`DoubleGreedy`], and differ only in
-//! their [`DoubleGreedyRule`]; ARS, DeployAll and ThresholdBatch have their
-//! own.
+//! ADDATP, HATP, ARS and DeployAll share one stepper, [`TargetWalk`], and
+//! differ only in their [`KeepRule`]; ThresholdBatch, which decides whole
+//! rounds at once, is the only policy with its own.
 
 use std::borrow::Cow;
 
@@ -81,9 +81,10 @@ pub trait PolicyStepper: Send {
     }
 }
 
-/// The keep/reject decision of one adaptive double greedy (Algorithms 2–4):
-/// how a policy compares a candidate's front profit with its rear profit.
-pub trait DoubleGreedyRule: Send {
+/// The keep/reject decision of a [`TargetWalk`]: the double greedies of
+/// Algorithms 2–4 compare a candidate's front profit with its rear profit,
+/// ARS flips a coin and DeployAll keeps everything.
+pub trait KeepRule: Send {
     /// Decides whether to keep candidate `u`, which is alive on the current
     /// residual graph; `rear` is `T_{i−1} ∖ {u}`. The front condition
     /// `S_{i−1}` is empty: every observed seed was activated and removed
@@ -93,11 +94,11 @@ pub trait DoubleGreedyRule: Send {
     fn keep(&mut self, session: &mut AdaptiveSession<'_>, u: Node, rear: &NodeSet) -> bool;
 }
 
-/// The adaptive double greedy as one [`PolicyStepper`]: walks the target
-/// set in order, skips candidates an earlier cascade activated, and commits
-/// each remaining one its [`DoubleGreedyRule`] keeps. It owns the cursor
-/// and `T_rest`; the rule owns everything else (oracle, salts, schedule).
-pub struct DoubleGreedy<R> {
+/// The adaptive target walk as one [`PolicyStepper`]: walks the target set
+/// in order, skips candidates an earlier cascade activated, and commits
+/// each remaining one its [`KeepRule`] keeps. It owns the cursor and
+/// `T_rest`; the rule owns everything else (oracle, salts, coins).
+pub struct TargetWalk<R> {
     name: &'static str,
     rule: R,
     idx: usize,
@@ -107,10 +108,10 @@ pub struct DoubleGreedy<R> {
     t_rest: Option<NodeSet>,
 }
 
-impl<R> DoubleGreedy<R> {
+impl<R> TargetWalk<R> {
     /// Policy `name`, examining the whole target set with `rule`.
     pub(crate) fn new(name: &'static str, rule: R) -> Self {
-        DoubleGreedy {
+        TargetWalk {
             name,
             rule,
             idx: 0,
@@ -119,7 +120,7 @@ impl<R> DoubleGreedy<R> {
     }
 }
 
-impl<R: DoubleGreedyRule> PolicyStepper for DoubleGreedy<R> {
+impl<R: KeepRule> PolicyStepper for TargetWalk<R> {
     fn name(&self) -> Cow<'static, str> {
         self.name.into()
     }

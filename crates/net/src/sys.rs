@@ -48,8 +48,8 @@ extern "C" fn on_terminate_signal(_sig: i32) {
 static PROFILE_HZ: AtomicU32 = AtomicU32::new(0);
 
 /// The sampling rate [`profiler_arm`] last installed, or 0 when the
-/// profiler is off. `/debug/profile` uses this to decide whether to
-/// temporarily arm for the window.
+/// profiler is off: nonzero exactly while a `/debug/profile` window of
+/// the serve layer is open.
 pub fn profiler_hz() -> u32 {
     PROFILE_HZ.load(Ordering::Relaxed)
 }

@@ -23,11 +23,6 @@
 //!                              (default 300)
 //!        --trace PATH          enable span tracing; dump Chrome trace-event
 //!                              JSON (Perfetto-loadable) here on shutdown
-//!        --profile-hz HZ       arm the SIGPROF sampling CPU profiler at HZ
-//!                              samples/sec of process CPU time; dump folded
-//!                              stacks on shutdown (default: off)
-//!        --profile-out PATH    where the shutdown dump goes
-//!                              (default atpm-profile.folded)
 //!        --drain-ms MS         graceful-shutdown drain window (default 500)
 //!        --snapshot-budget MB  snapshot-store LRU byte budget (default: unbounded)
 //!        --preset NAME         preload a snapshot from a Table II preset
@@ -40,7 +35,9 @@
 //! load snapshots over the API (`POST /snapshots`). Runs until killed.
 //! `--workers` bounds CPU concurrency only — connection count is limited
 //! by fds, not threads. The transport is epoll-based: Linux x86_64/aarch64
-//! only; elsewhere the server refuses to start (exit 1).
+//! only; elsewhere the server refuses to start (exit 1). CPU profiles come
+//! from `GET /debug/profile?seconds=N`, which arms the sampling profiler
+//! for its window only.
 
 use atpm_serve::journal::FsyncPolicy;
 use atpm_serve::protocol::{SnapshotReq, SnapshotSource};
@@ -117,12 +114,6 @@ fn parse(args: &[String]) -> Result<Args, String> {
                     secs_to_ms("--checkpoint-every", &value_of("--checkpoint-every")?)?;
             }
             "--trace" => cfg.trace_path = Some(value_of("--trace")?),
-            "--profile-hz" => {
-                cfg.profile_hz = value_of("--profile-hz")?
-                    .parse()
-                    .map_err(|e| format!("bad --profile-hz: {e}"))?;
-            }
-            "--profile-out" => cfg.profile_path = Some(value_of("--profile-out")?),
             "--drain-ms" => {
                 cfg.drain_ms = value_of("--drain-ms")?
                     .parse()
@@ -203,7 +194,7 @@ fn main() {
                  [--workers N] [--shards N] [--session-ttl SECS] \
                  [--idle-timeout SECS] [--max-queue N] [--journal PATH] \
                  [--fsync shutdown|group:MS|always] [--checkpoint-every SECS] \
-                 [--trace PATH] [--profile-hz HZ] [--profile-out PATH] \
+                 [--trace PATH] \
                  [--drain-ms MS] [--snapshot-budget MB] \
                  [--preset NAME | --graph PATH] \
                  [--name NAME] [--scale F] [--k N] [--rr-theta N] [--seed S]"
@@ -211,15 +202,6 @@ fn main() {
             std::process::exit(2);
         }
     };
-    // Arm the profiler before the boot snapshot build, not just in
-    // `Server::start`: the build is the heaviest CPU this process may ever
-    // run, and the shutdown dump should include it. `Server::start` re-arms
-    // at the same rate (idempotent) and owns the dump path.
-    if args.cfg.profile_hz > 0 {
-        if let Err(e) = atpm_net::sys::profiler_arm(args.cfg.profile_hz) {
-            eprintln!("# warning: profiler unavailable ({e}); continuing without");
-        }
-    }
     let state = AppState::new();
     if let Some(req) = &args.snapshot {
         eprintln!("# building snapshot '{}'...", req.name);

@@ -32,12 +32,13 @@
 //! stays byte-identical to the in-process
 //! [`run_stepper`](atpm_core::run_stepper) drive.
 //!
-//! Durability: with [`attach_journal`](SessionManager::attach_journal), every
-//! committed transition (create / new batch / observation / delete) is
-//! appended to an [`ATPMJNL2` journal](crate::journal) — idempotent retries
-//! are not re-journaled. [`recover`](SessionManager::recover) replays a
-//! journal through these same handlers, rebuilding each session bit-for-bit
-//! (same token, same seed sequence, same ledger).
+//! Durability: [`recover`](SessionManager::recover) replays a journal's
+//! records through these same handlers, rebuilding each session bit-for-bit
+//! (same token, same seed sequence, same ledger), and then attaches the
+//! journal. From there on every committed transition (create / new batch /
+//! observation / delete) is appended to the
+//! [`ATPMJNL2` journal](crate::journal) — idempotent retries are not
+//! re-journaled.
 //!
 //! Expiry: every session records a last-touched timestamp from the
 //! manager's clock (monotonic by default, injectable for tests), and
@@ -51,7 +52,7 @@
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::io;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
@@ -192,11 +193,10 @@ pub struct SessionManager {
     next_id: AtomicU64,
     clock: ClockMs,
     expired: Mutex<Tombstones>,
-    /// Committed-transition journal, when durability is configured.
-    journal: Mutex<Option<Arc<Journal>>>,
-    /// Raised during [`recover`](Self::recover) so replayed transitions are
-    /// not appended back to the journal they came from.
-    replaying: AtomicBool,
+    /// Committed-transition journal, when durability is configured. Set
+    /// once, by [`recover`](Self::recover) after its replay, so replayed
+    /// transitions cannot be appended back to the journal they came from.
+    journal: OnceLock<Journal>,
     /// Serializes [`checkpoint`](Self::checkpoint) calls (the periodic
     /// thread vs. an operator-triggered one must not interleave rotations).
     checkpointing: Mutex<()>,
@@ -237,8 +237,7 @@ impl SessionManager {
             next_id: AtomicU64::new(1),
             clock,
             expired: Mutex::new(Tombstones::default()),
-            journal: Mutex::new(None),
-            replaying: AtomicBool::new(false),
+            journal: OnceLock::new(),
             checkpointing: Mutex::new(()),
             metrics: OnceLock::new(),
         }
@@ -250,27 +249,12 @@ impl SessionManager {
         let _ = self.metrics.set(metrics);
     }
 
-    /// Attaches a journal: every committed transition from here on is
-    /// appended to it. Call before serving traffic (typically right after
-    /// [`recover`](Self::recover)ing the same journal's records).
-    pub fn attach_journal(&self, journal: Arc<Journal>) {
-        *self.journal.lock().unwrap_or_else(|p| p.into_inner()) = Some(journal);
-    }
-
-    /// The attached journal, if any.
-    fn journal(&self) -> Option<Arc<Journal>> {
-        self.journal
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .clone()
-    }
-
     /// Fsyncs the attached journal, if any — the graceful-shutdown
     /// durability barrier. An error here means the tail of the run may
     /// not have reached the disk; the caller must surface it (the server
     /// binary exits nonzero so supervisors notice lost durability).
     pub fn sync_journal(&self) -> io::Result<()> {
-        let Some(journal) = self.journal() else {
+        let Some(journal) = self.journal.get() else {
             return Ok(());
         };
         // The journal times the fsync into `journal_fsync_seconds` itself.
@@ -279,7 +263,7 @@ impl SessionManager {
 
     /// Journal health for `/healthz` (inert defaults without a journal).
     pub fn journal_stats(&self) -> JournalStats {
-        match self.journal() {
+        match self.journal.get() {
             Some(journal) => JournalStats {
                 bytes: journal.bytes(),
                 segments: journal.segments(),
@@ -300,7 +284,7 @@ impl SessionManager {
     /// True once the attached journal is poisoned: durability is lost,
     /// so mutating routes must stop acking (degraded mode).
     pub fn journal_degraded(&self) -> bool {
-        self.journal().is_some_and(|journal| journal.poisoned())
+        self.journal.get().is_some_and(|journal| journal.poisoned())
     }
 
     /// Advances the session-id counter to at least `floor` (the
@@ -312,17 +296,14 @@ impl SessionManager {
 
     /// Appends a record to the attached journal and blocks until it is
     /// durable under the configured fsync policy (a no-op when no journal
-    /// is attached or while replaying). A durability failure poisons the
-    /// journal and surfaces as a 503 — fsyncgate semantics: never ack a
-    /// transition the disk may not hold.
+    /// is attached, which includes replay). A durability failure poisons
+    /// the journal and surfaces as a 503 — fsyncgate semantics: never ack
+    /// a transition the disk may not hold.
     /// A record over the journal's size limit is a 413 and poisons
-    /// nothing. `make` runs only when a journal is attached and not
-    /// replaying, so the hot path never clones request payloads.
+    /// nothing. `make` runs only when a journal is attached, so the hot
+    /// path never clones request payloads.
     fn log(&self, make: impl FnOnce() -> Record) -> Result<(), ApiError> {
-        if self.replaying.load(Ordering::SeqCst) {
-            return Ok(());
-        }
-        let Some(journal) = self.journal() else {
+        let Some(journal) = self.journal.get() else {
             return Ok(());
         };
         let t0 = Instant::now();
@@ -347,7 +328,7 @@ impl SessionManager {
     /// journal). Recovery becomes load-checkpoint + replay-tail: bounded
     /// in records, regardless of run length.
     pub fn checkpoint(&self) -> io::Result<usize> {
-        let Some(journal) = self.journal() else {
+        let Some(journal) = self.journal.get() else {
             return Ok(0);
         };
         let _serial = self.checkpointing.lock().unwrap_or_else(|p| p.into_inner());
@@ -380,8 +361,11 @@ impl SessionManager {
         journal.write_checkpoint(next_id, &live)
     }
 
-    /// Replays journal records through the live handlers, rebuilding every
-    /// session that was open at the crash. Returns the number of sessions
+    /// Replays `journal`'s records (as [`Journal::open`] returned them)
+    /// through the live handlers, rebuilding every session that was open at
+    /// the crash, then attaches `journal`: every committed transition from
+    /// here on is appended to it. Call before serving traffic; a fresh
+    /// journal has no records to replay. Returns the number of sessions
     /// live afterwards.
     ///
     /// Sessions are deterministic given `(snapshot, policy, world seed,
@@ -393,8 +377,15 @@ impl SessionManager {
     /// the journal ran against) discards that session rather than
     /// resurrecting a corrupt run. Tombstones are not persisted: a session
     /// evicted before the crash answers 404 after recovery, not 410.
-    pub fn recover(&self, records: &[Record]) -> usize {
-        self.replaying.store(true, Ordering::SeqCst);
+    ///
+    /// # Panics
+    ///
+    /// If a journal is already attached: the replay would append to it.
+    pub fn recover(&self, journal: Journal, records: &[Record]) -> usize {
+        assert!(
+            self.journal.get().is_none(),
+            "a journal is already attached"
+        );
         for record in records {
             let replayed = match record {
                 Record::Create { id, token, req } => {
@@ -415,10 +406,10 @@ impl SessionManager {
                 Record::Delete { .. } => false,
             };
             if !replayed {
-                self.delete(record.token());
+                self.remove(record.token());
             }
         }
-        self.replaying.store(false, Ordering::SeqCst);
+        let _ = self.journal.set(journal);
         self.len()
     }
 
@@ -741,19 +732,10 @@ impl SessionManager {
 
     /// Closes a session; returns whether it existed.
     pub fn delete(&self, token: &str) -> bool {
-        let removed = self
-            .sessions
-            .lock()
-            .expect("session table poisoned")
-            .remove(token)
-            .is_some();
+        let removed = self.remove(token);
         if removed {
-            // Replay deletes (journal recovery discarding a diverged
-            // session) are bookkeeping, not API traffic.
-            if !self.replaying.load(Ordering::SeqCst) {
-                if let Some(m) = self.metrics.get() {
-                    m.sessions_deleted.inc();
-                }
+            if let Some(m) = self.metrics.get() {
+                m.sessions_deleted.inc();
             }
             // Best-effort, as in the sweep: the removal is already
             // visible; degraded mode gates new mutations at the router.
@@ -762,6 +744,16 @@ impl SessionManager {
             });
         }
         removed
+    }
+
+    /// Drops a session from the table without journaling or counting it:
+    /// how recovery discards a session whose replay diverged.
+    fn remove(&self, token: &str) -> bool {
+        self.sessions
+            .lock()
+            .expect("session table poisoned")
+            .remove(token)
+            .is_some()
     }
 }
 
@@ -1287,7 +1279,7 @@ mod tests {
             let m = manager();
             let (journal, records) = Journal::open(&path).unwrap();
             assert!(records.is_empty());
-            m.attach_journal(Arc::new(journal));
+            m.recover(journal, &records);
             let token = create(&m, PolicySpec::DeployAll, 11);
             for _ in 0..2 {
                 let seed = m.next(&token).unwrap().seeds[0];
@@ -1300,8 +1292,11 @@ mod tests {
         // Restart: fresh manager over an equivalent store, same journal.
         let m = manager();
         let (journal, records) = Journal::open(&path).unwrap();
-        assert_eq!(m.recover(&records), 1, "one live session to recover");
-        m.attach_journal(Arc::new(journal));
+        assert_eq!(
+            m.recover(journal, &records),
+            1,
+            "one live session to recover"
+        );
         // The client's retried `next` gets the exact pending seed back.
         assert_eq!(m.next(&token).unwrap().seeds, vec![pending]);
         let recovered = drive_to_completion(&m, &token);
@@ -1330,7 +1325,7 @@ mod tests {
             let m = manager();
             let (journal, records) = Journal::open(&path).unwrap();
             assert!(records.is_empty());
-            m.attach_journal(Arc::new(journal));
+            m.recover(journal, &records);
             let token = create(&m, PolicySpec::DeployAll, 13);
             let first = m.next_batch(&token, 3).unwrap();
             m.observe_batch(&token, &ObserveBatchReq::Simulate { seeds: first.seeds })
@@ -1341,8 +1336,7 @@ mod tests {
 
         let m = manager();
         let (journal, records) = Journal::open(&path).unwrap();
-        assert_eq!(m.recover(&records), 1);
-        m.attach_journal(Arc::new(journal));
+        assert_eq!(m.recover(journal, &records), 1);
         // The retried next_batch re-serves the exact pending batch.
         assert_eq!(m.next_batch(&token, 3).unwrap().seeds, pending);
         let recovered = {
@@ -1364,8 +1358,8 @@ mod tests {
     fn a_panic_torn_session_journals_no_observation() {
         let path = temp_journal("torn");
         let m = manager();
-        let (journal, _) = Journal::open(&path).unwrap();
-        m.attach_journal(Arc::new(journal));
+        let (journal, records) = Journal::open(&path).unwrap();
+        m.recover(journal, &records);
         let token = create(&m, PolicySpec::DeployAll, 5);
         let seed = m.next(&token).unwrap().seeds[0];
         // What a handler panic inside `with_session` leaves behind.
@@ -1385,16 +1379,19 @@ mod tests {
         let path = temp_journal("counter");
         let old_token = {
             let m = manager();
-            let (journal, _) = Journal::open(&path).unwrap();
-            m.attach_journal(Arc::new(journal));
+            let (journal, records) = Journal::open(&path).unwrap();
+            m.recover(journal, &records);
             let dead = create(&m, PolicySpec::DeployAll, 1);
             m.delete(&dead);
             create(&m, PolicySpec::DeployAll, 2)
         };
         let m = manager();
         let (journal, records) = Journal::open(&path).unwrap();
-        assert_eq!(m.recover(&records), 1, "deleted session stays deleted");
-        m.attach_journal(Arc::new(journal));
+        assert_eq!(
+            m.recover(journal, &records),
+            1,
+            "deleted session stays deleted"
+        );
         assert!(m.ledger(&old_token).is_ok());
         let fresh = create(&m, PolicySpec::DeployAll, 3);
         assert_ne!(fresh, old_token, "counter must advance past the journal");

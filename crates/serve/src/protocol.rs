@@ -289,6 +289,11 @@ impl PolicySpec {
                     cfg.eps_threshold = *e;
                 }
                 if let Some(t) = max_theta {
+                    if *t == 0 {
+                        return Err(ApiError::bad_request(
+                            "max_theta must be positive".to_string(),
+                        ));
+                    }
                     cfg.max_theta = *t;
                 }
                 Ok(Box::new(cfg.stepper()))
@@ -716,6 +721,15 @@ mod tests {
             threads: 1,
         };
         assert!(bad_eps.build().is_err());
+        let zero_cap = PolicySpec::Hatp {
+            eps_threshold: None,
+            max_theta: Some(0),
+            seed: 0,
+            threads: 1,
+        };
+        let err = zero_cap.build().err().expect("max_theta 0");
+        assert_eq!(err.status, 400);
+        assert_eq!(err.message, "max_theta must be positive");
         let bad_prob = PolicySpec::Ars { prob: 1.5, seed: 0 };
         assert!(bad_prob.build().is_err());
         let bad_batch_eps = PolicySpec::ThresholdBatch {

@@ -337,10 +337,9 @@ pub(crate) fn respond(
 }
 
 /// `GET /debug/profile?seconds=N`: a windowed CPU profile of the running
-/// server, as folded stacks (flamegraph.pl / Speedscope input). When the
-/// profiler is not armed (`--profile-hz 0`, the default) it is armed at
-/// 99 Hz for the window and disarmed after, so the endpoint works — and
-/// costs nothing — on an otherwise unprofiled server.
+/// server, as folded stacks (flamegraph.pl / Speedscope input). The
+/// profiler is armed at 99 Hz for the window and disarmed after, so it
+/// costs nothing outside a window.
 ///
 /// The handler *blocks its worker* for the window (clamped to 1..=30 s).
 /// One window is open at a time, process-wide: a call that finds one open
@@ -368,21 +367,16 @@ fn debug_profile(req: &Request) -> (u16, RespBody) {
             )
         }
     };
-    let temporary = atpm_net::sys::profiler_hz() == 0;
-    if temporary {
-        if let Err(e) = atpm_net::sys::profiler_arm(99) {
-            return (
-                501,
-                RespBody::Text("text/plain", format!("profiler unavailable: {e}\n")),
-            );
-        }
+    if let Err(e) = atpm_net::sys::profiler_arm(99) {
+        return (
+            501,
+            RespBody::Text("text/plain", format!("profiler unavailable: {e}\n")),
+        );
     }
     let pos = atpm_obs::profile::cursor();
     std::thread::sleep(std::time::Duration::from_secs(seconds));
     let folded = atpm_obs::profile::render_folded_since(pos);
-    if temporary {
-        let _ = atpm_net::sys::profiler_disarm();
-    }
+    let _ = atpm_net::sys::profiler_disarm();
     match folded {
         Ok(text) => (200, RespBody::Text("text/plain; charset=utf-8", text)),
         Err(e) => (
@@ -438,15 +432,6 @@ pub struct ServeConfig {
     /// (Perfetto / `chrome://tracing` loadable) to this path on shutdown.
     /// `None` leaves tracing disabled (one relaxed load per would-be span).
     pub trace_path: Option<String>,
-    /// Arm the sampling CPU profiler at this rate for the server's whole
-    /// lifetime; folded stacks dump to [`ServeConfig::profile_path`] on
-    /// shutdown. 0 (the default) leaves the profiler off — zero overhead —
-    /// and `GET /debug/profile` arms temporarily per window instead.
-    pub profile_hz: u32,
-    /// Where shutdown writes the cumulative folded-stack profile when
-    /// [`ServeConfig::profile_hz`] > 0. `None` defaults to
-    /// `atpm-profile.folded`.
-    pub profile_path: Option<String>,
 }
 
 impl Default for ServeConfig {
@@ -464,8 +449,6 @@ impl Default for ServeConfig {
             checkpoint_every_ms: 300_000,
             drain_ms: 500,
             trace_path: None,
-            profile_hz: 0,
-            profile_path: None,
         }
     }
 }
@@ -481,9 +464,6 @@ pub struct Server {
     state: Arc<AppState>,
     /// Where shutdown dumps the Chrome trace, when tracing was enabled.
     trace_path: Option<String>,
-    /// Where shutdown dumps the folded CPU profile, when the lifetime
-    /// profiler (`profile_hz > 0`) armed successfully.
-    profile_path: Option<String>,
     /// The maintenance thread, when there is periodic work (see
     /// [`maintain`]).
     maintenance: Option<JoinHandle<()>>,
@@ -512,21 +492,6 @@ impl Server {
         if cfg.trace_path.is_some() {
             tracer().set_enabled(true);
         }
-        // Lifetime profiler: warn-and-continue when the platform lacks the
-        // shims — profiling is diagnostics, not a reason to refuse boot.
-        let mut profile_path = None;
-        if cfg.profile_hz > 0 {
-            match atpm_net::sys::profiler_arm(cfg.profile_hz) {
-                Ok(()) => {
-                    profile_path = Some(
-                        cfg.profile_path
-                            .clone()
-                            .unwrap_or_else(|| "atpm-profile.folded".to_string()),
-                    );
-                }
-                Err(e) => eprintln!("# profiler unavailable ({e}); continuing without"),
-            }
-        }
         if let Some(path) = &cfg.journal_path {
             let (journal, records) = Journal::open_with(path, cfg.fsync, Arc::new(RealIo))?;
             journal.bind_fsync_histogram(state.metrics.journal_fsync_seconds.clone());
@@ -551,12 +516,11 @@ impl Server {
                 .manager
                 .bump_next_id(journal.open_info().next_id_floor);
             let t_replay = Instant::now();
-            let recovered = state.manager.recover(&records);
+            let recovered = state.manager.recover(journal, &records);
             state
                 .metrics
                 .journal_replay_seconds
                 .record_duration(t_replay.elapsed());
-            state.manager.attach_journal(Arc::new(journal));
             state.metrics.recovered_sessions.add(recovered as u64);
         }
         let backend = EpollBackend::start(state.clone(), cfg, &listener, stop.clone())?;
@@ -578,7 +542,6 @@ impl Server {
             backend,
             state,
             trace_path: cfg.trace_path.clone(),
-            profile_path,
             maintenance,
             durability_error: None,
         })
@@ -622,16 +585,6 @@ impl Server {
             match std::fs::write(&path, tracer().drain_json()) {
                 Ok(()) => eprintln!("# trace written to {path}"),
                 Err(e) => eprintln!("# trace write to {path} failed: {e}"),
-            }
-        }
-        if let Some(path) = self.profile_path.take() {
-            let _ = atpm_net::sys::profiler_disarm();
-            // Cumulative dump: everything sampled since boot.
-            match atpm_obs::profile::render_folded_since(0)
-                .and_then(|folded| std::fs::write(&path, folded))
-            {
-                Ok(()) => eprintln!("# profile written to {path}"),
-                Err(e) => eprintln!("# profile write to {path} failed: {e}"),
             }
         }
     }

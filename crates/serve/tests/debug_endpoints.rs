@@ -77,6 +77,8 @@ fn debug_profile_returns_parseable_folded_stacks() {
         stop.store(true, Ordering::Relaxed);
         burner.join().unwrap();
         assert_eq!(status, 200, "profile window failed: {body}");
+        // The window disarms what it armed before it answers.
+        assert_eq!(atpm_net::sys::profiler_hz(), 0, "profiler left armed");
         assert!(!body.trim().is_empty(), "folded output must be non-empty");
         // Every line must parse as `frame(;frame)* count`.
         for line in body.lines() {

@@ -86,7 +86,7 @@ fn server_with_fault_journal(
     let state = state_with_snapshot();
     let (journal, existing) = Journal::open_with(&path, policy, Arc::new(io)).unwrap();
     assert!(existing.is_empty());
-    state.manager.attach_journal(Arc::new(journal));
+    state.manager.recover(journal, &existing);
     let server = Server::start(state.clone(), &ServeConfig::default()).unwrap();
     (server, state)
 }
@@ -211,8 +211,8 @@ fn an_overlong_report_is_a_400_before_the_session_changes() {
     use atpm_serve::protocol::ObserveBatchReq;
     let path = tmppath("long-report");
     let state = state_with_snapshot();
-    let (journal, _) = Journal::open(&path).unwrap();
-    state.manager.attach_journal(Arc::new(journal));
+    let (journal, records) = Journal::open(&path).unwrap();
+    state.manager.recover(journal, &records);
     let mut client = LocalClient::new(state.clone());
     let token = client.create_session(&session_req()).unwrap();
     let seed = client.next(&token).unwrap().unwrap()[0];
@@ -261,9 +261,9 @@ fn an_overlong_report_is_a_400_before_the_session_changes() {
         .unwrap();
     let live = client.ledger(&token).unwrap();
     let restarted = state_with_snapshot();
-    let (_journal, records) = Journal::open(&path).unwrap();
+    let (journal, records) = Journal::open(&path).unwrap();
     assert_eq!(records.len(), 3, "create + next + observe");
-    assert_eq!(restarted.manager.recover(&records), 1);
+    assert_eq!(restarted.manager.recover(journal, &records), 1);
     assert_eq!(restarted.manager.ledger(&token).unwrap(), live);
 }
 
@@ -313,8 +313,8 @@ fn an_oversized_report_is_a_413_before_the_session_changes() {
     let n = 2_500_000;
     let path = tmppath("oversized-report");
     let state = wide_state(n);
-    let (journal, _) = Journal::open(&path).unwrap();
-    state.manager.attach_journal(Arc::new(journal));
+    let (journal, records) = Journal::open(&path).unwrap();
+    state.manager.recover(journal, &records);
     let manager = &state.manager;
     let req = CreateSessionReq {
         snapshot: "wide".into(),
@@ -345,9 +345,9 @@ fn an_oversized_report_is_a_413_before_the_session_changes() {
     let live = manager.ledger(&token).unwrap();
     assert_eq!((live.rounds, live.total_activated), (1, 1));
     let restarted = wide_state(n);
-    let (_journal, records) = Journal::open(&path).unwrap();
+    let (journal, records) = Journal::open(&path).unwrap();
     assert_eq!(records.len(), 3, "create + next + observe");
-    assert_eq!(restarted.manager.recover(&records), 1);
+    assert_eq!(restarted.manager.recover(journal, &records), 1);
     assert_eq!(restarted.manager.ledger(&token).unwrap(), live);
 }
 

@@ -358,6 +358,55 @@ fn a_create_record_with_the_retired_batch_knob_replays_bit_equal() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A journal replayed against a store whose same-named snapshot was built
+/// with another seed diverges at its first round: recovery discards the
+/// session quietly. It is neither journaled nor counted as an API delete.
+#[test]
+fn a_session_that_diverges_on_replay_is_discarded_uncounted() {
+    use atpm_serve::journal::Journal;
+
+    let mut path = std::env::temp_dir();
+    path.push(format!("atpm-diverge-{}.journal", std::process::id()));
+    let _ = std::fs::remove_file(&path);
+    let state = state_with_snapshot();
+    let (journal, records) = Journal::open(&path).unwrap();
+    state.manager.recover(journal, &records);
+    let mut client = LocalClient::new(state.clone());
+    let token = client.create_session(&session_req()).unwrap();
+    for _ in 0..2 {
+        let seed = client.next(&token).unwrap().expect("a seed")[0];
+        client
+            .observe(&token, &ObserveReq::Simulate { seed })
+            .unwrap();
+    }
+    drop(client);
+    drop(state);
+
+    let rebuilt = AppState::new();
+    let other = Snapshot::build(&SnapshotReq {
+        seed: 2,
+        ..snapshot_req()
+    })
+    .unwrap();
+    let original = Snapshot::build(&snapshot_req()).unwrap();
+    assert_ne!(
+        other.instance.target(),
+        original.instance.target(),
+        "the rebuilt snapshot must decide differently"
+    );
+    rebuilt.store.insert(other);
+    let (journal, records) = Journal::open(&path).unwrap();
+    assert_eq!(records.len(), 5, "create + two rounds of next + observe");
+    assert_eq!(rebuilt.manager.recover(journal, &records), 0);
+    assert_eq!(rebuilt.manager.ledger(&token).unwrap_err().status, 404);
+    // atpm_serve_sessions_deleted_total counts API deletes only.
+    assert_eq!(rebuilt.metrics.sessions_deleted.get(), 0);
+    drop(rebuilt);
+    let (_, records) = Journal::open(&path).unwrap();
+    assert_eq!(records.len(), 5, "the discard journals nothing");
+    let _ = std::fs::remove_file(&path);
+}
+
 /// Recovery fuzz: journal and checkpoint files mutilated at every byte.
 /// The invariants under test — recovery must *never* panic, must never
 /// invent records, and whatever it does return must be an exact committed
@@ -519,7 +568,7 @@ mod fuzz {
         let (journal, existing) =
             Journal::open_with(&journal_path, FsyncPolicy::Shutdown, Arc::new(RealIo)).unwrap();
         assert!(existing.is_empty());
-        state.manager.attach_journal(Arc::new(journal));
+        state.manager.recover(journal, &existing);
         let mut client = LocalClient::new(state.clone());
 
         // Session A: two observed rounds. Session B: one observed round
@@ -598,7 +647,7 @@ mod fuzz {
             // A corrupt checkpoint must degrade recovery, never fail the
             // boot: whatever sessions survive its committed prefix recover
             // exactly; the rest are lost, not mangled.
-            let (_, recovered) = open_must_not_panic(&victim, &context)
+            let (journal, recovered) = open_must_not_panic(&victim, &context)
                 .unwrap_or_else(|e| panic!("{context}: boot must not fail: {e}"));
             for (token, sequence) in by_token(&recovered) {
                 let intact_seq = &intact_by_token[&token];
@@ -621,7 +670,7 @@ mod fuzz {
             // And the session manager must shrug off whatever shape came
             // back — orphan tails, half-lost sessions — without panicking.
             let manager = SessionManager::new(state.store.clone());
-            manager.recover(&recovered);
+            manager.recover(journal, &recovered);
         }
         let _ = std::fs::remove_dir_all(&dir);
     }
