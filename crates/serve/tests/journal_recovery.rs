@@ -10,7 +10,9 @@ use std::sync::Arc;
 
 use atpm_serve::client::{HttpClient, LocalClient, ProtocolClient};
 use atpm_serve::json::Json;
-use atpm_serve::protocol::{CreateSessionReq, ObserveReq, PolicySpec, SnapshotReq, SnapshotSource};
+use atpm_serve::protocol::{
+    CreateSessionReq, Ledger, ObserveReq, PolicySpec, SnapshotReq, SnapshotSource,
+};
 use atpm_serve::server::{AppState, ServeConfig, Server};
 use atpm_serve::snapshot::Snapshot;
 
@@ -405,6 +407,210 @@ fn a_session_that_diverges_on_replay_is_discarded_uncounted() {
     let (_, records) = Journal::open(&path).unwrap();
     assert_eq!(records.len(), 5, "the discard journals nothing");
     let _ = std::fs::remove_file(&path);
+}
+
+/// The kill -9 drill's snapshot, built by `atpm-served` from its flags and
+/// by the reference run from this request.
+const DRILL_SEED: u64 = 20200420;
+
+fn drill_snapshot_req() -> SnapshotReq {
+    SnapshotReq {
+        name: "drill".into(),
+        source: SnapshotSource::Preset {
+            dataset: "nethept".into(),
+            scale: 0.01,
+        },
+        k: 4,
+        rr_theta: 4_000,
+        seed: DRILL_SEED,
+        threads: 1,
+    }
+}
+
+/// Drill session `i`: HATP, ARS, DeployAll and ThresholdBatch in turn,
+/// each on its own world and policy seed.
+fn drill_session(i: usize) -> CreateSessionReq {
+    let seed = DRILL_SEED ^ (i as u64) << 17;
+    let policy = match i % 4 {
+        0 => PolicySpec::Hatp {
+            eps_threshold: Some(0.2),
+            max_theta: Some(1 << 14),
+            seed,
+            threads: 1,
+        },
+        1 => PolicySpec::Ars { prob: 0.5, seed },
+        2 => PolicySpec::DeployAll,
+        _ => PolicySpec::ThresholdBatch {
+            theta: 2_000,
+            eps: 0.1,
+            seed,
+            threads: 1,
+        },
+    };
+    CreateSessionReq {
+        snapshot: "drill".into(),
+        policy,
+        world_seed: DRILL_SEED.wrapping_add(i as u64),
+    }
+}
+
+/// A real `atpm-served` process journaling into `dir`. SIGKILLed and
+/// reaped on drop: no drain, no shutdown fsync.
+struct Served {
+    child: std::process::Child,
+    addr: String,
+    stderr: Option<std::thread::JoinHandle<()>>,
+}
+
+impl Served {
+    /// Spawns the server on an ephemeral port and waits for the stderr
+    /// line that names the bound address. The server rebuilds its boot
+    /// snapshot and replays the journal before it listens, so once that
+    /// line is out recovery is complete.
+    fn spawn(journal: &std::path::Path) -> Served {
+        use std::io::BufRead;
+        let req = drill_snapshot_req();
+        let SnapshotSource::Preset { scale, .. } = req.source else {
+            unreachable!("the drill snapshot is a preset")
+        };
+        let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_atpm-served"))
+            .args(["--addr", "127.0.0.1:0", "--journal"])
+            .arg(journal)
+            .args(["--fsync", "group:5", "--checkpoint-every", "1"])
+            .args(["--preset", "nethept", "--name", &req.name])
+            .args(["--scale", &scale.to_string()])
+            .args(["--k", &req.k.to_string()])
+            .args(["--rr-theta", &req.rr_theta.to_string()])
+            .args(["--seed", &req.seed.to_string()])
+            .stdout(std::process::Stdio::null())
+            .stderr(std::process::Stdio::piped())
+            .spawn()
+            .expect("spawn atpm-served");
+        let mut lines = std::io::BufReader::new(child.stderr.take().unwrap()).lines();
+        const BANNER: &str = "# atpm-served listening on http://";
+        let addr = loop {
+            let line = lines
+                .next()
+                .expect("atpm-served exited before it listened")
+                .unwrap();
+            if let Some(rest) = line.strip_prefix(BANNER) {
+                break rest.split_whitespace().next().unwrap().to_string();
+            }
+        };
+        // Keep draining, so a chatty server never blocks on a full pipe.
+        let stderr = std::thread::spawn(move || lines.map_while(Result::ok).for_each(drop));
+        Served {
+            child,
+            addr,
+            stderr: Some(stderr),
+        }
+    }
+
+    fn client(&self) -> HttpClient {
+        HttpClient::connect(&self.addr).unwrap()
+    }
+}
+
+impl Drop for Served {
+    fn drop(&mut self) {
+        let _ = self.child.kill();
+        let _ = self.child.wait();
+        if let Some(stderr) = self.stderr.take() {
+            let _ = stderr.join();
+        }
+    }
+}
+
+/// A temp directory removed, with everything in it, on drop.
+struct TempDir(std::path::PathBuf);
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+/// The durability contract through real processes: a journaling
+/// `atpm-served` child under `--fsync group:5` is SIGKILLed after every
+/// two completed sessions while the others are mid-flight, and restarted
+/// on the same journal. Every acked session must finish with a ledger
+/// bit-equal to an uninterrupted in-process run.
+#[test]
+fn a_kill_9d_atpm_served_recovers_every_acked_session_bit_equal() {
+    const SESSIONS: usize = 6;
+    const KILL_EVERY: usize = 2;
+    let reference: Vec<Ledger> = {
+        let state = AppState::new();
+        state
+            .store
+            .insert(Snapshot::build(&drill_snapshot_req()).unwrap());
+        let mut client = LocalClient::new(state);
+        (0..SESSIONS)
+            .map(|i| client.run_session(&drill_session(i)).unwrap())
+            .collect()
+    };
+
+    // Declared before the server: locals drop in reverse order, so the
+    // child dies before its journal directory is removed.
+    let dir = TempDir(std::env::temp_dir().join(format!("atpm-kill9-{}", std::process::id())));
+    let _ = std::fs::remove_dir_all(&dir.0);
+    std::fs::create_dir_all(&dir.0).unwrap();
+    let journal = dir.0.join("journal");
+    let mut served = Served::spawn(&journal);
+    let mut client = served.client();
+
+    // Every create lands before the first kill; then the sessions advance
+    // round-robin, one decision round each, so kills find them mid-flight.
+    let tokens: Vec<String> = (0..SESSIONS)
+        .map(|i| client.create_session(&drill_session(i)).unwrap())
+        .collect();
+    let mut ledgers: Vec<Option<Ledger>> = vec![None; SESSIONS];
+    let (mut completed, mut kills) = (0, 0);
+    while completed < SESSIONS {
+        for (i, token) in tokens.iter().enumerate() {
+            if ledgers[i].is_some() {
+                continue;
+            }
+            if let Some(seeds) = client.next(token).unwrap() {
+                for seed in seeds {
+                    client
+                        .observe(token, &ObserveReq::Simulate { seed })
+                        .unwrap();
+                }
+                continue;
+            }
+            ledgers[i] = Some(client.ledger(token).unwrap());
+            client.delete_session(token).unwrap();
+            completed += 1;
+            if completed % KILL_EVERY == 0 && completed < SESSIONS {
+                drop(served);
+                kills += 1;
+                served = Served::spawn(&journal);
+                client = served.client();
+                let health = client.call("GET", "/healthz", &Json::obj([])).unwrap();
+                let recovered = health.get("recovered_sessions").and_then(Json::as_u64);
+                assert!(
+                    recovered > Some(0),
+                    "kill {kills}: the restarted server recovered no session ({})",
+                    health.encode()
+                );
+            }
+        }
+    }
+    assert!(kills >= 2, "{kills} kills");
+    for (i, (got, want)) in ledgers.iter().zip(&reference).enumerate() {
+        let got = got.as_ref().unwrap();
+        assert_eq!(
+            got.profit.to_bits(),
+            want.profit.to_bits(),
+            "session {i}: profit not bit-equal after {kills} kills"
+        );
+        assert_eq!(
+            got.to_json().encode(),
+            want.to_json().encode(),
+            "session {i}: ledger diverged after {kills} kills"
+        );
+    }
 }
 
 /// Recovery fuzz: journal and checkpoint files mutilated at every byte.
