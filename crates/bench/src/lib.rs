@@ -20,9 +20,11 @@
 //!
 //! The default configuration is laptop-sized (reduced scales, 5 worlds,
 //! trimmed k-grid); `--paper` lifts every knob to the paper's settings.
+//!
+//! Everything here runs in process. The served path is checked by
+//! `atpm-serve`'s integration tests and priced by perfbench.
 
 pub mod config;
-pub mod loadgen;
 pub mod report;
 pub mod runs;
 

@@ -1,6 +1,6 @@
 //! Prometheus text exposition (version 0.0.4): deterministic rendering of
 //! one or more [`Registry`] instances, and a parser for the same format so
-//! scrapers (atpm-loadgen, the `/metrics` tests) can read it back without
+//! scrapers (perfbench, the `/metrics` tests) can read it back without
 //! an external client library.
 //!
 //! Rendering is deterministic by construction: entries sort by

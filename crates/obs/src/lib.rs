@@ -22,9 +22,8 @@
 //! * [`process`] — `process_*` self-metrics from `/proc/self`.
 //!
 //! The serving tier renders its per-instance [`Registry`] merged with
-//! [`global()`] at `GET /metrics`; atpm-loadgen scrapes that endpoint,
-//! lints it, and fails its run unless the server-side request quantiles it
-//! folds into its records are positive and ordered.
+//! [`global()`] at `GET /metrics`; perfbench scrapes that endpoint for its
+//! server-side layers, and atpm-serve's `/metrics` tests lint it.
 
 pub mod events;
 pub mod expo;

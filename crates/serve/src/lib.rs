@@ -33,10 +33,9 @@
 //!
 //! [`client`] provides the in-process [`client::LocalClient`] (no sockets)
 //! and the socket [`client::HttpClient`] behind one [`client::ProtocolClient`]
-//! trait; the `atpm-loadgen` binary in `atpm-bench` uses the latter for
-//! its end-to-end drill (batch-route passes, a kill -9 crash drill and a
-//! profile window, judged in the binary; the served session's committed
-//! price is perfbench's).
+//! trait. The integration tests drive both; `tests/journal_recovery.rs`
+//! also `kill -9`s a real `atpm-served` child with an [`client::HttpClient`]
+//! (the served session's committed price is perfbench's).
 //!
 //! ## Quick start
 //!

@@ -57,19 +57,19 @@ fn debug_profile_returns_parseable_folded_stacks() {
     let _guard = serial();
     let server = {
         let s = boot();
-        // Burn CPU for the whole profile window so the process-CPU-time
-        // itimer actually fires: SIGPROF only ticks while the process
-        // runs, and an idle server accumulates no samples.
+        // Sample RR sets for the whole profile window so the
+        // process-CPU-time itimer actually fires (SIGPROF only ticks while
+        // the process runs, and an idle server accumulates no samples) and
+        // the sampled stacks pass through a library crate's frames.
         let stop = Arc::new(AtomicBool::new(false));
         let burner = {
             let stop = stop.clone();
+            let graph = atpm_graph::gen::Dataset::NetHept.generate(0.01, 1);
             std::thread::spawn(move || {
-                let mut x = 1u64;
+                let mut seed = 0u64;
                 while !stop.load(Ordering::Relaxed) {
-                    for _ in 0..1_000_000 {
-                        x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
-                    }
-                    std::hint::black_box(x);
+                    std::hint::black_box(atpm_ris::generate_batch(&graph, 2_000, seed, 1));
+                    seed += 1;
                 }
             })
         };
@@ -88,6 +88,12 @@ fn debug_profile_returns_parseable_folded_stacks() {
                 .parse::<u64>()
                 .unwrap_or_else(|_| panic!("bad count in {line:?}"));
         }
+        // The unwinder and the symbolizer reach past the leaf frame into
+        // the sampler's crate.
+        assert!(
+            body.lines().any(|line| line.contains("atpm_ris")),
+            "no sampled stack has an atpm_ris frame:\n{body}"
+        );
         s
     };
     let mut server = server;

@@ -383,6 +383,33 @@ fn batched_rounds_converge_in_fewer_round_trips_with_the_same_outcome() {
         );
         assert!(!k4.selected.is_empty(), "world {world}");
     }
+
+    // Over HTTP, every policy at K=4 finishes and, summed over the specs
+    // and worlds, spends strictly fewer rounds (round trips) than at K=1.
+    let state = AppState::new();
+    state
+        .store
+        .insert(Snapshot::build(&snapshot_req()).unwrap());
+    let mut server = Server::start(state, &ServeConfig::default()).unwrap();
+    let mut client = HttpClient::connect(server.addr()).unwrap();
+    let mut rounds = [0u64; 2];
+    for (spec, _) in policies() {
+        for world in WORLDS.into_iter().take(2) {
+            let req = CreateSessionReq {
+                snapshot: "e2e".into(),
+                policy: spec.clone(),
+                world_seed: world,
+            };
+            for (total, k) in rounds.iter_mut().zip([1, 4]) {
+                let ledger = client.run_session_batched(&req, k).unwrap();
+                assert!(ledger.done, "{} world={world} k={k}", ledger.algorithm);
+                *total += ledger.rounds;
+            }
+        }
+    }
+    server.shutdown();
+    let [k1, k4] = rounds;
+    assert!(k4 < k1, "K=4 took {k4} rounds, K=1 took {k1}");
 }
 
 #[test]
