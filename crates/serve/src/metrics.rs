@@ -57,8 +57,7 @@ pub const ROUTE_KEYS: [&str; 17] = [
 /// arms; unknown shapes land in `"other"` so the histogram family is a
 /// fixed, bounded set no client can grow.
 pub fn route_index(method: &str, path: &str) -> usize {
-    let segments: Vec<&str> = path.split('/').filter(|s| !s.is_empty()).collect();
-    match (method, segments.as_slice()) {
+    match (method, crate::server::segments(path).as_slice()) {
         ("GET", ["healthz"]) => 0,
         ("GET", ["metrics"]) => 1,
         ("GET", ["snapshots"]) => 2,

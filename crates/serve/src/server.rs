@@ -104,6 +104,13 @@ fn is_tchar(b: u8) -> bool {
     b.is_ascii_alphanumeric() || b"!#$%&'*+-.^_`|~".contains(&b)
 }
 
+/// A request path's non-empty `/`-separated segments: the one rule by
+/// which [`respond`], [`route`] and [`crate::metrics::route_index`] match
+/// a path, so `/metrics`, `/metrics/` and `//metrics` are one route.
+pub(crate) fn segments(path: &str) -> Vec<&str> {
+    path.split('/').filter(|s| !s.is_empty()).collect()
+}
+
 /// Dispatches one protocol call. Both the HTTP workers and the in-process
 /// [`LocalClient`](crate::client::LocalClient) land here, so the two drive
 /// paths cannot diverge.
@@ -114,7 +121,7 @@ pub fn route(
     body: &Json,
     scratch: &mut CoverageScratch,
 ) -> Result<(u16, Json), ApiError> {
-    let segments: Vec<&str> = path.split('/').filter(|s| !s.is_empty()).collect();
+    let segments = segments(path);
     // Degraded mode (fsyncgate semantics): once a durability failure
     // poisoned the journal, mutating session routes stop acking — the disk
     // may not hold what an ack would promise. Read routes, snapshot
@@ -286,25 +293,26 @@ pub(crate) fn respond(
     req: &Request,
     scratch: &mut CoverageScratch,
 ) -> (u16, RespBody) {
-    if req.method == "GET" && req.path == "/metrics" {
-        return (
-            200,
-            RespBody::Text(atpm_obs::CONTENT_TYPE, state.metrics.render()),
-        );
-    }
-    if req.method == "GET" && req.path == "/debug/profile" {
-        return debug_profile(req);
-    }
-    if req.method == "GET" && req.path == "/debug/events" {
-        let n = req
-            .query_param("n")
-            .and_then(|v| v.parse::<usize>().ok())
-            .unwrap_or(100)
-            .clamp(1, 4_096);
-        return (
-            200,
-            RespBody::Text("text/plain; charset=utf-8", state.events.render_tail(n)),
-        );
+    match (req.method.as_str(), segments(&req.path).as_slice()) {
+        ("GET", ["metrics"]) => {
+            return (
+                200,
+                RespBody::Text(atpm_obs::CONTENT_TYPE, state.metrics.render()),
+            )
+        }
+        ("GET", ["debug", "profile"]) => return debug_profile(req),
+        ("GET", ["debug", "events"]) => {
+            let n = req
+                .query_param("n")
+                .and_then(|v| v.parse::<usize>().ok())
+                .unwrap_or(100)
+                .clamp(1, 4_096);
+            return (
+                200,
+                RespBody::Text("text/plain; charset=utf-8", state.events.render_tail(n)),
+            );
+        }
+        _ => {}
     }
     let body = if req.body.is_empty() {
         Ok(Json::obj([]))

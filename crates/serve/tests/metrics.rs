@@ -151,6 +151,20 @@ fn scrapes_lint_carry_content_type_and_counters_are_monotone() {
     assert_eq!(other(&after).unwrap() - other(&before).unwrap(), 1.0);
     let total = |s: &Scrape| s.value("atpm_http_request_seconds_count", &[]);
     assert_eq!(total(&after).unwrap() - total(&before).unwrap(), 5.0);
+    let q = |p| after.histogram_quantile("atpm_http_request_seconds", &[], p);
+    let (p50, p95, p99) = (q(0.5).unwrap(), q(0.95).unwrap(), q(0.99).unwrap());
+    assert!(
+        0.0 < p50 && p50 <= p95 && p95 <= p99,
+        "request quantiles {p50} {p95} {p99}"
+    );
+
+    // The exposition answers on every path the router reads as /metrics,
+    // the same paths the route histogram times under route="metrics".
+    for path in ["/metrics/", "//metrics"] {
+        let (status, text) = client.get_text(path).unwrap();
+        assert_eq!(status, 200, "GET {path}: {text}");
+        lint(&text).unwrap_or_else(|e| panic!("GET {path}: {e}"));
+    }
     server.shutdown();
 }
 
