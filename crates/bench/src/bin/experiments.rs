@@ -5,7 +5,7 @@
 //!
 //! subcommands: table2 fig2 fig3 fig4a fig4b fig5 fig6 fig7 fig8 fig9 ablation all
 //! flags:       --paper | --quick | --scale F | --worlds N | --k a,b,c
-//!              --threads N | --max-threads N | --seed S | --no-addatp
+//!              --threads N | --seed S | --no-addatp
 //!              --graph PATH (external edge-list/ATPMGRF1 file instead of presets)
 //! ```
 
@@ -19,7 +19,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: experiments <table2|fig2|fig3|fig4a|fig4b|fig5|fig6|fig7|fig8|fig9|ablation|all> \
          [--paper] [--quick] [--scale F] [--worlds N] [--k a,b,c] [--threads N] \
-         [--max-threads N] [--seed S] [--no-addatp] [--graph PATH]"
+         [--seed S] [--no-addatp] [--graph PATH]"
     );
     std::process::exit(2);
 }

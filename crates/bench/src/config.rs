@@ -16,9 +16,8 @@ pub struct ExpConfig {
     pub worlds: usize,
     /// Seed-set sizes to sweep.
     pub k_grid: Vec<usize>,
-    /// Sampler worker threads. Defaults to the machine's available
-    /// parallelism (optionally capped by `ATPM_MAX_THREADS` or
-    /// `--max-threads`); the old hard-wired cap of 8 is gone.
+    /// Sampler worker threads (`--threads`). Defaults to the machine's
+    /// available parallelism.
     pub threads: usize,
     /// Base RNG seed.
     pub seed: u64,
@@ -40,7 +39,7 @@ impl Default for ExpConfig {
             paper: false,
             worlds: 5,
             k_grid: vec![10, 25, 50, 100],
-            threads: atpm_ris::sampler::default_threads(),
+            threads: atpm_ris::workspace::available_threads(),
             seed: 20200420, // ICDE'20 opening day
             with_addatp: true,
             addatp_max_theta: 1 << 20,
@@ -92,12 +91,6 @@ impl ExpConfig {
                     cfg.threads = value_of("--threads")?
                         .parse()
                         .map_err(|e| format!("bad --threads: {e}"))?;
-                }
-                "--max-threads" => {
-                    let cap: usize = value_of("--max-threads")?
-                        .parse()
-                        .map_err(|e| format!("bad --max-threads: {e}"))?;
-                    cfg.threads = atpm_ris::workspace::available_threads(Some(cap));
                 }
                 "--seed" => {
                     cfg.seed = value_of("--seed")?
@@ -236,7 +229,8 @@ mod tests {
         assert!(ExpConfig::parse(&s(&["--worlds", "x"])).is_err());
         assert!(ExpConfig::parse(&s(&["--worlds", "0"])).is_err());
         assert!(ExpConfig::parse(&s(&["--threads", "0"])).is_err());
-        assert!(ExpConfig::parse(&s(&["--max-threads", "zero"])).is_err());
+        // The thread count has one flag: --threads.
+        assert!(ExpConfig::parse(&s(&["--max-threads", "2"])).is_err());
     }
 
     #[test]
@@ -244,16 +238,7 @@ mod tests {
         let cfg = ExpConfig::default();
         assert!(cfg.threads >= 1);
         // No silent throttle: the default tracks available parallelism.
-        assert_eq!(cfg.threads, atpm_ris::sampler::default_threads());
-    }
-
-    #[test]
-    fn max_threads_caps_the_worker_count() {
-        let cfg = ExpConfig::parse(&s(&["--max-threads", "2"])).unwrap();
-        assert!(cfg.threads <= 2 && cfg.threads >= 1);
-        // Explicit --threads still wins when given last.
-        let cfg = ExpConfig::parse(&s(&["--max-threads", "2", "--threads", "5"])).unwrap();
-        assert_eq!(cfg.threads, 5);
+        assert_eq!(cfg.threads, atpm_ris::workspace::available_threads());
     }
 
     #[test]

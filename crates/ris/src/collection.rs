@@ -268,9 +268,7 @@ impl RrCollection {
     pub fn freeze_parallel(&mut self, threads: usize) {
         // Workers do redundant reads, so more workers than cores is strictly
         // counterproductive — clamp to the machine.
-        let threads = threads
-            .max(1)
-            .min(crate::workspace::available_threads(None));
+        let threads = threads.max(1).min(crate::workspace::available_threads());
         // Below ~64k postings the spawn overhead beats the savings.
         if self.frozen || threads == 1 || self.members.len() < (1 << 16) {
             return self.freeze();

@@ -17,7 +17,7 @@ use atpm_obs::{tracer, Counter, Histogram};
 use crate::collection::{RrCollection, RrShard};
 use crate::rng::CounterRng;
 use crate::rr::RrSampler;
-use crate::workspace::{available_threads, run_sharded};
+use crate::workspace::run_sharded;
 
 /// Expected RR-set size used only for shard pre-sizing (the truth is graph-
 /// dependent; over-estimating wastes a little reserve, under-estimating
@@ -130,20 +130,6 @@ pub fn generate_batch<V: GraphView + Sync>(
         tr.record("ris", "freeze", t_freeze, freeze_d);
     }
     merged
-}
-
-/// Picks a sensible worker count: available parallelism, optionally capped
-/// by the `ATPM_MAX_THREADS` environment variable.
-///
-/// There is deliberately no built-in hard cap anymore (the old limit of 8
-/// silently throttled large machines); deployments that do want a ceiling
-/// set `ATPM_MAX_THREADS` or pass an explicit thread count through
-/// `ExpConfig`/policy configs.
-pub fn default_threads() -> usize {
-    let cap = std::env::var("ATPM_MAX_THREADS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok());
-    available_threads(cap)
 }
 
 #[cfg(test)]
@@ -260,10 +246,5 @@ mod tests {
             "{}",
             c.spread_set(&[0, 2])
         );
-    }
-
-    #[test]
-    fn default_threads_is_positive() {
-        assert!(default_threads() >= 1);
     }
 }

@@ -46,7 +46,7 @@ where
     let per = total / threads;
     let extra = total % threads;
     let quota_of = |tid: usize| per + usize::from(tid < extra);
-    let os_threads = threads.min(available_threads(None));
+    let os_threads = threads.min(available_threads());
     if os_threads == 1 {
         return (0..threads)
             .map(|tid| worker(tid, quota_of(tid), worker_seed(seed, tid as u64)))
@@ -158,21 +158,10 @@ impl EpochMarks {
     }
 }
 
-/// Picks a worker count for samplers: available parallelism, optionally
-/// capped.
-///
-/// `cap = None` uses the full machine. The old hard-wired cap of 8 lives on
-/// only as [`crate::sampler::default_threads`]'s interpretation of the
-/// `ATPM_MAX_THREADS` environment variable and the `ExpConfig` plumbing in
-/// the bench crate — large machines are no longer silently throttled.
-pub fn available_threads(cap: Option<usize>) -> usize {
-    let avail = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1);
-    match cap {
-        Some(c) => avail.min(c.max(1)),
-        None => avail,
-    }
+/// The machine's available parallelism, at least 1: the default worker
+/// count for samplers, and the cap on the OS threads that run them.
+pub fn available_threads() -> usize {
+    std::thread::available_parallelism().map_or(1, |p| p.get())
 }
 
 #[cfg(test)]
@@ -262,11 +251,7 @@ mod tests {
     }
 
     #[test]
-    fn available_threads_honors_cap() {
-        assert_eq!(available_threads(Some(1)), 1);
-        assert!(available_threads(None) >= 1);
-        assert!(available_threads(Some(4)) <= 4);
-        // cap 0 is clamped to 1, not "no threads".
-        assert_eq!(available_threads(Some(0)), 1);
+    fn available_threads_is_positive() {
+        assert!(available_threads() >= 1);
     }
 }
