@@ -412,13 +412,14 @@ fn a_session_that_diverges_on_replay_is_discarded_uncounted() {
 /// The kill -9 drill's snapshot, built by `atpm-served` from its flags and
 /// by the reference run from this request.
 const DRILL_SEED: u64 = 20200420;
+const DRILL_SCALE: f64 = 0.01;
 
 fn drill_snapshot_req() -> SnapshotReq {
     SnapshotReq {
         name: "drill".into(),
         source: SnapshotSource::Preset {
             dataset: "nethept".into(),
-            scale: 0.01,
+            scale: DRILL_SCALE,
         },
         k: 4,
         rr_theta: 4_000,
@@ -454,8 +455,8 @@ fn drill_session(i: usize) -> CreateSessionReq {
     }
 }
 
-/// A real `atpm-served` process journaling into `dir`. SIGKILLed and
-/// reaped on drop: no drain, no shutdown fsync.
+/// A real `atpm-served` process with a journal. SIGKILLed and reaped on
+/// drop: no drain, no shutdown fsync.
 struct Served {
     child: std::process::Child,
     addr: String,
@@ -470,15 +471,12 @@ impl Served {
     fn spawn(journal: &std::path::Path) -> Served {
         use std::io::BufRead;
         let req = drill_snapshot_req();
-        let SnapshotSource::Preset { scale, .. } = req.source else {
-            unreachable!("the drill snapshot is a preset")
-        };
         let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_atpm-served"))
             .args(["--addr", "127.0.0.1:0", "--journal"])
             .arg(journal)
             .args(["--fsync", "group:5", "--checkpoint-every", "1"])
             .args(["--preset", "nethept", "--name", &req.name])
-            .args(["--scale", &scale.to_string()])
+            .args(["--scale", &DRILL_SCALE.to_string()])
             .args(["--k", &req.k.to_string()])
             .args(["--rr-theta", &req.rr_theta.to_string()])
             .args(["--seed", &req.seed.to_string()])
