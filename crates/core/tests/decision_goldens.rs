@@ -1,8 +1,8 @@
 //! Decision goldens for every policy of the target walk: ADG (over the
 //! exact, Monte-Carlo and RIS oracles), ADDATP (base and dynamic-threshold),
-//! HATP, ARS (at `prob` 0.5 and 1.0) and DeployAll. For every world the
-//! test pins the selected seeds, the profit's `to_bits()` and the RR sets
-//! sampled.
+//! HATP, ARS (at `prob` 0.5 and 1.0) and DeployAll; and for HNTP, the other
+//! caller of HATP's decision rule. For every world the test pins the
+//! selected seeds, the profit's `to_bits()` and the RR sets sampled.
 //!
 //! One policy value runs all worlds in order, so oracle call counters and
 //! nothing else carry across worlds, exactly as in `evaluate_adaptive`. A
@@ -12,9 +12,11 @@
 //! changed decision and must be re-recorded deliberately.
 
 use atpm_core::oracle::{ExactOracle, McOracle, RisOracle};
-use atpm_core::policies::{Addatp, Adg, Ars, DeployAll, Hatp};
+use atpm_core::policies::{Addatp, Adg, Ars, DeployAll, Hatp, Hntp};
+use atpm_core::runner::score_fixed_set_into;
 use atpm_core::setup::{calibrated_instance, CalibrationConfig};
-use atpm_core::{AdaptivePolicy, AdaptiveSession, CostSplit, TpmInstance};
+use atpm_core::{AdaptivePolicy, AdaptiveSession, CostSplit, NonadaptivePolicy, TpmInstance};
+use atpm_diffusion::CascadeEngine;
 use atpm_graph::gen::Dataset;
 use atpm_graph::GraphBuilder;
 
@@ -178,6 +180,39 @@ fn hatp_capped() {
             (&[1, 0, 3], 13836079374719064768, 94099),
             (&[1, 0, 3], 4609643379553585792, 94450),
             (&[1, 0, 3], 4628728327077125288, 88610),
+        ],
+    );
+}
+
+/// HNTP selects once on the original graph; each world scores that set,
+/// and every world reports the one selection's RR sets.
+#[test]
+fn hntp_capped() {
+    let inst = preset_instance();
+    let mut policy = Hntp::new(Hatp {
+        seed: 8,
+        threads: 2,
+        max_theta: 1 << 13,
+        ..Default::default()
+    });
+    let (seeds, work) = policy.select(&inst);
+    let mut engine = CascadeEngine::new();
+    let mut activated = Vec::new();
+    let got = WORLDS
+        .iter()
+        .map(|&w| {
+            let profit = score_fixed_set_into(&inst, &seeds, w, &mut engine, &mut activated);
+            (seeds.clone(), profit.to_bits(), work)
+        })
+        .collect();
+    check(
+        "HNTP",
+        got,
+        &[
+            (&[1, 0, 3], 4627883902146993320, 109573),
+            (&[1, 0, 3], 13836079374719064768, 109573),
+            (&[1, 0, 3], 4609643379553585792, 109573),
+            (&[1, 0, 3], 4628728327077125288, 109573),
         ],
     );
 }
