@@ -60,7 +60,7 @@ pub use cost::CostSplit;
 pub use instance::TpmInstance;
 pub use oracle::{ExactOracle, McOracle, RisOracle, SpreadOracle};
 pub use runner::{evaluate_adaptive, evaluate_nonadaptive, EvalSummary};
-pub use session::{AdaptiveSession, SessionState};
+pub use session::{AdaptiveSession, SessionState, Stop};
 pub use stepper::{run_stepper, run_stepper_batched, PolicyStepper};
 
 /// Node id re-exported from the graph substrate.

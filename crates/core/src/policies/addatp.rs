@@ -19,16 +19,23 @@
 //! `η_{i+1} = (ε·ρ_i − 2Ση̃_j − 2)/2` whenever that budget is nonnegative
 //! (and disables `C2` otherwise).
 //!
+//! Round `j` of every candidate examined from one keep to the next reads
+//! chunk `j` of one RR pool, exactly as HATP does; the argument that this
+//! keeps the guarantee is in [`Hatp`](crate::policies::Hatp)'s module
+//! docs. ADDATP's `θ_j` depends on `j` and `n_i` only, so a segment draws
+//! each chunk once. `sampling_work` counts the sets drawn into pools. Each
+//! decision reports its [`Stop`] reason.
+//!
 //! Guarantee (Theorem 2): expected profit `≥ (Λ(π_opt) − (2k+2))/3`.
 //! Expected time `O(k·m·n·E[I(v°)]·ln n)` (Theorem 3) — the `n²` per-node
 //! sample blowup near `C2` is exactly the inefficiency HATP removes.
 
-use atpm_graph::{GraphView, Node};
+use atpm_graph::GraphView;
 use atpm_ris::bounds::addatp_theta;
-use atpm_ris::stream::front_rear_counts_shared;
+use atpm_ris::stream::RrPool;
 use atpm_ris::NodeSet;
 
-use crate::session::AdaptiveSession;
+use crate::session::{AdaptiveSession, Stop};
 use crate::stepper::{KeepRule, TargetWalk};
 use crate::AdaptivePolicy;
 
@@ -66,6 +73,17 @@ impl Default for Addatp {
     }
 }
 
+impl Addatp {
+    /// The keep rule of one realization, starting the salt chain at `seed`.
+    pub(crate) fn rule(&self) -> AddatpRule {
+        AddatpRule {
+            cfg: self.clone(),
+            round_salt: self.seed,
+            eta_tilde_sum: 0.0,
+        }
+    }
+}
+
 impl AdaptivePolicy for Addatp {
     type Stepper<'a> = TargetWalk<AddatpRule>;
 
@@ -74,17 +92,12 @@ impl AdaptivePolicy for Addatp {
             None => "ADDATP",
             Some(_) => "ADDATP-dyn",
         };
-        let rule = AddatpRule {
-            cfg: self.clone(),
-            round_salt: self.seed,
-            eta_tilde_sum: 0.0,
-        };
-        TargetWalk::new(name, rule)
+        TargetWalk::new(name, self.rule())
     }
 }
 
-/// ADDATP's decision rule: additive-error rounds on one shared RR batch
-/// each, with the run's salt chain and the dynamic variant's `Ση̃_j`.
+/// ADDATP's decision rule: additive-error rounds on one RR pool per walk
+/// segment, with the run's salt chain and the dynamic variant's `Ση̃_j`.
 pub struct AddatpRule {
     cfg: Addatp,
     round_salt: u64,
@@ -92,16 +105,28 @@ pub struct AddatpRule {
 }
 
 impl KeepRule for AddatpRule {
-    fn keep(&mut self, session: &mut AdaptiveSession<'_>, u: Node, rear: &NodeSet) -> bool {
+    type Segment = RrPool;
+
+    fn segment(&self, session: &AdaptiveSession<'_>, t_rest: &NodeSet) -> RrPool {
+        RrPool::new(session.instance().target(), t_rest, self.cfg.threads)
+    }
+
+    fn keep(
+        &mut self,
+        pool: &mut RrPool,
+        session: &mut AdaptiveSession<'_>,
+        slot: usize,
+        rear: &NodeSet,
+    ) -> bool {
         let k = session.instance().target().len();
         let n = session.instance().graph().num_nodes();
         // S_{i−1} is dead on the residual graph: the front condition is
-        // empty, and a zero-width set reads every id as absent.
+        // empty, and a zero-width set reads every slot as absent.
         let empty = NodeSet::new(0);
         let ni = session.residual().num_alive();
         debug_assert!(ni >= 1, "u alive implies n_i >= 1");
         let nif = ni as f64;
-        let c = session.instance().cost(u);
+        let c = session.instance().cost(session.instance().target()[slot]);
         // ζ_0 ∈ [1/n_i, 1): start from n_i·ζ_0 = initial_nzeta.
         let mut zeta = (self.cfg.initial_nzeta / nif).min(0.5);
         let mut delta = 1.0 / (k as f64 * n as f64);
@@ -112,23 +137,20 @@ impl KeepRule for AddatpRule {
             Some(eps) => ((eps * session.profit() - 2.0 * self.eta_tilde_sum - 2.0) / 2.0).max(0.0),
         };
 
+        let mut round = 0;
         loop {
-            self.round_salt = self
-                .round_salt
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1);
             let theta = addatp_theta(zeta, delta).min(self.cfg.max_theta);
-            let counts = front_rear_counts_shared(
-                session.residual(),
-                u,
-                &empty,
-                rear,
-                theta,
-                self.round_salt,
-                self.cfg.threads,
-            );
-            session.add_sampling_work(counts.theta as u64);
+            if pool.drawn(round) < theta {
+                self.round_salt = self
+                    .round_salt
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1);
+                let drawn = pool.grow(session.residual(), round, theta, self.round_salt);
+                session.add_sampling_work(drawn as u64);
+            }
+            let counts = pool.counts(round, theta, slot as u32, &empty, rear);
             if counts.theta == 0 {
+                session.add_stop(Stop::Forced);
                 return false;
             }
             let tf = counts.theta as f64;
@@ -137,15 +159,21 @@ impl KeepRule for AddatpRule {
             let nz = nif * zeta;
             let c1 = (rho_f - rho_r).abs() >= 2.0 * nz || rho_f <= -nz || rho_r <= -nz;
             let c2 = nz <= eta;
-            let forced = theta >= self.cfg.max_theta;
-            if c1 || c2 || forced {
-                if c2 && !c1 {
-                    self.eta_tilde_sum += eta;
-                }
-                return rho_f >= rho_r;
-            }
-            zeta /= SQRT_2;
-            delta /= 2.0;
+            let stop = if c1 {
+                Stop::C1
+            } else if c2 {
+                self.eta_tilde_sum += eta;
+                Stop::C2
+            } else if theta >= self.cfg.max_theta {
+                Stop::Forced
+            } else {
+                zeta /= SQRT_2;
+                delta /= 2.0;
+                round += 1;
+                continue;
+            };
+            session.add_stop(stop);
+            return rho_f >= rho_r;
         }
     }
 }
@@ -227,6 +255,22 @@ mod tests {
         let s = evaluate_adaptive(&inst, &mut p, &[1]);
         // 2 nodes examined, <= 64 sets each round, one round each.
         assert!(s.sampling_work <= 128, "work {}", s.sampling_work);
+    }
+
+    #[test]
+    fn stop_reasons_separate_certified_from_forced() {
+        // Every round is capped at 32 sets: the hub's profits separate
+        // (C1), the isolate's do not, and only the cap decides it (Forced).
+        let inst = crate::policies::hatp::tests::hub_and_isolate();
+        let mut p = Addatp {
+            seed: 4,
+            max_theta: 32,
+            ..Default::default()
+        };
+        let mut session = crate::AdaptiveSession::new(&inst, 1);
+        p.run(&mut session);
+        assert_eq!(session.selected()[0], 0);
+        assert_eq!(session.stops(), [1, 0, 1]);
     }
 
     #[test]

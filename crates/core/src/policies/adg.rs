@@ -51,13 +51,27 @@ impl<O: SpreadOracle + Send> AdaptivePolicy for Adg<O> {
 /// exact front and rear profits from its oracle, whose state (call
 /// counters) carries across realizations.
 impl<O: SpreadOracle + Send> KeepRule for &mut Adg<O> {
-    fn keep(&mut self, session: &mut AdaptiveSession<'_>, u: Node, rear: &NodeSet) -> bool {
+    type Segment = ();
+
+    fn segment(&self, _: &AdaptiveSession<'_>, _: &NodeSet) {}
+
+    fn keep(
+        &mut self,
+        _: &mut (),
+        session: &mut AdaptiveSession<'_>,
+        slot: usize,
+        rear: &NodeSet,
+    ) -> bool {
         let instance = session.instance();
+        let target = instance.target();
+        let u = target[slot];
         let c = instance.cost(u);
-        // T_{i-1} and T_{i-1} \ {u}, in target order: the Monte-Carlo
-        // oracle's draws depend on the order of the queried set.
-        let in_t_cur = |&v: &Node| v == u || rear.contains(v);
-        let t_cur: Vec<Node> = instance.target().iter().copied().filter(in_t_cur).collect();
+        // T_{i-1} and T_{i-1} \ {u} as node lists, in target order: the
+        // Monte-Carlo oracle's draws depend on the order of the queried set.
+        let t_cur: Vec<Node> = (0..target.len())
+            .filter(|&s| s == slot || rear.contains(s as Node))
+            .map(|s| target[s])
+            .collect();
         let t_minus: Vec<Node> = t_cur.iter().copied().filter(|&v| v != u).collect();
         let view = session.residual();
         // Front: S_{i-1} is dead on G_i, so the conditional marginal is

@@ -54,7 +54,17 @@ pub struct ArsRule {
 }
 
 impl KeepRule for ArsRule {
-    fn keep(&mut self, session: &mut AdaptiveSession<'_>, _: Node, _: &NodeSet) -> bool {
+    type Segment = ();
+
+    fn segment(&self, _: &AdaptiveSession<'_>, _: &NodeSet) {}
+
+    fn keep(
+        &mut self,
+        _: &mut (),
+        session: &mut AdaptiveSession<'_>,
+        _: usize,
+        _: &NodeSet,
+    ) -> bool {
         let world = session.world_seed();
         let seed = self.cfg.seed;
         self.rng

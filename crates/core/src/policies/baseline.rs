@@ -48,7 +48,11 @@ impl AdaptivePolicy for DeployAll {
 
 /// DeployAll's keep rule keeps every candidate the walk reaches.
 impl KeepRule for DeployAll {
-    fn keep(&mut self, _: &mut AdaptiveSession<'_>, _: Node, _: &NodeSet) -> bool {
+    type Segment = ();
+
+    fn segment(&self, _: &AdaptiveSession<'_>, _: &NodeSet) {}
+
+    fn keep(&mut self, _: &mut (), _: &mut AdaptiveSession<'_>, _: usize, _: &NodeSet) -> bool {
         true
     }
 }

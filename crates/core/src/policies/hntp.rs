@@ -6,8 +6,16 @@
 //! condition on the accumulated seed set `S_{i−1}` (which is alive here,
 //! unlike in the adaptive run). The paper uses HNTP to isolate the value of
 //! adaptivity from the value of the hybrid-error machinery.
+//!
+//! HNTP walks the targets in segments as HATP does: the candidates from one
+//! keep to the next share one RR pool on the original graph, round `j` of
+//! each reading chunk `j` (the argument is in
+//! [`Hatp`](crate::policies::Hatp)'s module docs). A keep changes `S_{i−1}`
+//! and `T_rest`, so the next candidate opens a fresh pool. The reported
+//! work is the RR sets drawn into the pools.
 
 use atpm_graph::Node;
+use atpm_ris::stream::RrPool;
 use atpm_ris::NodeSet;
 
 use crate::instance::TpmInstance;
@@ -42,18 +50,21 @@ impl NonadaptivePolicy for Hntp {
 
     fn select(&mut self, instance: &TpmInstance) -> (Vec<Node>, u64) {
         let g = instance.graph();
-        let n = g.num_nodes();
-        let target: Vec<Node> = instance.target().to_vec();
-        let mut s_set = NodeSet::new(n);
-        let mut t_rest = NodeSet::from_iter(n, target.iter().copied());
+        let target = instance.target();
+        let k = target.len();
+        // S_{i−1} and T_rest as sets over target slots.
+        let mut s_set = NodeSet::new(k);
+        let mut t_rest = NodeSet::from_iter(k, 0..k as Node);
+        let mut pool = RrPool::new(target, &t_rest, self.cfg.threads);
         let mut selected = Vec::new();
         let mut salt = self.cfg.seed;
         let mut work = 0u64;
-        for &u in &target {
-            t_rest.remove(u);
-            let keep = self.cfg.decide_node(
+        for (slot, &u) in target.iter().enumerate() {
+            t_rest.remove(slot as Node);
+            let (keep, _) = self.cfg.decide_node(
+                &mut pool,
                 g,
-                u,
+                slot,
                 instance.cost(u),
                 &s_set,
                 &t_rest,
@@ -61,9 +72,10 @@ impl NonadaptivePolicy for Hntp {
                 &mut work,
             );
             if keep {
-                s_set.insert(u);
-                t_rest.insert(u);
+                s_set.insert(slot as Node);
+                t_rest.insert(slot as Node);
                 selected.push(u);
+                pool = RrPool::new(target, &t_rest, self.cfg.threads);
             }
         }
         (selected, work)

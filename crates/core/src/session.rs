@@ -82,6 +82,8 @@ pub struct AdaptiveSession<'a> {
     /// ([`add_oracle_queries`](Self::add_oracle_queries)), the query
     /// accounting of threshold-sampling selection.
     oracle_queries: u64,
+    /// Sampling decisions by [`Stop`] reason, indexed by `Stop as usize`.
+    stops: [u64; 3],
 }
 
 impl<'a> AdaptiveSession<'a> {
@@ -103,6 +105,7 @@ impl<'a> AdaptiveSession<'a> {
             sampling_work: 0,
             rounds: 0,
             oracle_queries: 0,
+            stops: [0; 3],
         }
     }
 
@@ -245,6 +248,16 @@ impl<'a> AdaptiveSession<'a> {
         self.sampling_work
     }
 
+    /// Records why a sampling rule stopped examining a candidate.
+    pub fn add_stop(&mut self, stop: Stop) {
+        self.stops[stop as usize] += 1;
+    }
+
+    /// Sampling decisions so far by reason, indexed by `Stop as usize`.
+    pub fn stops(&self) -> [u64; 3] {
+        self.stops
+    }
+
     /// Observation rounds applied so far (one per committed seed or batch).
     pub fn rounds(&self) -> u64 {
         self.rounds
@@ -282,6 +295,7 @@ impl<'a> AdaptiveSession<'a> {
             sampling_work: self.sampling_work,
             rounds: self.rounds,
             oracle_queries: self.oracle_queries,
+            stops: self.stops,
         }
     }
 
@@ -299,6 +313,35 @@ impl<'a> AdaptiveSession<'a> {
             sampling_work: state.sampling_work,
             rounds: state.rounds,
             oracle_queries: state.oracle_queries,
+            stops: state.stops,
+        }
+    }
+}
+
+/// Why a sampling double greedy (ADDATP, HATP, HNTP) stopped examining a
+/// candidate: a certificate `C1` held, or `C2` ("too close to matter") held
+/// without `C1`, or the round hit the `max_theta` cap with neither holding.
+/// Theorem 4 does not cover a forced decision.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Stop {
+    /// The bounds certified the keep/reject comparison.
+    C1,
+    /// The errors fell below the `C2` threshold and `C1` did not hold.
+    C2,
+    /// The round reached the RR-set cap with neither `C1` nor `C2`.
+    Forced,
+}
+
+impl Stop {
+    /// Every reason, in `Stop as usize` order.
+    pub const ALL: [Stop; 3] = [Stop::C1, Stop::C2, Stop::Forced];
+
+    /// The reason as a metric label.
+    pub fn label(self) -> &'static str {
+        match self {
+            Stop::C1 => "c1",
+            Stop::C2 => "c2",
+            Stop::Forced => "forced",
         }
     }
 }
@@ -318,6 +361,7 @@ pub struct SessionState {
     sampling_work: u64,
     rounds: u64,
     oracle_queries: u64,
+    stops: [u64; 3],
 }
 
 #[cfg(test)]
@@ -557,8 +601,12 @@ mod tests {
         let mut s = AdaptiveSession::new(&inst, 7);
         s.select_batch(&[0, 2]);
         s.add_oracle_queries(17);
+        s.add_stop(Stop::Forced);
+        s.add_stop(Stop::C1);
+        s.add_stop(Stop::Forced);
         let s = AdaptiveSession::resume(&inst, s.suspend());
         assert_eq!(s.rounds(), 1);
         assert_eq!(s.oracle_queries(), 17);
+        assert_eq!(s.stops(), [1, 0, 2]);
     }
 }

@@ -84,14 +84,36 @@ pub trait PolicyStepper: Send {
 /// The keep/reject decision of a [`TargetWalk`]: the double greedies of
 /// Algorithms 2–4 compare a candidate's front profit with its rear profit,
 /// ARS flips a coin and DeployAll keeps everything.
+///
+/// The walk examines candidates in *segments*: the run of candidates from
+/// one keep to the next, which is one [`PolicyStepper::next_seed`] call.
+/// Within a segment the residual graph is fixed and every candidate's
+/// conditions are fixed by the segment's start, since each earlier
+/// candidate of the segment was rejected. A rule may share scratch across
+/// the segment's candidates (the sampling rules share one RR pool); the
+/// walk drops it when the call returns.
 pub trait KeepRule: Send {
-    /// Decides whether to keep candidate `u`, which is alive on the current
-    /// residual graph; `rear` is `T_{i−1} ∖ {u}`. The front condition
-    /// `S_{i−1}` is empty: every observed seed was activated and removed
-    /// (seeds of a batch still being decided are the batching gap). May
-    /// record sampling effort on the session but must not mutate the
-    /// residual state.
-    fn keep(&mut self, session: &mut AdaptiveSession<'_>, u: Node, rear: &NodeSet) -> bool;
+    /// Scratch shared by the candidates of one segment.
+    type Segment;
+
+    /// Opens a segment: `t_rest` is `T_rest` at its start, a set over
+    /// target slots (indices into the instance's target list).
+    fn segment(&self, session: &AdaptiveSession<'_>, t_rest: &NodeSet) -> Self::Segment;
+
+    /// Decides whether to keep the candidate in target slot `slot`, which
+    /// is alive on the current residual graph; `rear` is
+    /// `T_{i−1} ∖ {u}` as a set over slots. The front condition `S_{i−1}`
+    /// is empty: every observed seed was activated and removed (seeds of a
+    /// batch still being decided are the batching gap). May record
+    /// sampling effort on the session but must not mutate the residual
+    /// state.
+    fn keep(
+        &mut self,
+        segment: &mut Self::Segment,
+        session: &mut AdaptiveSession<'_>,
+        slot: usize,
+        rear: &NodeSet,
+    ) -> bool;
 }
 
 /// The adaptive target walk as one [`PolicyStepper`]: walks the target set
@@ -102,9 +124,9 @@ pub struct TargetWalk<R> {
     name: &'static str,
     rule: R,
     idx: usize,
-    /// The kept candidates and every candidate not yet examined; sized on
-    /// the first call (the stepper does not know `n` until it sees a
-    /// session).
+    /// The kept candidates and every candidate not yet examined, as a
+    /// `k`-bit set over target slots; sized on the first call (the stepper
+    /// does not know `k` until it sees a session).
     t_rest: Option<NodeSet>,
 }
 
@@ -127,18 +149,20 @@ impl<R: KeepRule> PolicyStepper for TargetWalk<R> {
 
     fn next_seed(&mut self, session: &mut AdaptiveSession<'_>) -> Option<Node> {
         let target = session.instance().target();
-        let n = session.instance().graph().num_nodes();
+        let k = target.len();
         let t_rest = self
             .t_rest
-            .get_or_insert_with(|| NodeSet::from_iter(n, target.iter().copied()));
+            .get_or_insert_with(|| NodeSet::from_iter(k, 0..k as Node));
+        let mut segment = self.rule.segment(session, t_rest);
         while let Some(&u) = target.get(self.idx) {
+            let slot = self.idx;
             self.idx += 1;
-            t_rest.remove(u);
+            t_rest.remove(slot as Node);
             if session.is_activated(u) {
                 continue;
             }
-            if self.rule.keep(session, u, t_rest) {
-                t_rest.insert(u);
+            if self.rule.keep(&mut segment, session, slot, t_rest) {
+                t_rest.insert(slot as Node);
                 return Some(u);
             }
         }

@@ -2,13 +2,18 @@
 //! bitset (`n/8` bytes), the selected seeds and a few counters. The
 //! cascade workspace is per-thread scratch, not session state, so once the
 //! thread's engine is warm a session costs no `O(n)` buffer beyond the
-//! bitset.
+//! bitset. A HATP stepper between calls holds `O(k)` bytes: its RR pool is
+//! scratch of one `next_seed` call.
 //!
-//! A counting global allocator tracks live heap bytes; everything runs
-//! inside one `#[test]` so no concurrent test pollutes the counter.
+//! A counting global allocator tracks live heap bytes; the tests take one
+//! lock, so no concurrent test pollutes the counter.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicI64, Ordering};
+use std::sync::Mutex;
+
+use atpm_core::{AdaptiveSession, TpmInstance};
+use atpm_graph::GraphBuilder;
 
 struct LiveBytes;
 
@@ -39,25 +44,42 @@ unsafe impl GlobalAlloc for LiveBytes {
 #[global_allocator]
 static GLOBAL: LiveBytes = LiveBytes;
 
-#[test]
-fn a_suspended_session_holds_its_alive_bitset_and_seeds_only() {
-    use atpm_core::{AdaptiveSession, TpmInstance};
-    use atpm_graph::GraphBuilder;
+/// Held for the whole of each test: one counting window at a time.
+static SERIAL: Mutex<()> = Mutex::new(());
 
-    // libtest's main thread allocates while reporting the test start,
-    // concurrently with the first moments of the body; let it go quiet
-    // before the counting window opens.
+/// Takes the counting lock, then waits for libtest's main thread, which
+/// allocates while reporting test starts and ends, to go quiet.
+fn counting_window() -> std::sync::MutexGuard<'static, ()> {
+    let guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     std::thread::sleep(std::time::Duration::from_millis(100));
+    guard
+}
 
-    // 100k nodes: a ring of p = 0.5 edges, so each seed's cascade runs a
-    // few hops before the world cuts it.
-    let n = 100_000usize;
-    let mut b = GraphBuilder::new(n);
-    for u in 0..n as u32 {
-        b.add_edge(u, (u + 1) % n as u32, 0.5).unwrap();
+const N: usize = 100_000;
+
+/// 100k nodes: a ring of p = 0.5 edges, so each seed's cascade runs a few
+/// hops before the world cuts it; eight targets at `costs`, each with
+/// certain edges to the `fanout` nodes after it.
+fn ring(costs: &[f64; 8], fanout: u32) -> TpmInstance {
+    let mut b = GraphBuilder::new(N);
+    for u in 0..N as u32 {
+        b.add_edge(u, (u + 1) % N as u32, 0.5).unwrap();
     }
     let target: Vec<u32> = (0..8).map(|i| i * 12_345).collect();
-    let inst = TpmInstance::new(b.build(), target.clone(), &[1.0; 8]);
+    for &t in &target {
+        for j in 2..fanout + 2 {
+            b.add_edge(t, t + j, 1.0).unwrap();
+        }
+    }
+    TpmInstance::new(b.build(), target, costs)
+}
+
+#[test]
+fn a_suspended_session_holds_its_alive_bitset_and_seeds_only() {
+    let _window = counting_window();
+    let n = N;
+    let inst = ring(&[1.0; 8], 0);
+    let target = inst.target().to_vec();
 
     // Warm this thread's cascade engine on the graph.
     let mut warm = AdaptiveSession::new(&inst, 1);
@@ -84,4 +106,48 @@ fn a_suspended_session_holds_its_alive_bitset_and_seeds_only() {
     let session = AdaptiveSession::resume(&inst, state);
     assert_eq!(session.selected(), &target[1..3]);
     assert_eq!(session.total_activated(), activated);
+}
+
+#[test]
+fn a_hatp_stepper_holds_o_k_bytes_between_calls() {
+    use atpm_core::policies::Hatp;
+    use atpm_core::{AdaptivePolicy, PolicyStepper};
+
+    let _window = counting_window();
+    // Each target reaches 1,000 nodes, so about 8% of the RR sets hold a
+    // target and a pool left behind would show. The first target is free
+    // (kept whatever the estimates), the rest dear (rejected), so the first
+    // call ends in a keep and the second at the end of the walk.
+    let dear = 5_000.0;
+    let inst = ring(&[0.0, dear, dear, dear, dear, dear, dear, dear], 1_000);
+    let mut hatp = Hatp {
+        seed: 3,
+        max_theta: 1 << 12,
+        ..Default::default()
+    };
+    let mut stepper = hatp.stepper();
+    let mut session = AdaptiveSession::new(&inst, 7);
+    // Warm this thread's cascade engine on the graph.
+    let _ = AdaptiveSession::new(&inst, 1).select(inst.target()[0]);
+
+    let bound = 1024i64;
+    let before = LIVE.load(Ordering::Relaxed);
+    let kept = stepper.next_seed(&mut session);
+    let held = LIVE.load(Ordering::Relaxed) - before;
+    assert_eq!(kept, Some(inst.target()[0]), "the free target is kept");
+    assert!(
+        held <= bound,
+        "after a keep the stepper holds {held} B, over {bound} B"
+    );
+
+    session.select(inst.target()[0]);
+    let before = LIVE.load(Ordering::Relaxed);
+    let end = stepper.next_seed(&mut session);
+    let held = LIVE.load(Ordering::Relaxed) - before;
+    assert_eq!(end, None, "every dear target is rejected");
+    assert!(
+        held <= bound,
+        "at the end of the walk the stepper holds {held} B, over {bound} B"
+    );
+    assert!(session.sampling_work() > 0, "both calls sampled");
 }

@@ -1,21 +1,41 @@
-//! Streaming front/rear coverage counters for the (non)adaptive
-//! sampling-based double greedy algorithms.
+//! The RR pool of one walk segment: the front/rear coverage counts of the
+//! sampling double greedies (ADDATP, HATP, HNTP).
 //!
-//! ADDATP and HATP regenerate their RR batches `R1`, `R2` from scratch in
-//! every sampling round (Algorithm 3 line 9, Algorithm 4 line 9) and only
-//! ever query them for a *single* node `u_i`:
+//! Each examined candidate `u_i` needs, per sampling round, two counts
+//! over fresh RR sets on the residual graph:
 //!
-//! * front: `Cov_{R1}(u_i | S_{i−1})` — sets containing `u_i` that avoid
+//! * front: `Cov(u_i | S_{i−1})` — sets containing `u_i` that avoid
 //!   `S_{i−1}`. On a residual graph every selected seed is already dead, so
-//!   the adaptive callers pass an empty condition set; the nonadaptive HNTP
+//!   the adaptive callers pass an empty condition; the nonadaptive HNTP
 //!   passes its accumulated `S_{i−1}`.
-//! * rear: `Cov_{R2}(u_i | T_{i−1} ∖ {u_i})` — sets containing `u_i` that
-//!   avoid every other remaining candidate.
+//! * rear: `Cov(u_i | T_{i−1} ∖ {u_i})` — sets containing `u_i` that avoid
+//!   every other remaining candidate.
 //!
-//! Materializing those batches would waste memory and time, so this module
-//! streams them: generate a set, bump two counters, drop it. Worker seeding
-//! and the fan-out/fan-in scaffolding are shared with the batch sampler via
-//! [`crate::workspace`] (the two used to carry diverged private copies).
+//! Both conditions are sets of *targets*, so an RR set matters to every
+//! count only through the targets it holds. A **walk segment** is the run
+//! of candidates examined from one keep to the next: within it the graph
+//! is fixed and every candidate's conditions are fixed by the segment's
+//! start (each earlier candidate of the segment was rejected). So one
+//! [`RrPool`] serves the whole segment:
+//!
+//! * chunk `j` serves round `j` of every candidate; it grows on demand to
+//!   the largest θ a round `j` has asked for, each growth a fresh batch
+//!   with its own seed through [`run_sharded`];
+//! * a chunk keeps only the sets that hold a recorded target, each as its
+//!   short list of target slots (indices into the target list). About
+//!   5.5% of sets hit one of 10 IMM targets on the Epinions stand-in;
+//! * [`RrPool::counts`] counts over the first θ sets of a chunk. Those
+//!   are i.i.d. RR sets on the segment's graph whatever θ is, and growing
+//!   the chunk never changes them.
+//!
+//! Both counts of a round are read off the same sets. That is the reading
+//! the analysis requires: the proof of Lemma 5 uses `ρ̃_f + ρ̃_r ≥ 0`
+//! *pointwise*, which holds exactly when both coverages are counted on the
+//! same sets and the front condition is contained in the rear condition
+//! (then `cov_front ≥ cov_rear` on every draw). Why sharing a chunk across
+//! the candidates of a segment keeps Theorem 4 is argued in `atpm-core`'s
+//! `policies::hatp`. The pool is scratch of one decision call: callers
+//! drop it when the segment ends.
 
 use atpm_graph::{GraphView, Node};
 
@@ -24,109 +44,179 @@ use crate::rng::CounterRng;
 use crate::rr::RrSampler;
 use crate::workspace::run_sharded;
 
-/// Result of one streamed sampling round.
+/// Coverage counts of one candidate over the first `theta` sets of a
+/// chunk.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FrontRearCounts {
-    /// Number of `R1` sets containing `u` and disjoint from the front
-    /// condition set.
+    /// Sets containing the candidate and no slot of the front condition.
     pub cov_front: u64,
-    /// Number of `R2` sets containing `u` and disjoint from the rear
-    /// condition set.
+    /// Sets containing the candidate and no slot of the rear condition.
     pub cov_rear: u64,
-    /// RR sets actually generated per batch (can fall short of the request
-    /// only when the view has no alive nodes).
+    /// Sets counted: the requested θ, or fewer when the chunk holds fewer
+    /// (only on a view with no alive node).
     pub theta: usize,
-    /// Total nodes traversed across both batches (EPT/work accounting).
-    pub work: u64,
 }
 
-fn shared_worker<V: GraphView>(
-    view: &V,
-    u: Node,
-    front_cond: &NodeSet,
-    rear_cond: &NodeSet,
-    quota: usize,
-    seed: u64,
-) -> FrontRearCounts {
+/// The sets of one chunk that hold a recorded target.
+#[derive(Debug, Default)]
+struct Chunk {
+    /// Sets drawn into the chunk, kept or not.
+    drawn: usize,
+    /// Position in the chunk of each kept set, ascending.
+    at: Vec<usize>,
+    /// Kept set `i` holds the slots `slots[ends[i − 1]..ends[i]]`.
+    ends: Vec<usize>,
+    slots: Vec<u32>,
+}
+
+impl Chunk {
+    /// Appends a worker's part, rebasing its positions and slot ends.
+    fn absorb(&mut self, part: Chunk) {
+        let (at0, end0) = (self.drawn, self.slots.len());
+        self.drawn += part.drawn;
+        self.at.extend(part.at.iter().map(|&i| i + at0));
+        self.ends.extend(part.ends.iter().map(|&e| e + end0));
+        self.slots.extend_from_slice(&part.slots);
+    }
+
+    /// The slot lists of the kept sets among the first `theta`.
+    fn sets(&self, theta: usize) -> impl Iterator<Item = &[u32]> {
+        let kept = self.at.partition_point(|&i| i < theta);
+        (0..kept).map(move |i| {
+            let lo = if i == 0 { 0 } else { self.ends[i - 1] };
+            &self.slots[lo..self.ends[i]]
+        })
+    }
+}
+
+/// One walk segment's RR sets, chunk `j` serving round `j` (see the module
+/// docs).
+#[derive(Debug)]
+pub struct RrPool {
+    /// The recorded targets as `(node, slot)`, sorted by node.
+    index: Vec<(Node, u32)>,
+    threads: usize,
+    chunks: Vec<Chunk>,
+}
+
+impl RrPool {
+    /// An empty pool that records, in every set it draws, the slots of
+    /// `targets` that are members of `record` (a set over slots). Sets
+    /// draw on `threads` workers.
+    pub fn new(targets: &[Node], record: &NodeSet, threads: usize) -> Self {
+        let mut index: Vec<(Node, u32)> = (0..targets.len() as u32)
+            .filter(|&s| record.contains(s))
+            .map(|s| (targets[s as usize], s))
+            .collect();
+        index.sort_unstable();
+        RrPool {
+            index,
+            threads,
+            chunks: Vec::new(),
+        }
+    }
+
+    /// Chunks grown so far.
+    pub fn chunks(&self) -> usize {
+        self.chunks.len()
+    }
+
+    /// Sets drawn into chunk `round` so far.
+    pub fn drawn(&self, round: usize) -> usize {
+        self.chunks.get(round).map_or(0, |c| c.drawn)
+    }
+
+    /// Grows chunk `round` to `theta` sets, drawing the missing ones on
+    /// `view` from `seed`, and returns how many it drew: 0 when the chunk
+    /// already holds `theta` or `view` has no alive node. Every call must
+    /// pass the segment's one view. Deterministic in `(view, theta, seed,
+    /// threads)` and the chunk's size on entry.
+    pub fn grow<V: GraphView + Sync>(
+        &mut self,
+        view: &V,
+        round: usize,
+        theta: usize,
+        seed: u64,
+    ) -> usize {
+        if self.chunks.len() <= round {
+            self.chunks.resize_with(round + 1, Chunk::default);
+        }
+        let need = theta.saturating_sub(self.chunks[round].drawn);
+        if need == 0 || view.num_alive() == 0 {
+            return 0;
+        }
+        let index = &self.index;
+        let parts = run_sharded(need, self.threads, seed, |_tid, quota, wseed| {
+            draw(view, index, quota, wseed)
+        });
+        let chunk = &mut self.chunks[round];
+        let before = chunk.drawn;
+        for part in parts {
+            chunk.absorb(part);
+        }
+        chunk.drawn - before
+    }
+
+    /// Counts over the first `theta` sets of chunk `round` for the target
+    /// in `slot`: front counts the sets holding `slot` and no slot of
+    /// `front`, rear those holding `slot` and no slot of `rear`. Both
+    /// conditions are sets over slots and must not contain `slot`.
+    pub fn counts(
+        &self,
+        round: usize,
+        theta: usize,
+        slot: u32,
+        front: &NodeSet,
+        rear: &NodeSet,
+    ) -> FrontRearCounts {
+        let mut counts = FrontRearCounts {
+            cov_front: 0,
+            cov_rear: 0,
+            theta: theta.min(self.drawn(round)),
+        };
+        let Some(chunk) = self.chunks.get(round) else {
+            return counts;
+        };
+        for set in chunk.sets(theta).filter(|set| set.contains(&slot)) {
+            let avoids = |cond: &NodeSet| !set.iter().any(|&s| cond.contains(s));
+            counts.cov_front += u64::from(avoids(front));
+            counts.cov_rear += u64::from(avoids(rear));
+        }
+        counts
+    }
+}
+
+/// One worker's share of a growth: `quota` sets from `seed`, keeping those
+/// that hold a target of `index`.
+fn draw<V: GraphView>(view: &V, index: &[(Node, u32)], quota: usize, seed: u64) -> Chunk {
     let mut sampler = RrSampler::new();
     let mut rng = CounterRng::new(seed);
     let mut buf = Vec::new();
-    let mut counts = FrontRearCounts {
-        cov_front: 0,
-        cov_rear: 0,
-        theta: 0,
-        work: 0,
-    };
-    for _ in 0..quota {
+    let mut part = Chunk::default();
+    for i in 0..quota {
         if !sampler.sample_into(view, &mut rng, &mut buf) {
             break;
         }
-        counts.work += buf.len() as u64;
-        // O(1) epoch-mark membership probe instead of scanning the buffer.
-        if sampler.contains_last(u) {
-            if !front_cond.intersects(&buf) {
-                counts.cov_front += 1;
-            }
-            if !rear_cond.intersects(&buf) {
-                counts.cov_rear += 1;
+        part.drawn += 1;
+        let held = part.slots.len();
+        // Probe whichever is shorter: each target's visit mark, or each
+        // member against the sorted target index.
+        if index.len() <= buf.len() {
+            let hit = index.iter().filter(|&&(v, _)| sampler.contains_last(v));
+            part.slots.extend(hit.map(|&(_, s)| s));
+        } else {
+            for &v in &buf {
+                if let Ok(j) = index.binary_search_by_key(&v, |&(t, _)| t) {
+                    part.slots.push(index[j].1);
+                }
             }
         }
-        counts.theta += 1;
+        if part.slots.len() > held {
+            part.at.push(i);
+            part.ends.push(part.slots.len());
+        }
     }
-    counts
-}
-
-/// Streams `theta` RR sets on `view` and returns the conditional front/rear
-/// coverage counts for node `u`, both evaluated on **one shared batch**.
-///
-/// `front_cond` is `S_{i−1}` (empty for the adaptive algorithms, whose
-/// selected seeds are dead in the view); `rear_cond` is `T_{i−1} ∖ {u}`.
-/// Deterministic in `(view, u, conditions, theta, seed, threads)`.
-///
-/// The shared batch is the reading the analysis requires: the proof of
-/// Lemma 5 uses `ρ̃_f + ρ̃_r ≥ 0` *pointwise*, which holds exactly when both
-/// coverages are counted on the same sets and the front condition set is
-/// contained in the rear condition set (then `cov_front ≥ cov_rear`
-/// deterministically). It also halves the sampling cost relative to two
-/// independent batches.
-pub fn front_rear_counts_shared<V: GraphView + Sync>(
-    view: &V,
-    u: Node,
-    front_cond: &NodeSet,
-    rear_cond: &NodeSet,
-    theta: usize,
-    seed: u64,
-    threads: usize,
-) -> FrontRearCounts {
-    if theta == 0 || view.num_alive() == 0 {
-        return FrontRearCounts {
-            cov_front: 0,
-            cov_rear: 0,
-            theta: 0,
-            work: 0,
-        };
-    }
-    let parts = run_sharded(theta, threads, seed, |_tid, quota, wseed| {
-        shared_worker(view, u, front_cond, rear_cond, quota, wseed)
-    });
-    merge_counts(parts)
-}
-
-/// Sums per-worker counters (fan-in half of the sharded runs).
-fn merge_counts(parts: Vec<FrontRearCounts>) -> FrontRearCounts {
-    let mut total = FrontRearCounts {
-        cov_front: 0,
-        cov_rear: 0,
-        theta: 0,
-        work: 0,
-    };
-    for p in parts {
-        total.cov_front += p.cov_front;
-        total.cov_rear += p.cov_rear;
-        total.theta += p.theta;
-        total.work += p.work;
-    }
-    total
+    part
 }
 
 #[cfg(test)]
@@ -134,7 +224,36 @@ mod tests {
     use super::*;
     use atpm_graph::{GraphBuilder, ResidualGraph};
 
-    fn stream_worker<V: GraphView>(
+    /// 0 -> 1 -> 2 chain, p = 0.5; every node a target, slot = node id.
+    fn chain() -> atpm_graph::Graph {
+        let mut b = GraphBuilder::new(3);
+        b.add_edge(0, 1, 0.5).unwrap();
+        b.add_edge(1, 2, 0.5).unwrap();
+        b.build()
+    }
+
+    const TARGETS: [Node; 3] = [0, 1, 2];
+
+    fn slots(members: &[u32]) -> NodeSet {
+        NodeSet::from_iter(3, members.iter().copied())
+    }
+
+    /// One chunk of `theta` sets on `view`, counted for slot `u`.
+    fn pool_counts<V: GraphView + Sync>(
+        view: &V,
+        u: u32,
+        front: &NodeSet,
+        rear: &NodeSet,
+        theta: usize,
+        seed: u64,
+        threads: usize,
+    ) -> FrontRearCounts {
+        let mut pool = RrPool::new(&TARGETS, &slots(&[0, 1, 2]), threads);
+        pool.grow(view, 0, theta, seed);
+        pool.counts(0, theta, u, front, rear)
+    }
+
+    fn independent_worker<V: GraphView>(
         view: &V,
         u: Node,
         front_cond: &NodeSet,
@@ -147,14 +266,12 @@ mod tests {
         let mut buf = Vec::new();
         let mut cov_front = 0u64;
         let mut cov_rear = 0u64;
-        let mut work = 0u64;
         let mut done = 0usize;
         for _ in 0..quota {
             // R1 sample: u present, front condition set absent.
             if !sampler.sample_into(view, &mut rng, &mut buf) {
                 break;
             }
-            work += buf.len() as u64;
             if sampler.contains_last(u) && !front_cond.intersects(&buf) {
                 cov_front += 1;
             }
@@ -162,7 +279,6 @@ mod tests {
             if !sampler.sample_into(view, &mut rng, &mut buf) {
                 break;
             }
-            work += buf.len() as u64;
             if sampler.contains_last(u) && !rear_cond.intersects(&buf) {
                 cov_rear += 1;
             }
@@ -172,13 +288,12 @@ mod tests {
             cov_front,
             cov_rear,
             theta: done,
-            work,
         }
     }
 
     /// The two-independent-batches reading of the front/rear counts: an `R1`
-    /// and an `R2` set per draw. The reference the shared batch is checked
-    /// against.
+    /// and an `R2` set per draw. The statistical reference the pool is
+    /// checked against.
     fn front_rear_counts<V: GraphView + Sync>(
         view: &V,
         u: Node,
@@ -188,34 +303,28 @@ mod tests {
         seed: u64,
         threads: usize,
     ) -> FrontRearCounts {
-        if theta == 0 || view.num_alive() == 0 {
-            return FrontRearCounts {
-                cov_front: 0,
-                cov_rear: 0,
-                theta: 0,
-                work: 0,
-            };
-        }
         let parts = run_sharded(theta, threads, seed, |_tid, quota, wseed| {
-            stream_worker(view, u, front_cond, rear_cond, quota, wseed)
+            independent_worker(view, u, front_cond, rear_cond, quota, wseed)
         });
-        merge_counts(parts)
-    }
-
-    /// 0 -> 1 -> 2 chain, p = 0.5.
-    fn chain() -> atpm_graph::Graph {
-        let mut b = GraphBuilder::new(3);
-        b.add_edge(0, 1, 0.5).unwrap();
-        b.add_edge(1, 2, 0.5).unwrap();
-        b.build()
+        let mut total = FrontRearCounts {
+            cov_front: 0,
+            cov_rear: 0,
+            theta: 0,
+        };
+        for p in parts {
+            total.cov_front += p.cov_front;
+            total.cov_rear += p.cov_rear;
+            total.theta += p.theta;
+        }
+        total
     }
 
     #[test]
     fn front_estimates_singleton_spread() {
         let g = chain();
-        let empty = NodeSet::new(3);
+        let empty = slots(&[]);
         let theta = 120_000;
-        let c = front_rear_counts_shared(&&g, 0, &empty, &empty, theta, 1, 2);
+        let c = pool_counts(&&g, 0, &empty, &empty, theta, 1, 2);
         assert_eq!(c.theta, theta);
         let est = 3.0 * c.cov_front as f64 / c.theta as f64;
         assert!((est - 1.75).abs() < 0.03, "front spread {est}, want 1.75");
@@ -228,10 +337,8 @@ mod tests {
         // Root 0 (never reaches 2 in reverse): contributes Pr = 1/3.
         // Root 1: contains 0 with p(0->1) = 0.5, never contains 2: 1/6.
         // Root 2: always contains 2: 0.  Total = 0.5.
-        let empty = NodeSet::new(3);
-        let cond2 = NodeSet::from_iter(3, [2]);
         let theta = 120_000;
-        let c = front_rear_counts_shared(&&g, 0, &empty, &cond2, theta, 3, 2);
+        let c = pool_counts(&&g, 0, &slots(&[]), &slots(&[2]), theta, 3, 2);
         let frac = c.cov_rear as f64 / c.theta as f64;
         assert!((frac - 0.5).abs() < 0.01, "rear fraction {frac}, want 0.5");
         assert!(c.cov_front > c.cov_rear);
@@ -240,69 +347,44 @@ mod tests {
     #[test]
     fn front_condition_matches_marginal_semantics() {
         // Conditioning the front on {1} must equal the rear conditioned on
-        // {1}: same formula, same batch -> equal counts.
+        // {1}: same formula, same sets -> equal counts.
         let g = chain();
-        let cond = NodeSet::from_iter(3, [1]);
+        let cond = slots(&[1]);
         let theta = 120_000;
-        let c = front_rear_counts_shared(&&g, 0, &cond, &cond, theta, 7, 2);
+        let c = pool_counts(&&g, 0, &cond, &cond, theta, 7, 2);
         assert_eq!(c.cov_front, c.cov_rear);
         // And strictly below the unconditional coverage.
-        let empty = NodeSet::new(3);
-        let unc = front_rear_counts_shared(&&g, 0, &empty, &empty, theta, 7, 2);
+        let empty = slots(&[]);
+        let unc = pool_counts(&&g, 0, &empty, &empty, theta, 7, 2);
         assert!(unc.cov_front > c.cov_front);
     }
 
-    /// Golden values: the streamed counters draw their worlds through the
-    /// shared `workspace::worker_seed` + the engine's `CounterRng`; these
-    /// exact counts pin that stream so a silent reseeding (like the
-    /// pre-dedup drift between sampler.rs and stream.rs) fails loudly
-    /// instead of quietly redrawing every stored experiment trajectory.
-    /// (Re-pinned when the coin-free `SampleView` sampler replaced the
-    /// per-coin `StdRng` loop — a deliberate world redraw.)
+    /// Golden values: the pool draws its worlds through the shared
+    /// `workspace::worker_seed` and the engine's `CounterRng`; these exact
+    /// counts pin that stream, so a silent reseeding fails loudly instead
+    /// of quietly redrawing every stored experiment trajectory. The
+    /// independent reference is pinned alongside.
     #[test]
     fn stream_values_are_pinned() {
         let g = chain();
-        let empty = NodeSet::new(3);
-        let rear = NodeSet::from_iter(3, [2]);
-        let indep1 = front_rear_counts(&&g, 0, &empty, &rear, 1000, 42, 1);
+        let empty = slots(&[]);
+        let rear = slots(&[2]);
+        let pinned = |cov_front, cov_rear| FrontRearCounts {
+            cov_front,
+            cov_rear,
+            theta: 1000,
+        };
+        let indep1 = front_rear_counts(&&g, 0, &NodeSet::new(3), &rear, 1000, 42, 1);
+        assert_eq!(indep1, pinned(614, 515));
         assert_eq!(
-            indep1,
-            FrontRearCounts {
-                cov_front: 614,
-                cov_rear: 515,
-                theta: 1000,
-                work: 2866
-            }
+            pool_counts(&&g, 0, &empty, &rear, 1000, 42, 1),
+            pinned(590, 501)
         );
-        let shared1 = front_rear_counts_shared(&&g, 0, &empty, &rear, 1000, 42, 1);
+        let indep2 = front_rear_counts(&&g, 0, &NodeSet::new(3), &rear, 1000, 42, 2);
+        assert_eq!(indep2, pinned(577, 462));
         assert_eq!(
-            shared1,
-            FrontRearCounts {
-                cov_front: 590,
-                cov_rear: 501,
-                theta: 1000,
-                work: 1420
-            }
-        );
-        let indep2 = front_rear_counts(&&g, 0, &empty, &rear, 1000, 42, 2);
-        assert_eq!(
-            indep2,
-            FrontRearCounts {
-                cov_front: 577,
-                cov_rear: 462,
-                theta: 1000,
-                work: 2843
-            }
-        );
-        let shared2 = front_rear_counts_shared(&&g, 0, &empty, &rear, 1000, 42, 2);
-        assert_eq!(
-            shared2,
-            FrontRearCounts {
-                cov_front: 571,
-                cov_rear: 480,
-                theta: 1000,
-                work: 1418
-            }
+            pool_counts(&&g, 0, &empty, &rear, 1000, 42, 2),
+            pinned(571, 480)
         );
     }
 
@@ -311,29 +393,38 @@ mod tests {
         let g = chain();
         let mut r = ResidualGraph::new(&g);
         r.remove_all(0..3);
-        let empty = NodeSet::new(3);
-        let c = front_rear_counts_shared(&r, 0, &empty, &empty, 100, 1, 2);
+        let mut pool = RrPool::new(&TARGETS, &slots(&[0, 1, 2]), 2);
+        assert_eq!(pool.grow(&r, 0, 100, 1), 0, "nothing to draw");
+        let empty = slots(&[]);
+        let c = pool.counts(0, 100, 0, &empty, &empty);
         assert_eq!(c.theta, 0);
         assert_eq!(c.cov_front, 0);
     }
 
     #[test]
     fn work_accounting_is_positive() {
+        // `grow` reports the sets it drew, kept or not, and draws nothing
+        // for a chunk that already holds enough.
         let g = chain();
-        let empty = NodeSet::new(3);
-        let c = front_rear_counts_shared(&&g, 0, &empty, &empty, 100, 1, 1);
-        assert!(c.work >= c.theta as u64, "each set has >= 1 node");
+        let mut pool = RrPool::new(&TARGETS, &slots(&[0]), 1);
+        assert_eq!(pool.grow(&&g, 0, 100, 1), 100);
+        assert_eq!(pool.grow(&&g, 0, 60, 2), 0);
+        assert_eq!(pool.grow(&&g, 0, 150, 3), 50);
+        assert_eq!(pool.grow(&&g, 2, 10, 4), 10, "chunks grow independently");
+        assert_eq!((pool.drawn(0), pool.drawn(1), pool.drawn(2)), (150, 0, 10));
+        assert_eq!(pool.chunks(), 3);
     }
 
     #[test]
     fn shared_batch_front_dominates_rear_pointwise() {
-        // With front condition ⊆ rear condition, the shared batch guarantees
-        // cov_front >= cov_rear on every draw (the Lemma 5 requirement).
+        // With front condition ⊆ rear condition, counting both on the same
+        // sets guarantees cov_front >= cov_rear on every draw (the Lemma 5
+        // requirement).
         let g = chain();
-        let empty = NodeSet::new(3);
-        let rear = NodeSet::from_iter(3, [1, 2]);
+        let empty = slots(&[]);
+        let rear = slots(&[1, 2]);
         for seed in 0..50u64 {
-            let c = front_rear_counts_shared(&&g, 0, &empty, &rear, 64, seed, 2);
+            let c = pool_counts(&&g, 0, &empty, &rear, 64, seed, 2);
             assert!(c.cov_front >= c.cov_rear, "seed {seed}: {c:?}");
         }
     }
@@ -341,14 +432,13 @@ mod tests {
     #[test]
     fn shared_batch_matches_independent_statistically() {
         let g = chain();
-        let empty = NodeSet::new(3);
-        let rear = NodeSet::from_iter(3, [2]);
+        let rear = slots(&[2]);
         let theta = 120_000;
-        let shared = front_rear_counts_shared(&&g, 0, &empty, &rear, theta, 9, 2);
-        let indep = front_rear_counts(&&g, 0, &empty, &rear, theta, 9, 2);
-        let f1 = shared.cov_front as f64 / shared.theta as f64;
+        let pooled = pool_counts(&&g, 0, &slots(&[]), &rear, theta, 9, 2);
+        let indep = front_rear_counts(&&g, 0, &NodeSet::new(3), &rear, theta, 9, 2);
+        let f1 = pooled.cov_front as f64 / pooled.theta as f64;
         let f2 = indep.cov_front as f64 / indep.theta as f64;
-        let r1 = shared.cov_rear as f64 / shared.theta as f64;
+        let r1 = pooled.cov_rear as f64 / pooled.theta as f64;
         let r2 = indep.cov_rear as f64 / indep.theta as f64;
         assert!((f1 - f2).abs() < 0.01, "front {f1} vs {f2}");
         assert!((r1 - r2).abs() < 0.01, "rear {r1} vs {r2}");
@@ -356,11 +446,48 @@ mod tests {
 
     #[test]
     fn shared_batch_is_deterministic() {
+        // A pure function of (view, seed, threads).
         let g = chain();
-        let empty = NodeSet::new(3);
-        let rear = NodeSet::from_iter(3, [1]);
-        let a = front_rear_counts_shared(&&g, 0, &empty, &rear, 3000, 5, 3);
-        let b = front_rear_counts_shared(&&g, 0, &empty, &rear, 3000, 5, 3);
+        let empty = slots(&[]);
+        let rear = slots(&[1]);
+        let a = pool_counts(&&g, 0, &empty, &rear, 3000, 5, 3);
+        let b = pool_counts(&&g, 0, &empty, &rear, 3000, 5, 3);
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn growing_a_chunk_keeps_the_counts_of_its_prefix() {
+        let g = chain();
+        let empty = slots(&[]);
+        let rear = slots(&[2]);
+        let mut pool = RrPool::new(&TARGETS, &slots(&[0, 1, 2]), 2);
+        pool.grow(&&g, 0, 5_000, 11);
+        let before: Vec<_> = (0..3)
+            .map(|u| pool.counts(0, 5_000, u, &empty, &rear))
+            .collect();
+        pool.grow(&&g, 0, 20_000, 12);
+        for u in 0..3 {
+            assert_eq!(pool.counts(0, 5_000, u, &empty, &rear), before[u as usize]);
+        }
+        let grown = pool.counts(0, 20_000, 0, &empty, &rear);
+        assert_eq!(grown.theta, 20_000);
+        assert!(grown.cov_front > before[0].cov_front);
+    }
+
+    #[test]
+    fn only_sets_holding_a_recorded_target_are_kept() {
+        // Recording slot 2 only: every kept set holds node 2, and the
+        // counts of slot 2 match a pool that records every slot.
+        let g = chain();
+        let empty = slots(&[]);
+        let mut narrow = RrPool::new(&TARGETS, &slots(&[2]), 1);
+        narrow.grow(&&g, 0, 4_000, 5);
+        let chunk = &narrow.chunks[0];
+        assert!(chunk.sets(4_000).all(|set| set == [2]));
+        assert!(chunk.at.len() < chunk.drawn);
+        assert_eq!(
+            narrow.counts(0, 4_000, 2, &empty, &empty),
+            pool_counts(&&g, 2, &empty, &empty, 4_000, 5, 1)
+        );
     }
 }

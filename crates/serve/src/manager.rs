@@ -626,7 +626,15 @@ impl SessionManager {
                 done: true,
             });
         }
-        let seeds = entry.with_session(|stepper, session| stepper.next_batch(session, k))?;
+        let (seeds, stops) = entry.with_session(|stepper, session| {
+            let before = session.stops();
+            let seeds = stepper.next_batch(session, k);
+            let after = session.stops();
+            (seeds, std::array::from_fn(|i| after[i] - before[i]))
+        })?;
+        if let Some(m) = self.metrics.get() {
+            m.record_decisions(&entry.stepper.name(), stops);
+        }
         let done = seeds.is_empty();
         entry.pending = seeds.clone();
         entry.done = done;

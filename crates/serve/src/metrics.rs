@@ -24,6 +24,7 @@
 use std::sync::{Arc, Weak};
 use std::time::Instant;
 
+use atpm_core::Stop;
 use atpm_net::fault;
 use atpm_net::NetMetrics;
 use atpm_obs::{Counter, Gauge, Histogram, Registry};
@@ -52,6 +53,10 @@ pub const ROUTE_KEYS: [&str; 17] = [
     "debug_events",
     "other",
 ];
+
+/// Policies whose sampling decisions `atpm_policy_decisions_total` counts:
+/// the stepper name and its `policy` label (the wire name).
+pub const DECISION_POLICIES: [(&str, &str); 1] = [("HATP", "hatp")];
 
 /// Maps a request to its [`ROUTE_KEYS`] slot. Mirrors the router's match
 /// arms; unknown shapes land in `"other"` so the histogram family is a
@@ -124,6 +129,9 @@ pub struct ServeMetrics {
     pub journal_checkpoint_seconds: Arc<Histogram>,
     /// Torn (partially written / corrupt) journal tails truncated at open.
     pub journal_torn_tail: Arc<Counter>,
+    /// Sampling decisions by [`DECISION_POLICIES`] entry and stop reason,
+    /// indexed `[policy][Stop as usize]`.
+    pub policy_decisions: [[Arc<Counter>; 3]; DECISION_POLICIES.len()],
 }
 
 impl ServeMetrics {
@@ -146,8 +154,18 @@ impl ServeMetrics {
                 ROUTE_HELP,
             )
         });
+        let policy_decisions = DECISION_POLICIES.map(|(_, policy)| {
+            Stop::ALL.map(|stop| {
+                registry.counter_with(
+                    "atpm_policy_decisions_total",
+                    &[("policy", policy), ("stop", stop.label())],
+                    "Sampling decisions by stop reason: c1, c2, or forced at the RR-set cap",
+                )
+            })
+        });
         let metrics = ServeMetrics {
             net,
+            policy_decisions,
             queue_depth: registry.gauge(
                 "atpm_serve_queue_depth",
                 "Jobs dispatched but not yet picked up by a worker",
@@ -265,6 +283,21 @@ impl ServeMetrics {
         atpm_obs::render(&[&self.registry, atpm_obs::global()])
     }
 
+    /// Counts the sampling decisions of one `next` call of the policy
+    /// whose stepper is named `policy`: `stops` holds how many stopped for
+    /// each reason, indexed by `Stop as usize`. Other policies are not
+    /// counted.
+    pub fn record_decisions(&self, policy: &str, stops: [u64; 3]) {
+        if let Some(i) = DECISION_POLICIES
+            .iter()
+            .position(|&(name, _)| name == policy)
+        {
+            for (counter, n) in self.policy_decisions[i].iter().zip(stops) {
+                counter.add(n);
+            }
+        }
+    }
+
     /// Records one completed request (started at `t0`, just returned from
     /// `respond`) into the whole-server and per-route histograms. Workers
     /// call this strictly after `respond`, which is what keeps a scrape
@@ -342,6 +375,7 @@ mod tests {
             "atpm_journal_checkpoint_seconds",
             "atpm_serve_journal_torn_tail_total",
             "atpm_serve_journal_fault_injected_total",
+            "atpm_policy_decisions_total",
         ] {
             assert!(text.contains(family), "missing {family} in:\n{text}");
         }

@@ -12,8 +12,9 @@
 //!    ever go up.
 //! 3. **End-to-end visibility** — the per-instance serve registry and the
 //!    process-global registry (RIS/diffusion stage metrics) merge into one
-//!    exposition, the sessions-active gauge tracks `/healthz`, and
-//!    `trace_path` dumps Perfetto-loadable Chrome trace JSON at shutdown.
+//!    exposition, the sessions-active gauge tracks `/healthz`, HATP's
+//!    decisions are counted by stop reason, and `trace_path` dumps
+//!    Perfetto-loadable Chrome trace JSON at shutdown.
 //!
 //! The registry under `atpm_obs::global()` and the tracer are process-wide
 //! singletons, so every test here serializes on one mutex — parallel tests
@@ -229,6 +230,42 @@ fn stage_metrics_session_gauge_and_trace_dump_cover_a_full_run() {
     assert_eq!(
         scrape.value("atpm_serve_sessions_deleted_total", &[]),
         Some(1.0)
+    );
+
+    // A capped HATP run: every candidate it examined is one decision,
+    // counted under its stop reason; a kept seed is one of them.
+    let decisions = |s: &Scrape| -> f64 {
+        ["c1", "c2", "forced"]
+            .iter()
+            .map(|stop| {
+                s.value(
+                    "atpm_policy_decisions_total",
+                    &[("policy", "hatp"), ("stop", stop)],
+                )
+                .unwrap_or_else(|| panic!("missing stop={stop}"))
+            })
+            .sum()
+    };
+    assert_eq!(decisions(&scrape), 0.0, "no HATP session yet");
+    let ledger = client
+        .run_session(&CreateSessionReq {
+            snapshot: "obs".into(),
+            policy: PolicySpec::Hatp {
+                eps_threshold: None,
+                max_theta: Some(1 << 10),
+                seed: 3,
+                threads: 1,
+            },
+            world_seed: 7,
+        })
+        .unwrap();
+    let (_, body) = client.get_text("/metrics").unwrap();
+    lint(&body).unwrap();
+    let counted = decisions(&Scrape::parse(&body).unwrap());
+    assert!(
+        counted >= ledger.selected.len().max(1) as f64,
+        "{counted} decisions for {} seeds",
+        ledger.selected.len()
     );
 
     // Shutdown dumps the Chrome trace; the RIS stage spans from the
