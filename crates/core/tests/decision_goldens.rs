@@ -137,8 +137,8 @@ fn addatp_base() {
         &[
             (&[1, 0, 3, 12], 4629624022022956598, 44848),
             (&[1, 0, 3, 12], 4628498122116113974, 46704),
-            (&[1, 0, 3, 12], 13842119034378872616, 58622),
-            (&[1, 0, 3], 4628728327077125288, 47704),
+            (&[1, 0, 3, 12], 13842119034378872616, 48503),
+            (&[1, 0, 3], 4628728327077125288, 38506),
         ],
     );
 }
@@ -156,10 +156,10 @@ fn addatp_dynamic() {
         "ADDATP-dyn",
         run_worlds(&preset_instance(), &mut policy),
         &[
-            (&[1, 0, 3], 4627883902146993320, 45745),
+            (&[1, 0, 3], 4627883902146993320, 36413),
             (&[1, 0, 3, 12], 4628498122116113974, 46704),
-            (&[1, 0, 3], 4609643379553585792, 59306),
-            (&[1, 0, 3], 4628728327077125288, 47704),
+            (&[1, 0, 3], 4609643379553585792, 38384),
+            (&[1, 0, 3], 4628728327077125288, 38506),
         ],
     );
 }
@@ -176,10 +176,10 @@ fn hatp_capped() {
         "HATP",
         run_worlds(&preset_instance(), &mut policy),
         &[
-            (&[1, 0, 3], 4627883902146993320, 89994),
-            (&[1, 0, 3], 13836079374719064768, 94099),
-            (&[1, 0, 3], 4609643379553585792, 94450),
-            (&[1, 0, 3], 4628728327077125288, 88610),
+            (&[1, 0, 3], 4627883902146993320, 72893),
+            (&[1, 0, 3], 13836079374719064768, 58679),
+            (&[1, 0, 3], 4609643379553585792, 58921),
+            (&[1, 0, 3], 4628728327077125288, 71623),
         ],
     );
 }
@@ -209,10 +209,10 @@ fn hntp_capped() {
         "HNTP",
         got,
         &[
-            (&[1, 0, 3], 4627883902146993320, 109573),
-            (&[1, 0, 3], 13836079374719064768, 109573),
-            (&[1, 0, 3], 4609643379553585792, 109573),
-            (&[1, 0, 3], 4628728327077125288, 109573),
+            (&[1, 0, 3], 4627883902146993320, 77646),
+            (&[1, 0, 3], 13836079374719064768, 77646),
+            (&[1, 0, 3], 4609643379553585792, 77646),
+            (&[1, 0, 3], 4628728327077125288, 77646),
         ],
     );
 }
