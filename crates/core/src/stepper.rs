@@ -100,8 +100,8 @@ pub trait KeepRule: Send {
     /// target slots (indices into the instance's target list).
     fn segment(&self, session: &AdaptiveSession<'_>, t_rest: &NodeSet) -> Self::Segment;
 
-    /// Decides whether to keep the candidate in target slot `slot`, which
-    /// is alive on the current residual graph; `rear` is
+    /// Decides whether to keep the candidate `u` in target slot `slot`,
+    /// which is alive on the current residual graph; `rear` is
     /// `T_{i−1} ∖ {u}` as a set over slots. The front condition `S_{i−1}`
     /// is empty: every observed seed was activated and removed (seeds of a
     /// batch still being decided are the batching gap). May record

@@ -18,8 +18,8 @@
 //! ## Engine architecture
 //!
 //! The sampling → coverage → greedy pipeline is the hot path of every policy
-//! (ADDATP/HATP regenerate their batches every round), so the engine is built
-//! around three rules:
+//! (ADDATP/HATP draw fresh RR sets for every round of every walk segment),
+//! so the engine is built around three rules:
 //!
 //! 1. **Coin-free sampling on the baked `SampleView`.** Reverse BFS never
 //!    touches an `f32`: each in-edge's probability is quantized to a `u32`
@@ -52,7 +52,7 @@
 //!    [`RrCollection::freeze`]. Worker seeding ([`workspace::worker_seed`],
 //!    pinned by a golden test) and the fan-out/fan-in scaffolding
 //!    ([`workspace::run_sharded`]) are shared by the batch sampler and the
-//!    streaming counters, so "deterministic in `(input, seed, threads)`" is
+//!    walk-segment pools, so "deterministic in `(input, seed, threads)`" is
 //!    defined in one place.
 //!
 //! Perf baselines for every stage live in `crates/bench/benches/micro.rs`
@@ -73,8 +73,9 @@
 //!   algorithms;
 //! * [`coverage`] — incremental double-greedy coverage state (front / rear
 //!   marginals in O(sets-containing-u));
-//! * [`stream`] — streaming front/rear coverage counters for the adaptive
-//!   algorithms, which never need to store their per-iteration batches;
+//! * [`stream`] — the RR pool of one walk segment of the sampling double
+//!   greedies: per-round chunks that keep only the sets holding a target,
+//!   as lists of target slots, and the front/rear counts over them;
 //! * [`bounds`] — Hoeffding (paper Lemma 4), the Relative+Additive martingale
 //!   bound (paper Lemma 7), and the one-sided coverage bounds used for
 //!   `E_l[I(T)]` cost calibration;

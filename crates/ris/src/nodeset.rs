@@ -1,5 +1,6 @@
 //! A dense bitset over node ids, used for membership tests in coverage
-//! queries (e.g. "is this RR-set member in `T_{i-1} ∖ {u_i}`?").
+//! queries (e.g. "is this RR-set member in `T_{i-1} ∖ {u_i}`?"), and over
+//! target slots (indices into a target list) by the walk-segment pools.
 
 use atpm_graph::Node;
 

@@ -26,8 +26,9 @@ use crate::workspace::EpochMarks;
 /// allocation or clearing). One sampler per thread.
 ///
 /// The visit marks outlive the sample: [`contains_last`](Self::contains_last)
-/// answers "is `u` in the most recent RR set" in O(1), which is what the
-/// streaming front/rear counters use instead of scanning the output buffer.
+/// answers "is `u` in the most recent RR set" in O(1), which is how the
+/// walk-segment pools find the targets of a set longer than the target
+/// list without scanning the output buffer.
 pub struct RrSampler {
     marks: EpochMarks,
 }

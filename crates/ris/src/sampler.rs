@@ -4,7 +4,7 @@
 //! the merge is two bulk copies per shard (`extend_from_slice` + offset
 //! rebasing) and the inverted index is built exactly once over the merged
 //! arrays. Worker seeding and fan-out/fan-in go through
-//! [`crate::workspace`], shared with the streaming counters. Each worker
+//! [`crate::workspace`], shared with the walk-segment pools. Each worker
 //! samples through the coin-free `SampleView` path of [`RrSampler`], fed by
 //! its own buffered [`CounterRng`] stream.
 

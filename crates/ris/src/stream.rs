@@ -70,8 +70,13 @@ struct Chunk {
 }
 
 impl Chunk {
-    /// Appends a worker's part, rebasing its positions and slot ends.
+    /// Appends a worker's part, rebasing its positions and slot ends. An
+    /// empty chunk takes the part as it is.
     fn absorb(&mut self, part: Chunk) {
+        if self.drawn == 0 {
+            *self = part;
+            return;
+        }
         let (at0, end0) = (self.drawn, self.slots.len());
         self.drawn += part.drawn;
         self.at.extend(part.at.iter().map(|&i| i + at0));
