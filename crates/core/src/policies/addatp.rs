@@ -159,21 +159,21 @@ impl KeepRule for AddatpRule {
             let nz = nif * zeta;
             let c1 = (rho_f - rho_r).abs() >= 2.0 * nz || rho_f <= -nz || rho_r <= -nz;
             let c2 = nz <= eta;
-            let stop = if c1 {
-                Stop::C1
-            } else if c2 {
-                self.eta_tilde_sum += eta;
-                Stop::C2
-            } else if theta >= self.cfg.max_theta {
-                Stop::Forced
-            } else {
-                zeta /= SQRT_2;
-                delta /= 2.0;
-                round += 1;
-                continue;
-            };
-            session.add_stop(stop);
-            return rho_f >= rho_r;
+            if c1 || c2 || theta >= self.cfg.max_theta {
+                let stop = if c1 {
+                    Stop::C1
+                } else if c2 {
+                    self.eta_tilde_sum += eta;
+                    Stop::C2
+                } else {
+                    Stop::Forced
+                };
+                session.add_stop(stop);
+                return rho_f >= rho_r;
+            }
+            zeta /= SQRT_2;
+            delta /= 2.0;
+            round += 1;
         }
     }
 }

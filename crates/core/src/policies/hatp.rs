@@ -185,49 +185,45 @@ impl Hatp {
                 || (fest + rest + 2.0 * nz) / (1.0 - eps) <= 2.0 * cost
                 || (fest + nz) / (1.0 - eps) <= cost;
             let c2 = eps <= eps_t && nz <= 1.0;
-            let stop = if c1 {
-                Stop::C1
-            } else if c2 {
-                Stop::C2
-            } else if theta >= self.max_theta {
-                Stop::Forced
-            } else {
-                // Adaptive error schedule (Algorithm 4, lines 19–23).
-                self.next_errors(&mut eps, &mut zeta, fest, nz);
+            if c1 || c2 || theta >= self.max_theta {
+                let stop = if c1 {
+                    Stop::C1
+                } else if c2 {
+                    Stop::C2
+                } else {
+                    Stop::Forced
+                };
+                return (fest + rest >= 2.0 * cost, stop);
+            }
+            round += 1;
+            // Adaptive error schedule (Algorithm 4, lines 19–23).
+            if !self.adaptive_schedule {
+                // Ablation: naive fixed decay, still respecting the floors.
+                if eps > eps_t {
+                    eps /= SQRT_2;
+                }
+                if nz > 1.0 {
+                    zeta /= SQRT_2;
+                }
                 delta /= 2.0;
-                round += 1;
                 continue;
-            };
-            return (fest + rest >= 2.0 * cost, stop);
-        }
-    }
-
-    /// Shrinks `ε` and/or `ζ` for the next round (Algorithm 4, lines
-    /// 19–23, or the fixed-decay ablation).
-    fn next_errors(&self, eps: &mut f64, zeta: &mut f64, fest: f64, nz: f64) {
-        let eps_t = self.eps_threshold;
-        if !self.adaptive_schedule {
-            // Ablation: naive fixed decay, still respecting the floors.
-            if *eps > eps_t {
-                *eps /= SQRT_2;
             }
-            if nz > 1.0 {
-                *zeta /= SQRT_2;
+            if eps <= eps_t && nz > 1.0 {
+                zeta /= 2.0;
+            } else if eps > eps_t && nz <= 1.0 {
+                eps /= 2.0;
+            } else if fest >= 10.0 * nz {
+                // Marginal spread dwarfs the additive error: the relative
+                // part is doing the work — sharpen it.
+                eps /= 2.0;
+            } else if fest <= nz {
+                // Marginal spread below the additive error: sharpen ζ.
+                zeta /= 2.0;
+            } else {
+                eps /= SQRT_2;
+                zeta /= SQRT_2;
             }
-        } else if *eps <= eps_t && nz > 1.0 {
-            *zeta /= 2.0;
-        } else if *eps > eps_t && nz <= 1.0 {
-            *eps /= 2.0;
-        } else if fest >= 10.0 * nz {
-            // Marginal spread dwarfs the additive error: the relative
-            // part is doing the work — sharpen it.
-            *eps /= 2.0;
-        } else if fest <= nz {
-            // Marginal spread below the additive error: sharpen ζ.
-            *zeta /= 2.0;
-        } else {
-            *eps /= SQRT_2;
-            *zeta /= SQRT_2;
+            delta /= 2.0;
         }
     }
 

@@ -54,10 +54,6 @@ pub const ROUTE_KEYS: [&str; 17] = [
     "other",
 ];
 
-/// Policies whose sampling decisions `atpm_policy_decisions_total` counts:
-/// the stepper name and its `policy` label (the wire name).
-pub const DECISION_POLICIES: [(&str, &str); 1] = [("HATP", "hatp")];
-
 /// Maps a request to its [`ROUTE_KEYS`] slot. Mirrors the router's match
 /// arms; unknown shapes land in `"other"` so the histogram family is a
 /// fixed, bounded set no client can grow.
@@ -129,9 +125,10 @@ pub struct ServeMetrics {
     pub journal_checkpoint_seconds: Arc<Histogram>,
     /// Torn (partially written / corrupt) journal tails truncated at open.
     pub journal_torn_tail: Arc<Counter>,
-    /// Sampling decisions by [`DECISION_POLICIES`] entry and stop reason,
-    /// indexed `[policy][Stop as usize]`.
-    pub policy_decisions: [[Arc<Counter>; 3]; DECISION_POLICIES.len()],
+    /// HATP's sampling decisions by stop reason, indexed by
+    /// `Stop as usize`: HATP is the one served policy whose rule reports
+    /// stop reasons.
+    pub hatp_decisions: [Arc<Counter>; 3],
 }
 
 impl ServeMetrics {
@@ -154,18 +151,16 @@ impl ServeMetrics {
                 ROUTE_HELP,
             )
         });
-        let policy_decisions = DECISION_POLICIES.map(|(_, policy)| {
-            Stop::ALL.map(|stop| {
-                registry.counter_with(
-                    "atpm_policy_decisions_total",
-                    &[("policy", policy), ("stop", stop.label())],
-                    "Sampling decisions by stop reason: c1, c2, or forced at the RR-set cap",
-                )
-            })
+        let hatp_decisions = Stop::ALL.map(|stop| {
+            registry.counter_with(
+                "atpm_policy_decisions_total",
+                &[("policy", "hatp"), ("stop", stop.label())],
+                "Sampling decisions by stop reason: c1, c2, or forced at the RR-set cap",
+            )
         });
         let metrics = ServeMetrics {
             net,
-            policy_decisions,
+            hatp_decisions,
             queue_depth: registry.gauge(
                 "atpm_serve_queue_depth",
                 "Jobs dispatched but not yet picked up by a worker",
@@ -285,14 +280,10 @@ impl ServeMetrics {
 
     /// Counts the sampling decisions of one `next` call of the policy
     /// whose stepper is named `policy`: `stops` holds how many stopped for
-    /// each reason, indexed by `Stop as usize`. Other policies are not
-    /// counted.
+    /// each reason, indexed by `Stop as usize`.
     pub fn record_decisions(&self, policy: &str, stops: [u64; 3]) {
-        if let Some(i) = DECISION_POLICIES
-            .iter()
-            .position(|&(name, _)| name == policy)
-        {
-            for (counter, n) in self.policy_decisions[i].iter().zip(stops) {
+        if policy == "HATP" {
+            for (counter, n) in self.hatp_decisions.iter().zip(stops) {
                 counter.add(n);
             }
         }
