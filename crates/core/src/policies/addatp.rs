@@ -23,8 +23,16 @@
 //! chunk `j` of one RR pool, exactly as HATP does; the argument that this
 //! keeps the guarantee is in [`Hatp`](crate::policies::Hatp)'s module
 //! docs. ADDATP's `θ_j` depends on `j` and `n_i` only, so a segment draws
-//! each chunk once. `sampling_work` counts the sets drawn into pools. Each
-//! decision reports its [`Stop`] reason.
+//! each chunk once. Point 1 of that argument does not carry over to the
+//! dynamic variant as stated: its `C2` threshold `η` grows within a
+//! segment whenever a rejected candidate stops by `C2`, and that candidate
+//! read the same chunks, so a later candidate's stopping rule depends on
+//! sampled sets. The guarantee holds all the same because `θ_j` does not
+//! depend on the data: the estimate of each (candidate, round) is a count
+//! over a fixed-size prefix of chunk `j`, Lemma 4 bounds it at `δ_j`
+//! whichever round the rule stops in, and the union bound over candidates
+//! and rounds covers every estimate. `sampling_work` counts the sets drawn
+//! into pools. Each decision reports its [`Stop`] reason.
 //!
 //! Guarantee (Theorem 2): expected profit `≥ (Λ(π_opt) − (2k+2))/3`.
 //! Expected time `O(k·m·n·E[I(v°)]·ln n)` (Theorem 3) — the `n²` per-node

@@ -104,7 +104,9 @@ pub struct Hatp {
     /// binds there from the first round on: at 65536 every decision stops
     /// in round 1, about two thirds of them [`Stop::Forced`], and Theorem 4
     /// does not cover a forced decision. The cap bounds the sets one round
-    /// counts; a segment draws each chunk once for all its candidates.
+    /// counts; a segment draws each chunk once for all its candidates and
+    /// keeps it until `next_seed` returns, so the cap also bounds the
+    /// call's memory (the server caps served HATP at 2²² for that reason).
     pub max_theta: usize,
     /// Ablation switch: `false` replaces the adaptive ε/ζ schedule
     /// (lines 19–23) with a naive fixed `/√2` decay of both errors,

@@ -36,6 +36,11 @@
 //! the candidates of a segment keeps Theorem 4 is argued in `atpm-core`'s
 //! `policies::hatp`. The pool is scratch of one decision call: callers
 //! drop it when the segment ends.
+//!
+//! A pool's memory follows the rounds' θ: a chunk keeps 8 bytes per kept
+//! set plus 4 per slot the set holds, for every set it has drawn, and a
+//! segment keeps every chunk it grew. Callers that take θ from untrusted
+//! input must cap it; the server caps served HATP's `max_theta`.
 
 use atpm_graph::{GraphView, Node};
 
@@ -57,15 +62,17 @@ pub struct FrontRearCounts {
     pub theta: usize,
 }
 
-/// The sets of one chunk that hold a recorded target.
+/// The sets of one chunk that hold a recorded target: 8 bytes per kept set
+/// plus 4 per slot it holds. Positions and ends are `u32`, so a chunk holds
+/// fewer than 2³² sets and slots.
 #[derive(Debug, Default)]
 struct Chunk {
     /// Sets drawn into the chunk, kept or not.
     drawn: usize,
     /// Position in the chunk of each kept set, ascending.
-    at: Vec<usize>,
+    at: Vec<u32>,
     /// Kept set `i` holds the slots `slots[ends[i − 1]..ends[i]]`.
-    ends: Vec<usize>,
+    ends: Vec<u32>,
     slots: Vec<u32>,
 }
 
@@ -79,19 +86,25 @@ impl Chunk {
         }
         let (at0, end0) = (self.drawn, self.slots.len());
         self.drawn += part.drawn;
-        self.at.extend(part.at.iter().map(|&i| i + at0));
-        self.ends.extend(part.ends.iter().map(|&e| e + end0));
+        let rebase = |base: usize| move |&i: &u32| index32(i as usize + base);
+        self.at.extend(part.at.iter().map(rebase(at0)));
+        self.ends.extend(part.ends.iter().map(rebase(end0)));
         self.slots.extend_from_slice(&part.slots);
     }
 
     /// The slot lists of the kept sets among the first `theta`.
     fn sets(&self, theta: usize) -> impl Iterator<Item = &[u32]> {
-        let kept = self.at.partition_point(|&i| i < theta);
+        let kept = self.at.partition_point(|&i| (i as usize) < theta);
         (0..kept).map(move |i| {
-            let lo = if i == 0 { 0 } else { self.ends[i - 1] };
-            &self.slots[lo..self.ends[i]]
+            let lo = if i == 0 { 0 } else { self.ends[i - 1] as usize };
+            &self.slots[lo..self.ends[i] as usize]
         })
     }
+}
+
+/// A chunk position or slot end as stored.
+fn index32(i: usize) -> u32 {
+    u32::try_from(i).expect("a chunk holds fewer than 2^32 sets and slots")
 }
 
 /// One walk segment's RR sets, chunk `j` serving round `j` (see the module
@@ -217,8 +230,8 @@ fn draw<V: GraphView>(view: &V, index: &[(Node, u32)], quota: usize, seed: u64) 
             }
         }
         if part.slots.len() > held {
-            part.at.push(i);
-            part.ends.push(part.slots.len());
+            part.at.push(index32(i));
+            part.ends.push(index32(part.slots.len()));
         }
     }
     part

@@ -633,7 +633,7 @@ impl SessionManager {
             (seeds, std::array::from_fn(|i| after[i] - before[i]))
         })?;
         if let Some(m) = self.metrics.get() {
-            m.record_decisions(&entry.stepper.name(), stops);
+            m.record_hatp_decisions(stops);
         }
         let done = seeds.is_empty();
         entry.pending = seeds.clone();

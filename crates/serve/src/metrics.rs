@@ -278,14 +278,13 @@ impl ServeMetrics {
         atpm_obs::render(&[&self.registry, atpm_obs::global()])
     }
 
-    /// Counts the sampling decisions of one `next` call of the policy
-    /// whose stepper is named `policy`: `stops` holds how many stopped for
-    /// each reason, indexed by `Stop as usize`.
-    pub fn record_decisions(&self, policy: &str, stops: [u64; 3]) {
-        if policy == "HATP" {
-            for (counter, n) in self.hatp_decisions.iter().zip(stops) {
-                counter.add(n);
-            }
+    /// Counts the sampling decisions of one `next` call: `stops` holds how
+    /// many stopped for each reason, indexed by `Stop as usize`. HATP is
+    /// the one served policy whose rule reports stop reasons, so every
+    /// count is HATP's.
+    pub fn record_hatp_decisions(&self, stops: [u64; 3]) {
+        for (counter, n) in self.hatp_decisions.iter().zip(stops) {
+            counter.add(n);
         }
     }
 

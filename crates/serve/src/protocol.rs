@@ -115,10 +115,12 @@ fn opt_threads(v: &Json) -> Result<usize, ApiError> {
 }
 
 /// Most RR sets a wire request may ask one sampling call for
-/// (`threshold_batch.theta`, a snapshot's `rr_theta`). A batch of θ sets
-/// is allocated up front, and a failed allocation aborts the process
-/// rather than unwinding, so the cap keeps wire input from taking the
-/// server down. The operator's `--rr-theta` flag is not capped.
+/// (`threshold_batch.theta`, `hatp.max_theta`, a snapshot's `rr_theta`).
+/// A batch of θ sets is allocated up front, and HATP's per-segment RR pool
+/// keeps the sets of every round it draws, and a failed allocation aborts
+/// the process rather than unwinding, so the cap keeps wire input from
+/// taking the server down. It is also served HATP's default `max_theta`.
+/// The operator's `--rr-theta` flag is not capped.
 pub const MAX_WIRE_THETA: u64 = 1 << 22;
 
 /// Rejects a wire RR-set count above [`MAX_WIRE_THETA`].
@@ -155,6 +157,38 @@ pub fn nodes_field(v: &Json, key: &str) -> Result<Vec<Node>, ApiError> {
         .collect()
 }
 
+/// Served HATP's configuration: the paper defaults with the wire's
+/// overrides, and `max_theta` within (and by default at)
+/// [`MAX_WIRE_THETA`].
+fn hatp_config(
+    eps_threshold: Option<f64>,
+    max_theta: Option<usize>,
+    seed: u64,
+    threads: usize,
+) -> Result<Hatp, ApiError> {
+    let mut cfg = Hatp {
+        seed,
+        threads,
+        ..Default::default()
+    };
+    if let Some(e) = eps_threshold {
+        if !(e > 0.0 && e <= cfg.eps0) {
+            return Err(ApiError::bad_request(
+                "eps_threshold must be in (0, 0.5]".to_string(),
+            ));
+        }
+        cfg.eps_threshold = e;
+    }
+    let max_theta = max_theta.unwrap_or(MAX_WIRE_THETA as usize);
+    if max_theta == 0 {
+        return Err(ApiError::bad_request(
+            "max_theta must be positive".to_string(),
+        ));
+    }
+    cfg.max_theta = check_wire_theta("max_theta", max_theta as u64)?;
+    Ok(cfg)
+}
+
 /// Which adaptive policy a session runs, with its knobs. This is the
 /// dynamically-configured face of the policy zoo: specs arrive as JSON,
 /// construct steppers at runtime, and report composed display names.
@@ -164,7 +198,8 @@ pub enum PolicySpec {
     Hatp {
         /// Relative-error threshold ε (default 0.05).
         eps_threshold: Option<f64>,
-        /// Per-round RR-set cap (default unlimited).
+        /// Per-round RR-set cap, at most [`MAX_WIRE_THETA`], which is also
+        /// the default: the segment's RR pool grows with it.
         max_theta: Option<usize>,
         /// Sampling RNG seed.
         seed: u64,
@@ -274,30 +309,9 @@ impl PolicySpec {
                 max_theta,
                 seed,
                 threads,
-            } => {
-                let mut cfg = Hatp {
-                    seed: *seed,
-                    threads: *threads,
-                    ..Default::default()
-                };
-                if let Some(e) = eps_threshold {
-                    if !(*e > 0.0 && *e <= cfg.eps0) {
-                        return Err(ApiError::bad_request(
-                            "eps_threshold must be in (0, 0.5]".to_string(),
-                        ));
-                    }
-                    cfg.eps_threshold = *e;
-                }
-                if let Some(t) = max_theta {
-                    if *t == 0 {
-                        return Err(ApiError::bad_request(
-                            "max_theta must be positive".to_string(),
-                        ));
-                    }
-                    cfg.max_theta = *t;
-                }
-                Ok(Box::new(cfg.stepper()))
-            }
+            } => Ok(Box::new(
+                hatp_config(*eps_threshold, *max_theta, *seed, *threads)?.stepper(),
+            )),
             PolicySpec::Ars { prob, seed } => {
                 if !(0.0..=1.0).contains(prob) {
                     return Err(ApiError::bad_request("prob must be in [0, 1]".to_string()));
@@ -770,6 +784,39 @@ mod tests {
         let err = snapshot(MAX_WIRE_THETA + 1).unwrap_err();
         assert_eq!(err.status, 400);
         assert_eq!(err.message, "rr_theta = 4194305 exceeds the cap of 4194304");
+    }
+
+    #[test]
+    fn served_hatp_max_theta_is_capped_and_defaults_to_the_cap() {
+        let hatp = |max_theta: Option<u64>| {
+            let mut pairs = vec![("name", Json::Str("hatp".into()))];
+            if let Some(t) = max_theta {
+                pairs.push(("max_theta", Json::UInt(t)));
+            }
+            PolicySpec::from_json(&Json::obj(pairs)).unwrap()
+        };
+        // Absent means the wire cap, not the library's unlimited default:
+        // a segment's RR pool grows with the rounds' θ.
+        assert!(hatp(None).build().is_ok());
+        let cfg = hatp_config(None, None, 0, 1).unwrap();
+        assert_eq!(cfg.max_theta, 1 << 22);
+        assert_eq!(Hatp::default().max_theta, usize::MAX);
+        assert_eq!(
+            hatp_config(None, Some(1 << 16), 0, 1).unwrap().max_theta,
+            1 << 16
+        );
+        assert!(hatp(Some(MAX_WIRE_THETA)).build().is_ok());
+        let err = hatp(Some(MAX_WIRE_THETA + 1))
+            .build()
+            .err()
+            .expect("max_theta over the cap");
+        assert_eq!(err.status, 400);
+        assert_eq!(
+            err.message,
+            "max_theta = 4194305 exceeds the cap of 4194304"
+        );
+        let err = hatp(Some(u64::MAX)).build().err().expect("u64::MAX");
+        assert_eq!(err.status, 400);
     }
 
     #[test]
