@@ -15,7 +15,11 @@ The runs go in ABBA order: pair i runs BASE then HEAD when i is even and
 HEAD then BASE when it is odd, so a drift of the host during the session
 weighs on both sides alike. For every end-to-end metric of BENCHMARK.json
 the tool prints the median over the pairs of HEAD/BASE, with the
-interquartile range of those ratios, and the medians of each side.
+interquartile range of those ratios, the medians of each side, how many
+pairs HEAD won, and a verdict: `unresolved` when the ratios spread wider
+than the metric's bound, `worse` when the median ratio is worse by more
+than the bound, `gain` when HEAD won at least 9 in 10 pairs and the
+medians differ by more than BASE's own IQR, `flat` otherwise.
 
 Exit status: 0 when every run is `correct` with `failed` 0; 1 when any run
 is not, a run whose build failed included (the verdict on a metric is left
@@ -61,33 +65,44 @@ def metric(result, name):
     return None if entry is None else float(entry["value"])
 
 
-def summarize(pairs, names):
-    """Rows (name, base median, head median, ratio median, q1, q3, n) over
-    `pairs`, a list of (base result, head result), for each metric both
-    sides of at least one pair report with a non-zero base."""
+def summarize(pairs, specs):
+    """One row per metric of `specs` (BENCHMARK.json end-to-end entries:
+    name, better, bound) that both sides of at least one pair report with
+    a non-zero base. A row holds the medians of each side, the median of
+    the per-pair HEAD/BASE ratios with its quartiles, the pairs HEAD won,
+    and a verdict:
+
+    unresolved  the ratios' IQR is wider than the metric's bound;
+    worse       the median ratio is worse than 1 by more than the bound;
+    gain        HEAD won at least 9 in 10 pairs, and the medians differ by
+                more than the IQR of BASE's own runs;
+    flat        none of these."""
     rows = []
-    for name in names:
-        base, head, ratios = [], [], []
+    for spec in specs:
+        name, higher = spec["name"], spec["better"] == "higher"
+        base, head, ratios, wins = [], [], [], 0
         for b, h in pairs:
             vb, vh = metric(b, name), metric(h, name)
-            if vb is None or vh is None:
+            if vb is None or vh is None or vb == 0:
                 continue
             base.append(vb)
             head.append(vh)
-            if vb != 0:
-                ratios.append(vh / vb)
-        if ratios:
-            rows.append(
-                (
-                    name,
-                    quantile(base, 0.5),
-                    quantile(head, 0.5),
-                    quantile(ratios, 0.5),
-                    quantile(ratios, 0.25),
-                    quantile(ratios, 0.75),
-                    len(ratios),
-                )
-            )
+            ratios.append(vh / vb)
+            wins += (vh > vb) if higher else (vh < vb)
+        if not ratios:
+            continue
+        mb, mh = quantile(base, 0.5), quantile(head, 0.5)
+        r, q1, q3 = (quantile(ratios, q) for q in (0.5, 0.25, 0.75))
+        worse_by = (1 - r) if higher else (r - 1)
+        if q3 - q1 > spec["bound"]:
+            verdict = "unresolved"
+        elif worse_by > spec["bound"]:
+            verdict = "worse"
+        elif 10 * wins >= 9 * len(ratios) and abs(mh - mb) > quantile(base, 0.75) - quantile(base, 0.25):
+            verdict = "gain"
+        else:
+            verdict = "flat"
+        rows.append(dict(name=name, base=mb, head=mh, ratio=r, q1=q1, q3=q3, wins=wins, n=len(ratios), verdict=verdict))
     return rows
 
 
@@ -137,15 +152,16 @@ def run_side(side, args):
         return {"correct": False, "failed": -1, "error": str(e)}
 
 
-def end_to_end_names():
+def end_to_end_specs():
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
-        return [m["name"] for m in json.load(f)["end_to_end"]]
+        return json.load(f)["end_to_end"]
 
 
 def report(rows):
-    print("%-28s %12s %12s %9s %17s" % ("metric", "base", "head", "head/base", "IQR"))
-    for name, b, h, r, q1, q3, n in rows:
-        print("%-28s %12.4g %12.4g %9.3f   [%.3f, %.3f] n=%d" % (name, b, h, r, q1, q3, n))
+    print("%-26s %10s %10s %9s %16s %6s  %s" % ("metric", "base", "head", "head/base", "IQR", "wins", "verdict"))
+    for w in rows:
+        print("%-26s %10.4g %10.4g %9.3f   [%.3f, %.3f] %3d/%-3d %s" % (
+            w["name"], w["base"], w["head"], w["ratio"], w["q1"], w["q3"], w["wins"], w["n"], w["verdict"]))
 
 
 def self_test():
@@ -176,14 +192,31 @@ def self_test():
         (parse_result(line(350.0, 2.0)), parse_result(line(175.0, 4.0))),
         (parse_result(line(100.0, 4.0)), parse_result(line(90.0, 4.0))),
     ]
-    rows = {r[0]: r for r in summarize(pairs, ["server_cpu_ms_per_session", "sessions_per_s", "absent"])}
+    specs = [
+        {"name": "server_cpu_ms_per_session", "better": "lower", "bound": 0.25},
+        {"name": "sessions_per_s", "better": "higher", "bound": 0.25},
+        {"name": "absent", "better": "lower", "bound": 0.25},
+    ]
+    rows = {w["name"]: w for w in summarize(pairs, specs)}
     assert "absent" not in rows
-    _, b, h, r, q1, q3, n = rows["server_cpu_ms_per_session"]
+    w = rows["server_cpu_ms_per_session"]
     # Ratios 0.5, 0.8, 0.5, 0.9: median 0.65, quartiles 0.5 and 0.825.
-    assert n == 4 and abs(r - 0.65) < 1e-12, r
-    assert abs(q1 - 0.5) < 1e-12 and abs(q3 - 0.825) < 1e-12, (q1, q3)
-    assert abs(b - 325.0) < 1e-12 and abs(h - 187.5) < 1e-12, (b, h)
-    assert abs(rows["sessions_per_s"][3] - 1.5) < 1e-12
+    assert w["n"] == 4 and abs(w["ratio"] - 0.65) < 1e-12, w
+    assert abs(w["q1"] - 0.5) < 1e-12 and abs(w["q3"] - 0.825) < 1e-12, w
+    assert abs(w["base"] - 325.0) < 1e-12 and abs(w["head"] - 187.5) < 1e-12, w
+    # Head is lower in all 4 pairs, but the ratios spread 0.325 > 0.25.
+    assert (w["wins"], w["verdict"]) == (4, "unresolved"), w
+    # Ratios 2, 1, 2, 1: head higher in 2 of 4 pairs, spread 1.
+    w = rows["sessions_per_s"]
+    assert abs(w["ratio"] - 1.5) < 1e-12 and w["wins"] == 2, w
+    assert w["verdict"] == "unresolved", w
+    tight = [(parse_result(line(400.0 + i, 2.0)), parse_result(line(200.0 + i, 2.0 - i / 100))) for i in range(10)]
+    rows = {w["name"]: w for w in summarize(tight, specs)}
+    assert (rows["server_cpu_ms_per_session"]["wins"], rows["server_cpu_ms_per_session"]["verdict"]) == (10, "gain")
+    # Equal in pair 0, lower after: no pair won, 0.955 is within the bound.
+    assert (rows["sessions_per_s"]["wins"], rows["sessions_per_s"]["verdict"]) == (0, "flat")
+    slow = [(parse_result(line(100.0, 2.0)), parse_result(line(130.0 + i, 2.0))) for i in range(4)]
+    assert summarize(slow, specs)[0]["verdict"] == "worse"
     assert quantile([3.0], 0.25) == 3.0
     print("ab.py self-test: ok")
     return 0
@@ -223,7 +256,7 @@ def main(argv):
             if not run_ok(got[s]):
                 bad += 1
         pairs.append((got[0], got[1]))
-    report(summarize(pairs, end_to_end_names()))
+    report(summarize(pairs, end_to_end_specs()))
     if bad:
         sys.stderr.write("error: %d run(s) not correct or with failed operations\n" % bad)
         return 1
