@@ -15,11 +15,12 @@ The runs go in ABBA order: pair i runs BASE then HEAD when i is even and
 HEAD then BASE when it is odd, so a drift of the host during the session
 weighs on both sides alike. For every end-to-end metric of BENCHMARK.json
 the tool prints the median over the pairs of HEAD/BASE, with the
-interquartile range of those ratios, the medians of each side, how many
-pairs HEAD won, and a verdict: `unresolved` when the ratios spread wider
-than the metric's bound, `worse` when the median ratio is worse by more
-than the bound, `gain` when HEAD won at least 9 in 10 pairs and the
-medians differ by more than BASE's own IQR, `flat` otherwise.
+interquartile range of those ratios, the median and quartiles of each
+side's runs, how many pairs HEAD won, and a verdict: `unresolved` when
+the ratios spread wider than the metric's bound, `worse` when the median
+ratio is worse by more than the bound, `gain` when HEAD won at least 9
+in 10 pairs and the medians differ by more than BASE's own IQR, `flat`
+otherwise.
 
 Exit status: 0 when every run is `correct` with `failed` 0; 1 when any run
 is not, a run whose build failed included (the verdict on a metric is left
@@ -102,7 +103,9 @@ def summarize(pairs, specs):
             verdict = "gain"
         else:
             verdict = "flat"
-        rows.append(dict(name=name, base=mb, head=mh, ratio=r, q1=q1, q3=q3, wins=wins, n=len(ratios), verdict=verdict))
+        rows.append(dict(
+            name=name, base=mb, head=mh, ratio=r, q1=q1, q3=q3, wins=wins, n=len(ratios), verdict=verdict,
+            base_iqr=(quantile(base, 0.25), quantile(base, 0.75)), head_iqr=(quantile(head, 0.25), quantile(head, 0.75))))
     return rows
 
 
@@ -162,6 +165,9 @@ def report(rows):
     for w in rows:
         print("%-26s %10.4g %10.4g %9.3f   [%.3f, %.3f] %3d/%-3d %s" % (
             w["name"], w["base"], w["head"], w["ratio"], w["q1"], w["q3"], w["wins"], w["n"], w["verdict"]))
+    print("quartiles of each side's runs:")
+    for w in rows:
+        print("%-26s base [%.4g, %.4g]  head [%.4g, %.4g]" % ((w["name"],) + w["base_iqr"] + w["head_iqr"]))
 
 
 def self_test():
@@ -204,6 +210,7 @@ def self_test():
     assert w["n"] == 4 and abs(w["ratio"] - 0.65) < 1e-12, w
     assert abs(w["q1"] - 0.5) < 1e-12 and abs(w["q3"] - 0.825) < 1e-12, w
     assert abs(w["base"] - 325.0) < 1e-12 and abs(w["head"] - 187.5) < 1e-12, w
+    assert w["base_iqr"] == (250.0, 362.5) and w["head_iqr"] == (153.75, 210.0), w
     # Head is lower in all 4 pairs, but the ratios spread 0.325 > 0.25.
     assert (w["wins"], w["verdict"]) == (4, "unresolved"), w
     # Ratios 2, 1, 2, 1: head higher in 2 of 4 pairs, spread 1.
