@@ -1,8 +1,10 @@
 //! Decision goldens for every policy of the target walk: ADG (over the
 //! exact, Monte-Carlo and RIS oracles), ADDATP (base and dynamic-threshold),
-//! HATP, ARS (at `prob` 0.5 and 1.0) and DeployAll; and for HNTP, the other
-//! caller of HATP's decision rule. For every world the test pins the
-//! selected seeds, the profit's `to_bits()` and the RR sets sampled.
+//! HATP, ARS (at `prob` 0.5 and 1.0) and DeployAll; for HNTP, the other
+//! caller of HATP's decision rule; and for ThresholdBatch, at batch sizes
+//! 1 and 4 and on 1 and 2 sampler threads. For every world the test pins
+//! the selected seeds, the profit's `to_bits()` and the RR sets sampled,
+//! and for ThresholdBatch the oracle queries it spent.
 //!
 //! One policy value runs all worlds in order, so oracle call counters and
 //! nothing else carry across worlds, exactly as in `evaluate_adaptive`. A
@@ -12,7 +14,7 @@
 //! changed decision and must be re-recorded deliberately.
 
 use atpm_core::oracle::{ExactOracle, McOracle, RisOracle};
-use atpm_core::policies::{Addatp, Adg, Ars, DeployAll, Hatp, Hntp};
+use atpm_core::policies::{Addatp, Adg, Ars, DeployAll, Hatp, Hntp, ThresholdBatch};
 use atpm_core::runner::score_fixed_set_into;
 use atpm_core::setup::{calibrated_instance, CalibrationConfig};
 use atpm_core::{AdaptivePolicy, AdaptiveSession, CostSplit, NonadaptivePolicy, TpmInstance};
@@ -260,4 +262,88 @@ fn deploy_all() {
             (&[1, 0, 3, 12, 5], 4627986442178392004, 0),
         ],
     );
+}
+
+/// ThresholdBatch at batch size `batch` on `threads` sampler threads: per
+/// world the seeds, profit bits, RR sets and oracle queries.
+fn threshold_batch_worlds(batch: usize, threads: usize) -> Vec<(Vec<u32>, u64, u64, u64)> {
+    let inst = preset_instance();
+    let mut policy = ThresholdBatch {
+        seed: 10,
+        batch,
+        threads,
+        ..Default::default()
+    };
+    WORLDS
+        .iter()
+        .map(|&w| {
+            let mut session = AdaptiveSession::new(&inst, w);
+            let seeds = policy.run(&mut session);
+            let profit = session.profit().to_bits();
+            (
+                seeds,
+                profit,
+                session.sampling_work(),
+                session.oracle_queries(),
+            )
+        })
+        .collect()
+}
+
+#[test]
+fn threshold_batch_k1() {
+    for threads in [1, 2] {
+        let got = threshold_batch_worlds(1, threads);
+        let want: &[(&[u32], u64, u64, u64)] = if threads == 1 {
+            &[
+                (&[3, 0, 12, 1], 4629624022022956598, 20000, 24),
+                (&[3, 0, 12, 1], 4628498122116113974, 20000, 26),
+                (&[3, 0, 1, 12], 13842119034378872616, 20000, 27),
+                (&[3, 0, 1], 4628728327077125288, 16000, 22),
+            ]
+        } else {
+            &[
+                (&[3, 0, 1, 12], 4629624022022956598, 20000, 23),
+                (&[3, 0, 12, 1], 4628498122116113974, 20000, 26),
+                (&[3, 0, 1, 12], 13842119034378872616, 20000, 27),
+                (&[3, 0, 1], 4628728327077125288, 16000, 22),
+            ]
+        };
+        check_batched(&format!("ThresholdBatch/K1/{threads}t"), got, want);
+    }
+}
+
+#[test]
+fn threshold_batch_k4() {
+    for threads in [1, 2] {
+        let got = threshold_batch_worlds(4, threads);
+        let want: &[(&[u32], u64, u64, u64)] = if threads == 1 {
+            &[
+                (&[3, 0, 12, 1], 4629624022022956598, 12000, 191),
+                (&[3, 0, 12, 1], 4628498122116113974, 12000, 191),
+                (&[3, 0, 12, 1], 13842119034378872616, 12000, 229),
+                (&[3, 0, 12, 1], 4626246322302428726, 12000, 191),
+            ]
+        } else {
+            &[
+                (&[3, 0, 12, 1], 4629624022022956598, 12000, 192),
+                (&[3, 0, 12], 4629572752007257256, 8000, 154),
+                (&[3, 0, 12, 1], 13842119034378872616, 12000, 230),
+                (&[3, 0, 12, 1], 4626246322302428726, 12000, 192),
+            ]
+        };
+        check_batched(&format!("ThresholdBatch/K4/{threads}t"), got, want);
+    }
+}
+
+fn check_batched(
+    case: &str,
+    got: Vec<(Vec<u32>, u64, u64, u64)>,
+    want: &[(&[u32], u64, u64, u64)],
+) {
+    let want: Vec<_> = want
+        .iter()
+        .map(|&(s, b, w, q)| (s.to_vec(), b, w, q))
+        .collect();
+    assert_eq!(got, want, "{case}: decisions changed");
 }
