@@ -32,7 +32,7 @@ use atpm_im::greedy::max_coverage_greedy_rescan;
 use atpm_im::{max_coverage_greedy_with, GreedyResult, GreedyScratch};
 use atpm_ris::sampler::generate_batch;
 use atpm_ris::workspace::run_sharded;
-use atpm_ris::{CounterRng, CoverageScratch, NodeSet, RrCollection, RrSampler, RrShard};
+use atpm_ris::{CounterRng, CoverageScratch, RrCollection, RrSampler, RrShard};
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 
@@ -326,32 +326,12 @@ fn bench_ris_engine(c: &mut Criterion) {
     // ---- stage 2: coverage queries -----------------------------------------
     let batch = generate_batch(&&g, 100_000, 5, 4);
     let seeds: Vec<u32> = (0..50).collect();
-    let mut scratch = CoverageScratch::with_theta(batch.len());
+    let mut scratch = CoverageScratch::new();
     group.bench_function("cov_set/scratch", |b| {
         b.iter(|| batch.cov_set_with(&seeds, &mut scratch));
     });
     group.bench_function("cov_set/alloc_baseline", |b| {
         b.iter(|| cov_set_alloc_baseline(&batch, &seeds));
-    });
-
-    let nodes: Vec<u32> = (0..2000u32)
-        .map(|i| (i * 37) % g.num_nodes() as u32)
-        .collect();
-    let cond = NodeSet::from_iter(g.num_nodes(), (0..200u32).map(|i| i * 41));
-    let mut out = Vec::new();
-    group.bench_function("cov_marginal/batched", |b| {
-        b.iter(|| {
-            batch.cov_nodes_into(&nodes, Some(&cond), &mut scratch, &mut out);
-            out.len()
-        });
-    });
-    group.bench_function("cov_marginal/per_node", |b| {
-        b.iter(|| {
-            nodes
-                .iter()
-                .map(|&u| batch.cov_marginal(u, &cond))
-                .sum::<usize>()
-        });
     });
 
     // ---- stage 3: greedy selection -----------------------------------------
@@ -407,10 +387,6 @@ fn bench_coverage_queries(c: &mut Criterion) {
     let seeds: Vec<u32> = (0..50).collect();
     c.bench_function("coverage_cov_set_50", |b| {
         b.iter(|| batch.cov_set(&seeds));
-    });
-    let cond = NodeSet::from_iter(g.num_nodes(), (0..20).map(|i| i * 3));
-    c.bench_function("coverage_marginal", |b| {
-        b.iter(|| batch.cov_marginal(0, &cond));
     });
 }
 

@@ -106,7 +106,7 @@ impl RisOracle {
             seed,
             threads,
             calls: 0,
-            scratch: CoverageScratch::with_theta(theta),
+            scratch: CoverageScratch::new(),
         }
     }
 }

@@ -36,7 +36,7 @@
 use std::borrow::Cow;
 
 use atpm_graph::{GraphView, Node};
-use atpm_ris::sampler::generate_batch;
+use atpm_ris::stream::RrPool;
 use atpm_ris::NodeSet;
 
 use crate::session::AdaptiveSession;
@@ -120,15 +120,13 @@ impl PolicyStepper for ThresholdBatchStepper {
             return Vec::new();
         }
         let view = session.residual();
-        let n = session.instance().graph().num_nodes();
-        let candidates: Vec<Node> = session
-            .instance()
-            .target()
-            .iter()
-            .copied()
-            .filter(|&u| !session.is_activated(u))
-            .collect();
-        if view.num_alive() == 0 || candidates.is_empty() {
+        let target = session.instance().target();
+        // Candidates are the slots of the alive, un-activated targets.
+        let live = NodeSet::from_iter(
+            target.len(),
+            (0..target.len() as u32).filter(|&s| !session.is_activated(target[s as usize])),
+        );
+        if view.num_alive() == 0 || live.is_empty() {
             self.done = true;
             return Vec::new();
         }
@@ -138,43 +136,54 @@ impl PolicyStepper for ThresholdBatchStepper {
             .round_salt
             .wrapping_mul(6364136223846793005)
             .wrapping_add(1442695040888963407);
-        let rr = generate_batch(view, self.cfg.theta, self.round_salt, self.cfg.threads);
+        let mut pool = RrPool::new(target, &live, self.cfg.threads);
+        let theta = pool.grow(view, 0, self.cfg.theta, self.round_salt);
+        let n_alive = view.num_alive() as f64;
+        let scale = |cov: u64| n_alive * cov as f64 / theta as f64;
         let mut queries = 0u64;
 
         // τ₀ = best singleton marginal profit; none profitable → finished.
-        let cost = |u: Node| session.instance().cost(u);
+        let cost = |s: u32| session.instance().cost(target[s as usize]);
+        let mut in_batch = NodeSet::new(target.len());
+        let mut counts = pool.slot_counts(0, theta, &in_batch);
         let mut tau0 = f64::NEG_INFINITY;
-        for &u in &candidates {
+        for s in live.iter() {
             queries += 1;
-            tau0 = tau0.max(rr.scale(rr.cov_node(u)) - cost(u));
+            tau0 = tau0.max(scale(counts[s as usize]) - cost(s));
         }
         if tau0 <= 0.0 {
-            session.add_sampling_work(rr.len() as u64);
+            session.add_sampling_work(theta as u64);
             session.add_oracle_queries(queries);
             self.done = true;
             return Vec::new();
         }
 
-        // Decaying-threshold sweeps over conditional marginals.
+        // Decaying-threshold sweeps over conditional marginals; the counts
+        // are recounted only after an admission changed the batch.
         let mut batch: Vec<Node> = Vec::new();
-        let mut in_batch = NodeSet::new(n);
+        let mut stale = false;
         let floor = self.cfg.eps * tau0 / k as f64;
         let mut tau = tau0;
         while batch.len() < k && tau >= floor {
-            for &u in &candidates {
-                if batch.len() >= k || in_batch.contains(u) {
+            for s in live.iter() {
+                if batch.len() >= k || in_batch.contains(s) {
                     continue;
                 }
+                if stale {
+                    counts = pool.slot_counts(0, theta, &in_batch);
+                    stale = false;
+                }
                 queries += 1;
-                let gain = rr.scale(rr.cov_marginal(u, &in_batch)) - cost(u);
+                let gain = scale(counts[s as usize]) - cost(s);
                 if gain >= tau && gain > 0.0 {
-                    in_batch.insert(u);
-                    batch.push(u);
+                    in_batch.insert(s);
+                    batch.push(target[s as usize]);
+                    stale = true;
                 }
             }
             tau *= 1.0 - self.cfg.eps;
         }
-        session.add_sampling_work(rr.len() as u64);
+        session.add_sampling_work(theta as u64);
         session.add_oracle_queries(queries);
         debug_assert!(!batch.is_empty(), "tau0 > 0 admits at least the argmax");
         batch

@@ -11,7 +11,6 @@
 
 use atpm_graph::Node;
 
-use crate::nodeset::NodeSet;
 use crate::workspace::EpochMarks;
 
 /// A worker-local batch of RR sets in the same flat layout as
@@ -22,8 +21,8 @@ use crate::workspace::EpochMarks;
 /// the shard.
 #[derive(Debug)]
 pub struct RrShard {
-    members: Vec<Node>,
-    offsets: Vec<u64>,
+    pub(crate) members: Vec<Node>,
+    pub(crate) offsets: Vec<u64>,
 }
 
 // Not derived: a derived Default would skip the leading-0 sentinel in
@@ -57,16 +56,6 @@ impl RrShard {
     /// Appends one RR set.
     pub fn push(&mut self, set: &[Node]) {
         self.members.extend_from_slice(set);
-        self.offsets.push(self.members.len() as u64);
-    }
-
-    /// Appends one RR set written *in place*: `fill` appends the members
-    /// directly onto the shard's flat storage (e.g.
-    /// [`RrSampler::sample_append`](crate::RrSampler::sample_append)), and
-    /// the boundary is recorded afterwards — no intermediate buffer, no
-    /// copy.
-    pub fn push_with(&mut self, fill: impl FnOnce(&mut Vec<Node>)) {
-        fill(&mut self.members);
         self.offsets.push(self.members.len() as u64);
     }
 
@@ -398,58 +387,6 @@ impl RrCollection {
         total
     }
 
-    /// `CovR(u | S)`: sets containing `u` but not intersecting `S`
-    /// (marginal coverage; `S` as a [`NodeSet`]). Allocation-free by
-    /// construction (pure index walk).
-    pub fn cov_marginal(&self, u: Node, s: &NodeSet) -> usize {
-        self.sets_containing(u)
-            .iter()
-            .filter(|&&i| !s.intersects(self.set(i as usize)))
-            .count()
-    }
-
-    /// Batch marginal coverage: for each query node `u` in `nodes`, writes
-    /// `CovR(u)` (when `cond` is `None`) or `CovR(u | cond)` into `out`.
-    ///
-    /// The win over calling [`cov_marginal`](Self::cov_marginal) per node is
-    /// that the "does `cond` hit set `i`" verdict is computed **once per
-    /// distinct set** and cached in the scratch for the rest of the batch —
-    /// query nodes in the same neighbourhood share most of their RR sets, so
-    /// the member-array walks are amortized away. Zero heap allocation after
-    /// warm-up (`out` included, once its capacity has grown).
-    pub fn cov_nodes_into(
-        &self,
-        nodes: &[Node],
-        cond: Option<&NodeSet>,
-        scratch: &mut CoverageScratch,
-        out: &mut Vec<u32>,
-    ) {
-        assert!(self.frozen, "freeze() before querying the inverted index");
-        out.clear();
-        out.reserve(nodes.len());
-        let Some(cond) = cond else {
-            out.extend(nodes.iter().map(|&u| self.sets_containing(u).len() as u32));
-            return;
-        };
-        scratch.marks.begin(self.len());
-        scratch.ensure_hit_words(self.len());
-        for &u in nodes {
-            let mut cnt = 0u32;
-            for &i in self.sets_containing(u) {
-                let i = i as usize;
-                let hit = if scratch.marks.mark(i) {
-                    let hit = cond.intersects(self.set(i));
-                    scratch.set_hit(i, hit);
-                    hit
-                } else {
-                    scratch.hit(i)
-                };
-                cnt += u32::from(!hit);
-            }
-            out.push(cnt);
-        }
-    }
-
     /// Estimated spread of `{u}` on the generation-time view:
     /// `n_alive · CovR({u}) / θ`.
     pub fn spread_node(&self, u: Node) -> f64 {
@@ -473,57 +410,23 @@ impl RrCollection {
 
 /// Reusable per-set scratch for coverage queries.
 ///
-/// Holds an [`EpochMarks`] over set ids (which sets the current query has
-/// touched) plus a hit bitset (whether a touched set intersects the query's
-/// condition set). Clearing between queries is an O(1) epoch bump; the
-/// backing arrays are allocated once per collection size and then reused, so
-/// `cov_set_with` / `cov_nodes_into` are allocation-free in steady state.
+/// Holds an [`EpochMarks`] over set ids: which sets the current query has
+/// touched. Clearing between queries is an O(1) epoch bump; the backing
+/// array is allocated once per collection size and then reused, so
+/// `cov_set_with` is allocation-free in steady state.
 ///
 /// One scratch per thread: queries borrow it mutably.
 #[derive(Debug, Default)]
 pub struct CoverageScratch {
     marks: EpochMarks,
-    hit_words: Vec<u64>,
 }
 
 impl CoverageScratch {
-    /// An empty scratch; buffers grow on first use.
+    /// An empty scratch; its marks grow on first use.
     pub fn new() -> Self {
         CoverageScratch {
             marks: EpochMarks::new(),
-            hit_words: Vec::new(),
         }
-    }
-
-    /// A scratch pre-sized for collections of `theta` sets (avoids the one
-    /// warm-up allocation).
-    pub fn with_theta(theta: usize) -> Self {
-        let mut s = CoverageScratch::new();
-        s.marks.begin(theta);
-        s.ensure_hit_words(theta);
-        s
-    }
-
-    fn ensure_hit_words(&mut self, theta: usize) {
-        let words = theta.div_ceil(64);
-        if self.hit_words.len() < words {
-            self.hit_words.resize(words, 0);
-        }
-    }
-
-    #[inline]
-    fn set_hit(&mut self, i: usize, hit: bool) {
-        let (w, b) = (i / 64, i % 64);
-        if hit {
-            self.hit_words[w] |= 1 << b;
-        } else {
-            self.hit_words[w] &= !(1 << b);
-        }
-    }
-
-    #[inline]
-    fn hit(&self, i: usize) -> bool {
-        self.hit_words[i / 64] & (1 << (i % 64)) != 0
     }
 }
 
@@ -567,16 +470,6 @@ mod tests {
         assert_eq!(c.cov_set(&[0, 1]), 3); // sets 0, 1, 3
         assert_eq!(c.cov_set(&[0, 1, 3]), 4); // everything
         assert_eq!(c.cov_set(&[]), 0);
-    }
-
-    #[test]
-    fn marginal_coverage() {
-        let c = sample_collection();
-        let s = NodeSet::from_iter(5, [1]);
-        // Sets containing 0: {0,1} (hit by 1), {0,2,4} (not hit) -> marginal 1.
-        assert_eq!(c.cov_marginal(0, &s), 1);
-        let empty = NodeSet::new(5);
-        assert_eq!(c.cov_marginal(0, &empty), 2);
     }
 
     #[test]
@@ -755,34 +648,5 @@ mod tests {
         // Back-to-back reuse must not leak marks between queries.
         assert_eq!(c.cov_set_with(&[0, 1, 3], &mut scratch), 4);
         assert_eq!(c.cov_set_with(&[3], &mut scratch), 1);
-    }
-
-    #[test]
-    fn cov_nodes_into_matches_per_node_queries() {
-        let c = sample_collection();
-        let mut scratch = CoverageScratch::with_theta(c.len());
-        let mut out = Vec::new();
-        let nodes = [0u32, 1, 2, 3, 4];
-
-        c.cov_nodes_into(&nodes, None, &mut scratch, &mut out);
-        let plain: Vec<u32> = nodes.iter().map(|&u| c.cov_node(u) as u32).collect();
-        assert_eq!(out, plain);
-
-        let cond = NodeSet::from_iter(5, [1]);
-        c.cov_nodes_into(&nodes, Some(&cond), &mut scratch, &mut out);
-        let expected: Vec<u32> = nodes
-            .iter()
-            .map(|&u| c.cov_marginal(u, &cond) as u32)
-            .collect();
-        assert_eq!(out, expected);
-
-        // Reuse with a different condition: the hit cache must be rebuilt.
-        let cond2 = NodeSet::from_iter(5, [0, 2]);
-        c.cov_nodes_into(&nodes, Some(&cond2), &mut scratch, &mut out);
-        let expected2: Vec<u32> = nodes
-            .iter()
-            .map(|&u| c.cov_marginal(u, &cond2) as u32)
-            .collect();
-        assert_eq!(out, expected2);
     }
 }

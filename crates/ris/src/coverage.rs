@@ -151,15 +151,19 @@ mod tests {
     }
 
     #[test]
-    fn rear_matches_collection_marginal() {
-        // rear_cov(u) must equal cov(u) - cov_marginal against Q \ {u}...
-        // more precisely: cov_marginal(u, Q \ {u}) from the collection.
+    fn rear_matches_brute_force_marginal() {
+        // rear_cov(u) counts the sets containing u that no other candidate
+        // hits: CovR(u | Q \ {u}), here counted over every stored set.
         let c = setup();
         let dg = DoubleGreedyCoverage::new(&c, &[0, 1, 2]);
         for u in [0u32, 1, 2] {
             let others: Vec<Node> = [0u32, 1, 2].into_iter().filter(|&v| v != u).collect();
             let s = NodeSet::from_iter(5, others);
-            assert_eq!(dg.rear_cov(u), c.cov_marginal(u, &s), "node {u}");
+            let marginal = (0..c.len())
+                .map(|i| c.set(i))
+                .filter(|set| set.contains(&u) && !s.intersects(set))
+                .count();
+            assert_eq!(dg.rear_cov(u), marginal, "node {u}");
         }
     }
 

@@ -100,27 +100,14 @@ impl RrSampler {
         self.sample_core::<V, R, false>(view, rng, out)
     }
 
-    /// Like [`sample_into`](Self::sample_into) but with the root already
-    /// drawn (and known alive). The batch samplers use this to pre-draw
-    /// roots a few sets ahead and prefetch their metadata, hiding the
-    /// first random CSR access of every set.
-    #[inline]
-    pub fn sample_into_rooted<V: GraphView, R: Rng + ?Sized>(
-        &mut self,
-        view: &V,
-        root: Node,
-        rng: &mut R,
-        out: &mut Vec<Node>,
-    ) {
-        out.clear();
-        self.rooted_core::<V, R, true>(view, root, rng, out);
-    }
-
-    /// [`sample_into_rooted`](Self::sample_into_rooted) that *appends*: the
-    /// new set occupies `out[len..]` where `len` is `out`'s length on
-    /// entry. Lets batch workers sample straight into a shard's flat member
-    /// storage — the set is born in its final resting place, no per-set
-    /// copy. Returns nothing; the caller records the boundary.
+    /// Samples one RR set from the already drawn (and alive) `root` and
+    /// *appends* it: the new set occupies `out[len..]` where `len` is
+    /// `out`'s length on entry. The batch samplers pre-draw each root one
+    /// set ahead and prefetch their metadata, hiding the first random CSR
+    /// access of every set, and batch workers sample straight into a
+    /// shard's flat member storage — the set is born in its final resting
+    /// place, no per-set copy. Returns nothing; the caller records the
+    /// boundary.
     #[inline]
     pub fn sample_append<V: GraphView, R: Rng + ?Sized>(
         &mut self,

@@ -1,4 +1,5 @@
-//! Deterministic (optionally multi-threaded) batch RR-set generation.
+//! Deterministic (optionally multi-threaded) batch RR-set generation, and
+//! the one RR draw loop of the crate.
 //!
 //! Workers fill pre-sized [`RrShard`]s in the collection's own flat layout;
 //! the merge is two bulk copies per shard (`extend_from_slice` + offset
@@ -7,11 +8,17 @@
 //! [`crate::workspace`], shared with the walk-segment pools. Each worker
 //! samples through the coin-free `SampleView` path of [`RrSampler`], fed by
 //! its own buffered [`CounterRng`] stream.
+//!
+//! Both consumers of RR sets, [`generate_batch`] and the walk-segment pools
+//! of [`crate::stream`], draw through [`draw_sets`]: one loop with root
+//! lookahead and prefetch, on the thread's one sampler. So a pool chunk
+//! grown from empty with a batch's seed holds exactly the batch's sets.
 
+use std::cell::RefCell;
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
-use atpm_graph::GraphView;
+use atpm_graph::{GraphView, Node};
 use atpm_obs::{tracer, Counter, Histogram};
 
 use crate::collection::{RrCollection, RrShard};
@@ -19,17 +26,24 @@ use crate::rng::CounterRng;
 use crate::rr::RrSampler;
 use crate::workspace::run_sharded;
 
+thread_local! {
+    /// The thread's RR sampler: its visit marks grow to the largest graph
+    /// the thread has sampled and stay warm across draws.
+    static SAMPLER: RefCell<RrSampler> = RefCell::new(RrSampler::new());
+}
+
 /// Expected RR-set size used only for shard pre-sizing (the truth is graph-
 /// dependent; over-estimating wastes a little reserve, under-estimating
 /// costs one or two grows per worker).
 const AVG_SET_SIZE_HINT: usize = 8;
 
-/// Stage timers for [`generate_batch`], registered once in the
-/// process-global registry ([`atpm_obs::global`]). Each batch records one
-/// value per stage — sample (worker fan-out), merge (shard absorption),
-/// freeze (index build) — strictly *outside* the per-sample inner loop, so
-/// the instrumented cost per batch is a handful of clock reads and the
-/// `sample/skip` bench medians stay inside the regression gate.
+/// Stage timers for [`generate_batch`] and the RR-set counter of
+/// [`draw_sets`], registered once in the process-global registry
+/// ([`atpm_obs::global`]). Each batch records one value per stage — sample
+/// (worker fan-out), merge (shard absorption), freeze (index build) — and
+/// each draw adds its sets once, strictly *outside* the per-sample inner
+/// loop, so the instrumented cost per batch is a handful of clock reads and
+/// the `sample/skip` bench medians stay inside the regression gate.
 struct StageMetrics {
     sample: Arc<Histogram>,
     merge: Arc<Histogram>,
@@ -77,33 +91,11 @@ pub fn generate_batch<V: GraphView + Sync>(
     let t_sample = Instant::now();
     let shards: Vec<RrShard> = run_sharded(count, threads, seed, |_tid, quota, wseed| {
         let mut shard = RrShard::with_capacity(quota, AVG_SET_SIZE_HINT);
-        let mut sampler = RrSampler::new();
-        let mut rng = CounterRng::new(wseed);
-        let sv = view.sample_view();
-        // Root lookahead: the next set's root is drawn one set early; its
-        // sampling record, in-edge span, and visit-mark slot are all
-        // prefetched while the *current* set samples, so the three random
-        // accesses that open every set are already resolving.
-        let mut next_root = view.sample_alive(&mut rng);
-        if let Some(r) = next_root {
-            sv.prefetch_meta(r);
-        }
-        for _ in 0..quota {
-            let Some(root) = next_root else { break };
-            next_root = view.sample_alive(&mut rng);
-            if let Some(r) = next_root {
-                sv.prefetch_meta(r);
-                sampler.prefetch_visit(r);
-            }
-            // The set is sampled straight into the shard's flat storage.
-            shard.push_with(|members| sampler.sample_append(view, root, &mut rng, members));
-            if let Some(r) = next_root {
-                // Its meta record arrived during the sample; chase it to
-                // the span now.
-                let (lo, hi, _, _) = sv.in_meta(r);
-                sv.prefetch_span(lo, hi);
-            }
-        }
+        // Sets are sampled straight into the shard's flat storage.
+        let offsets = &mut shard.offsets;
+        draw_sets(view, quota, wseed, &mut shard.members, |members, _, _| {
+            offsets.push(members.len() as u64)
+        });
         shard
     });
     let sample_d = t_sample.elapsed();
@@ -122,7 +114,6 @@ pub fn generate_batch<V: GraphView + Sync>(
     metrics.merge.record_duration(merge_d);
     metrics.freeze.record_duration(freeze_d);
     metrics.batches.inc();
-    metrics.sets.add(sets as u64);
     let tr = tracer();
     if tr.enabled() {
         tr.record("ris", "sample", t_sample, sample_d);
@@ -130,6 +121,59 @@ pub fn generate_batch<V: GraphView + Sync>(
         tr.record("ris", "freeze", t_freeze, freeze_d);
     }
     merged
+}
+
+/// Draws up to `quota` RR sets on `view` from the stream `seed`, the one
+/// draw loop of the crate. Each set is appended to `buf`; then
+/// `each(buf, start, sampler)` sees it at `buf[start..]`, with the
+/// sampler's visit marks still on it for
+/// [`contains_last`](RrSampler::contains_last). The caller owns `buf`: a
+/// batch worker keeps every set in it, a pool clears it after each.
+/// Returns the sets drawn: `quota`, or 0 when `view` has no alive node.
+///
+/// Root lookahead: the next set's root is drawn one set early; its sampling
+/// record, in-edge span and visit-mark slot are prefetched while the
+/// current set samples, so the three random accesses that open every set
+/// are already resolving. The sampler is the thread's own, so a draw
+/// allocates nothing once the thread has sampled a graph this large.
+pub(crate) fn draw_sets<V: GraphView>(
+    view: &V,
+    quota: usize,
+    seed: u64,
+    buf: &mut Vec<Node>,
+    mut each: impl FnMut(&mut Vec<Node>, usize, &RrSampler),
+) -> usize {
+    let drawn = SAMPLER.with(|cell| {
+        let mut sampler = cell.borrow_mut();
+        let mut rng = CounterRng::new(seed);
+        let sv = view.sample_view();
+        let mut next_root = view.sample_alive(&mut rng);
+        if let Some(r) = next_root {
+            sv.prefetch_meta(r);
+        }
+        let mut drawn = 0;
+        while drawn < quota {
+            let Some(root) = next_root else { break };
+            next_root = view.sample_alive(&mut rng);
+            if let Some(r) = next_root {
+                sv.prefetch_meta(r);
+                sampler.prefetch_visit(r);
+            }
+            let start = buf.len();
+            sampler.sample_append(view, root, &mut rng, buf);
+            drawn += 1;
+            if let Some(r) = next_root {
+                // Its meta record arrived during the sample; chase it to
+                // the span now.
+                let (lo, hi, _, _) = sv.in_meta(r);
+                sv.prefetch_span(lo, hi);
+            }
+            each(buf, start, &sampler);
+        }
+        drawn
+    });
+    stage_metrics().sets.add(drawn as u64);
+    drawn
 }
 
 #[cfg(test)]
@@ -187,7 +231,8 @@ mod tests {
                 for _ in 0..quota {
                     let Some(root) = next_root else { break };
                     next_root = (&&g).sample_alive(&mut rng);
-                    sampler.sample_into_rooted(&&g, root, &mut rng, &mut buf);
+                    buf.clear();
+                    sampler.sample_append(&&g, root, &mut rng, &mut buf);
                     local.push(buf.clone());
                 }
                 local

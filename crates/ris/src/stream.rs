@@ -45,8 +45,8 @@
 use atpm_graph::{GraphView, Node};
 
 use crate::nodeset::NodeSet;
-use crate::rng::CounterRng;
 use crate::rr::RrSampler;
+use crate::sampler::draw_sets;
 use crate::workspace::run_sharded;
 
 /// Coverage counts of one candidate over the first `theta` sets of a
@@ -92,6 +92,29 @@ impl Chunk {
         self.slots.extend_from_slice(&part.slots);
     }
 
+    /// Counts the set just drawn, `set`, and keeps its slots of `index` if
+    /// it holds any. `sampler` drew `set`.
+    fn keep(&mut self, index: &[(Node, u32)], set: &[Node], sampler: &RrSampler) {
+        let held = self.slots.len();
+        // Probe whichever is shorter: each target's visit mark, or each
+        // member against the sorted target index.
+        if index.len() <= set.len() {
+            let hit = index.iter().filter(|&&(v, _)| sampler.contains_last(v));
+            self.slots.extend(hit.map(|&(_, s)| s));
+        } else {
+            for &v in set {
+                if let Ok(j) = index.binary_search_by_key(&v, |&(t, _)| t) {
+                    self.slots.push(index[j].1);
+                }
+            }
+        }
+        if self.slots.len() > held {
+            self.at.push(index32(self.drawn));
+            self.ends.push(index32(self.slots.len()));
+        }
+        self.drawn += 1;
+    }
+
     /// The slot lists of the kept sets among the first `theta`.
     fn sets(&self, theta: usize) -> impl Iterator<Item = &[u32]> {
         let kept = self.at.partition_point(|&i| (i as usize) < theta);
@@ -113,6 +136,8 @@ fn index32(i: usize) -> u32 {
 pub struct RrPool {
     /// The recorded targets as `(node, slot)`, sorted by node.
     index: Vec<(Node, u32)>,
+    /// Slots in the target list, recorded or not.
+    slots: usize,
     threads: usize,
     chunks: Vec<Chunk>,
 }
@@ -129,6 +154,7 @@ impl RrPool {
         index.sort_unstable();
         RrPool {
             index,
+            slots: targets.len(),
             threads,
             chunks: Vec::new(),
         }
@@ -165,7 +191,12 @@ impl RrPool {
         }
         let index = &self.index;
         let parts = run_sharded(need, self.threads, seed, |_tid, quota, wseed| {
-            draw(view, index, quota, wseed)
+            let mut part = Chunk::default();
+            draw_sets(view, quota, wseed, &mut Vec::new(), |buf, _, sampler| {
+                part.keep(index, buf, sampler);
+                buf.clear();
+            });
+            part
         });
         let chunk = &mut self.chunks[round];
         let before = chunk.drawn;
@@ -196,50 +227,39 @@ impl RrPool {
             return counts;
         };
         for set in chunk.sets(theta).filter(|set| set.contains(&slot)) {
-            let avoids = |cond: &NodeSet| !set.iter().any(|&s| cond.contains(s));
-            counts.cov_front += u64::from(avoids(front));
-            counts.cov_rear += u64::from(avoids(rear));
+            counts.cov_front += u64::from(avoids(set, front));
+            counts.cov_rear += u64::from(avoids(set, rear));
+        }
+        counts
+    }
+
+    /// Every slot's count over the first `theta` sets of chunk `round`, in
+    /// one pass: entry `s` counts the sets holding slot `s` and no slot of
+    /// `cond` (a set over slots). For a slot outside `cond` this is the
+    /// `cov_front` of [`counts`](Self::counts) with `cond` as the front
+    /// condition; slots not recorded read 0.
+    pub fn slot_counts(&self, round: usize, theta: usize, cond: &NodeSet) -> Vec<u64> {
+        let mut counts = vec![0; self.slots];
+        if let Some(chunk) = self.chunks.get(round) {
+            for set in chunk.sets(theta).filter(|set| avoids(set, cond)) {
+                for &s in set {
+                    counts[s as usize] += 1;
+                }
+            }
         }
         counts
     }
 }
 
-/// One worker's share of a growth: `quota` sets from `seed`, keeping those
-/// that hold a target of `index`.
-fn draw<V: GraphView>(view: &V, index: &[(Node, u32)], quota: usize, seed: u64) -> Chunk {
-    let mut sampler = RrSampler::new();
-    let mut rng = CounterRng::new(seed);
-    let mut buf = Vec::new();
-    let mut part = Chunk::default();
-    for i in 0..quota {
-        if !sampler.sample_into(view, &mut rng, &mut buf) {
-            break;
-        }
-        part.drawn += 1;
-        let held = part.slots.len();
-        // Probe whichever is shorter: each target's visit mark, or each
-        // member against the sorted target index.
-        if index.len() <= buf.len() {
-            let hit = index.iter().filter(|&&(v, _)| sampler.contains_last(v));
-            part.slots.extend(hit.map(|&(_, s)| s));
-        } else {
-            for &v in &buf {
-                if let Ok(j) = index.binary_search_by_key(&v, |&(t, _)| t) {
-                    part.slots.push(index[j].1);
-                }
-            }
-        }
-        if part.slots.len() > held {
-            part.at.push(index32(i));
-            part.ends.push(index32(part.slots.len()));
-        }
-    }
-    part
+/// Whether the slot list `set` holds no slot of `cond`.
+fn avoids(set: &[u32], cond: &NodeSet) -> bool {
+    !set.iter().any(|&s| cond.contains(s))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rng::CounterRng;
     use atpm_graph::{GraphBuilder, ResidualGraph};
 
     /// 0 -> 1 -> 2 chain, p = 0.5; every node a target, slot = node id.
@@ -507,5 +527,43 @@ mod tests {
             narrow.counts(0, 4_000, 2, &empty, &empty),
             pool_counts(&&g, 2, &empty, &empty, 4_000, 5, 1)
         );
+    }
+
+    #[test]
+    fn one_pass_slot_counts_match_per_slot_front_counts() {
+        // Twelve targets on the NetHEPT stand-in, every one recorded; for
+        // random slot conditions and prefixes, each slot's one-pass count
+        // equals its `cov_front` with the condition as the front, and a
+        // slot inside the condition counts 0.
+        let g = atpm_graph::gen::Dataset::NetHept.generate(0.02, 4);
+        let targets: Vec<Node> = (0..12).map(|i| i * 7).collect();
+        let all = NodeSet::from_iter(12, 0..12);
+        let mut pool = RrPool::new(&targets, &all, 2);
+        pool.grow(&&g, 0, 6_000, 3);
+        let mut x = 0x9E3779B97F4A7C15u64;
+        for trial in 0..20 {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let cond = NodeSet::from_iter(12, (0..12).filter(|s| (x >> (20 + s)) & 3 == 0));
+            let theta = [6_000, 2_500, 1][trial % 3];
+            let counts = pool.slot_counts(0, theta, &cond);
+            assert_eq!(counts.len(), 12);
+            for s in 0..12u32 {
+                let want = if cond.contains(s) {
+                    0
+                } else {
+                    pool.counts(0, theta, s, &cond, &cond).cov_front
+                };
+                assert_eq!(counts[s as usize], want, "trial {trial}, slot {s}");
+            }
+        }
+        assert!(
+            pool.slot_counts(0, 6_000, &NodeSet::new(12))
+                .iter()
+                .sum::<u64>()
+                > 0
+        );
+        assert_eq!(pool.slot_counts(1, 6_000, &all), vec![0; 12], "no chunk 1");
     }
 }

@@ -7,6 +7,14 @@ use atpm_ris::sampler::generate_batch;
 use atpm_ris::{DoubleGreedyCoverage, NodeSet, RrCollection};
 use proptest::prelude::*;
 
+/// `CovR(u | cond)` by brute force over every stored set.
+fn marginal_by_scan(c: &RrCollection, u: u32, cond: &NodeSet) -> usize {
+    (0..c.len())
+        .map(|i| c.set(i))
+        .filter(|set| set.contains(&u) && !cond.intersects(set))
+        .count()
+}
+
 fn arb_collection() -> impl Strategy<Value = (usize, RrCollection)> {
     (3usize..10).prop_flat_map(|n| {
         proptest::collection::vec(proptest::collection::btree_set(0..n as u32, 1..4), 1..40)
@@ -61,7 +69,7 @@ proptest! {
             prop_assert_eq!(dg.front_cov(u), expected_front);
 
             let rest = NodeSet::from_iter(n, q.iter().copied().filter(|&v| v != u));
-            prop_assert_eq!(dg.rear_cov(u), c.cov_marginal(u, &rest));
+            prop_assert_eq!(dg.rear_cov(u), marginal_by_scan(&c, u, &rest));
 
             if u % 2 == 0 {
                 dg.select(u);
@@ -147,16 +155,10 @@ proptest! {
     fn scratch_coverage_matches_reference((n, c) in arb_collection(), seed in 0u64..500) {
         use atpm_ris::CoverageScratch;
         let mut scratch = CoverageScratch::new();
-        let mut out = Vec::new();
         let nodes: Vec<u32> = (0..n as u32).collect();
-        // A couple of different conditions exercise hit-cache rebuilds.
+        // Back-to-back queries on one scratch must not leak marks.
         for shift in 0..3u32 {
-            let cond = NodeSet::from_iter(n, nodes.iter().copied().filter(|u| (u + shift + seed as u32).is_multiple_of(3)));
-            c.cov_nodes_into(&nodes, Some(&cond), &mut scratch, &mut out);
-            for (j, &u) in nodes.iter().enumerate() {
-                prop_assert_eq!(out[j] as usize, c.cov_marginal(u, &cond), "node {}", u);
-            }
-            let query: Vec<u32> = nodes.iter().copied().filter(|u| (u + shift) % 2 == 0).collect();
+            let query: Vec<u32> = nodes.iter().copied().filter(|u| (u + shift + seed as u32).is_multiple_of(2)).collect();
             let mut reference = 0usize;
             let mut hit = vec![false; c.len()];
             for &u in &query {
