@@ -139,7 +139,7 @@ fn addatp_base() {
         &[
             (&[1, 0, 3, 12], 4629624022022956598, 44848),
             (&[1, 0, 3, 12], 4628498122116113974, 46704),
-            (&[1, 0, 3, 12], 13842119034378872616, 48503),
+            (&[1, 0, 3], 4609643379553585792, 38384),
             (&[1, 0, 3], 4628728327077125288, 38506),
         ],
     );
@@ -158,7 +158,7 @@ fn addatp_dynamic() {
         "ADDATP-dyn",
         run_worlds(&preset_instance(), &mut policy),
         &[
-            (&[1, 0, 3], 4627883902146993320, 36413),
+            (&[1, 0, 3, 12], 4629624022022956598, 44848),
             (&[1, 0, 3, 12], 4628498122116113974, 46704),
             (&[1, 0, 3], 4609643379553585792, 38384),
             (&[1, 0, 3], 4628728327077125288, 38506),
@@ -178,9 +178,9 @@ fn hatp_capped() {
         "HATP",
         run_worlds(&preset_instance(), &mut policy),
         &[
-            (&[1, 0, 3], 4627883902146993320, 72893),
-            (&[1, 0, 3], 13836079374719064768, 58679),
-            (&[1, 0, 3], 4609643379553585792, 58921),
+            (&[1, 0, 3, 12], 4629624022022956598, 89512),
+            (&[1, 0, 3, 12], 4628498122116113974, 74626),
+            (&[1, 0, 3, 12], 13842119034378872616, 75769),
             (&[1, 0, 3], 4628728327077125288, 71623),
         ],
     );
