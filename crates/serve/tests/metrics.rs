@@ -13,7 +13,8 @@
 //! 3. **End-to-end visibility** — the per-instance serve registry and the
 //!    process-global registry (RIS/diffusion stage metrics) merge into one
 //!    exposition, the sessions-active gauge tracks `/healthz`, HATP's
-//!    decisions are counted by stop reason, and `trace_path` dumps
+//!    decisions are counted by stop reason and its RR sets as generated,
+//!    and `trace_path` dumps
 //!    Perfetto-loadable Chrome trace JSON at shutdown.
 //!
 //! The registry under `atpm_obs::global()` and the tracer are process-wide
@@ -247,6 +248,7 @@ fn stage_metrics_session_gauge_and_trace_dump_cover_a_full_run() {
             .sum()
     };
     assert_eq!(decisions(&scrape), 0.0, "no HATP session yet");
+    let sets_before = scrape.value("atpm_ris_sets_total", &[]).unwrap();
     let ledger = client
         .run_session(&CreateSessionReq {
             snapshot: "obs".into(),
@@ -261,11 +263,20 @@ fn stage_metrics_session_gauge_and_trace_dump_cover_a_full_run() {
         .unwrap();
     let (_, body) = client.get_text("/metrics").unwrap();
     lint(&body).unwrap();
-    let counted = decisions(&Scrape::parse(&body).unwrap());
+    let scrape = Scrape::parse(&body).unwrap();
+    let counted = decisions(&scrape);
     assert!(
         counted >= ledger.selected.len().max(1) as f64,
         "{counted} decisions for {} seeds",
         ledger.selected.len()
+    );
+    // Every RR set the session's pools drew is counted as generated.
+    let sets = scrape.value("atpm_ris_sets_total", &[]).unwrap() - sets_before;
+    assert!(ledger.sampling_work > 0, "the HATP session sampled");
+    assert!(
+        sets >= ledger.sampling_work as f64,
+        "{sets} RR sets counted for a session that drew {}",
+        ledger.sampling_work
     );
 
     // Shutdown dumps the Chrome trace; the RIS stage spans from the
