@@ -14,17 +14,23 @@
 //!
 //! Per [`next_batch`](crate::PolicyStepper::next_batch) round:
 //!
-//! 1. generate `θ` fresh RR sets over the *current* residual graph
-//!    (deterministic in `(residual, seed, round, threads)` — the salt chain
-//!    advances once per round, exactly like HATP's);
+//! 1. draw `θ` fresh RR sets over the *current* residual graph into an
+//!    [`RrPool`] that records the un-activated targets, the round's
+//!    candidates (deterministic in `(residual, seed, round, threads)` —
+//!    the salt chain advances once per round, exactly like HATP's). The
+//!    pool keeps only the sets holding a candidate, as lists of target
+//!    slots, and gives every candidate's coverage in one pass over them
+//!    ([`RrPool::slot_counts`]);
 //! 2. initialize `τ` to the best singleton marginal profit
-//!    `n_i·Cov(u)/θ − c(u)` over alive, un-activated targets (if no
-//!    candidate is profitable the policy is done);
-//! 3. sweep candidates in id order, admitting `u` into the batch when its
-//!    *conditional* marginal profit `n_i·Cov(u | batch)/θ − c(u) ≥ τ`;
+//!    `n_i·Cov(u)/θ − c(u)` over the candidates (if none is profitable the
+//!    policy is done);
+//! 3. sweep candidates in target order, admitting `u` into the batch when
+//!    its *conditional* marginal profit `n_i·Cov(u | batch)/θ − c(u) ≥ τ`;
 //!    decay `τ ← (1−ε)·τ` between sweeps until the batch holds `k` seeds
 //!    or `τ` falls below `ε·τ₀/k` (every surviving candidate is then worth
-//!    less than an `ε/k` fraction of the best, i.e. noise).
+//!    less than an `ε/k` fraction of the best, i.e. noise). The counts
+//!    `Cov(· | batch)` are recounted in one pass only after an admission
+//!    changed the batch.
 //!
 //! Every marginal evaluation is one **oracle query**
 //! ([`AdaptiveSession::add_oracle_queries`]); every generated RR set is

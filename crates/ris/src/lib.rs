@@ -38,22 +38,27 @@
 //! 2. **Zero per-query heap allocation.** All transient state lives in
 //!    reusable, epoch-stamped buffers ([`workspace::EpochMarks`]): clearing
 //!    is an O(1) epoch bump, the backing arrays are allocated once per size
-//!    and reused forever. [`RrSampler`] uses them for visit marks,
+//!    and reused forever. [`RrSampler`] uses them for visit marks (one
+//!    sampler per thread, kept warm across draws),
 //!    [`collection::CoverageScratch`] for coverage queries
-//!    ([`RrCollection::cov_set_with`], [`RrCollection::cov_nodes_into`]), and
-//!    the decremental lazy greedy in `atpm-im` for its gain cache. The
-//!    discipline — including the RNG lane buffer and the skip path — is
-//!    enforced by a counting-allocator test (`tests/alloc_discipline.rs`).
-//! 3. **Merge parallel work by bulk copy.** [`sampler::generate_batch`]
-//!    workers fill [`collection::RrShard`]s in the collection's own flat
-//!    layout; fan-in is two `extend_from_slice`-style copies per shard with
-//!    offset rebasing ([`RrCollection::absorb_shard`]), and the inverted
-//!    node→set index is built exactly once over the merged arrays by
-//!    [`RrCollection::freeze`]. Worker seeding ([`workspace::worker_seed`],
-//!    pinned by a golden test) and the fan-out/fan-in scaffolding
-//!    ([`workspace::run_sharded`]) are shared by the batch sampler and the
-//!    walk-segment pools, so "deterministic in `(input, seed, threads)`" is
-//!    defined in one place.
+//!    ([`RrCollection::cov_set_with`]), and the decremental lazy greedy in
+//!    `atpm-im` for its gain cache. The discipline — including the RNG lane
+//!    buffer and the skip path — is enforced by a counting-allocator test
+//!    (`tests/alloc_discipline.rs`).
+//! 3. **One draw loop, one target-coverage counter.** Every RR set is
+//!    drawn by one worker loop, with root lookahead and prefetch, fanned
+//!    out through [`workspace::run_sharded`] with pinned worker seeds
+//!    ([`workspace::worker_seed`]), so "deterministic in `(input, seed,
+//!    threads)`" is defined in one place. Its two consumers keep what they
+//!    need: [`sampler::generate_batch`] workers sample straight into
+//!    [`collection::RrShard`]s in the collection's own flat layout, merged
+//!    by two `extend_from_slice`-style copies per shard
+//!    ([`RrCollection::absorb_shard`]) and indexed node→set exactly once
+//!    ([`RrCollection::freeze`]); a [`stream::RrPool`] keeps only the sets
+//!    holding a target, as lists of target slots. Policies that count the
+//!    coverage of a target list — the sampling double greedies and
+//!    ThresholdBatch — count on a pool; a full collection serves the
+//!    queries over every node (IMM, NSG/NDG, snapshot estimates).
 //!
 //! Perf baselines for every stage live in `crates/bench/benches/micro.rs`
 //! (group `ris_engine`), which emits the committed `BENCH_ris.json`
@@ -69,17 +74,19 @@
 //!   membership probes);
 //! * [`rng`] — the buffered counter RNG feeding the samplers;
 //! * [`collection`] — stored batches with an inverted node→set index, shard
-//!   absorption, and the scratch-buffer coverage oracle used by the greedy
-//!   algorithms;
+//!   absorption, and the scratch-buffer set coverage used by the greedy
+//!   algorithms and the RIS oracle;
 //! * [`coverage`] — incremental double-greedy coverage state (front / rear
 //!   marginals in O(sets-containing-u));
-//! * [`stream`] — the RR pool of one walk segment of the sampling double
-//!   greedies: per-round chunks that keep only the sets holding a target,
-//!   as lists of target slots, and the front/rear counts over them;
+//! * [`stream`] — the RR pool that counts target coverage: per-round
+//!   chunks that keep only the sets holding a target, as lists of target
+//!   slots; the front/rear counts of one walk segment of the sampling
+//!   double greedies, and every slot's count in one pass for ThresholdBatch;
 //! * [`bounds`] — Hoeffding (paper Lemma 4), the Relative+Additive martingale
 //!   bound (paper Lemma 7), and the one-sided coverage bounds used for
 //!   `E_l[I(T)]` cost calibration;
-//! * [`sampler`] — deterministic multi-threaded batch generation;
+//! * [`sampler`] — the one RR draw loop and deterministic multi-threaded
+//!   batch generation on it;
 //! * [`workspace`] — worker seeding, sharded fan-out/fan-in, epoch marks;
 //! * [`nodeset`] — a plain bitset over node ids shared by the above.
 

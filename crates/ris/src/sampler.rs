@@ -10,7 +10,7 @@
 //! its own buffered [`CounterRng`] stream.
 //!
 //! Both consumers of RR sets, [`generate_batch`] and the walk-segment pools
-//! of [`crate::stream`], draw through [`draw_sets`]: one loop with root
+//! of [`crate::stream`], draw through `draw_sets`: one loop with root
 //! lookahead and prefetch, on the thread's one sampler. So a pool chunk
 //! grown from empty with a batch's seed holds exactly the batch's sets.
 

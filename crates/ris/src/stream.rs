@@ -1,5 +1,6 @@
-//! The RR pool of one walk segment: the front/rear coverage counts of the
-//! sampling double greedies (ADDATP, HATP, HNTP).
+//! The RR pool that counts target coverage: the front/rear counts of one
+//! walk segment of the sampling double greedies (ADDATP, HATP, HNTP), and
+//! ThresholdBatch's per-round candidate counts.
 //!
 //! Each examined candidate `u_i` needs, per sampling round, two counts
 //! over fresh RR sets on the residual graph:
@@ -20,7 +21,9 @@
 //!
 //! * chunk `j` serves round `j` of every candidate; it grows on demand to
 //!   the largest θ a round `j` has asked for, each growth a fresh batch
-//!   with its own seed through [`run_sharded`];
+//!   with its own seed through [`run_sharded`] and the crate's one draw
+//!   loop, so a chunk grown from empty with seed `s` holds the sets
+//!   [`generate_batch`](crate::generate_batch) draws from `s`;
 //! * a chunk keeps only the sets that hold a recorded target, each as its
 //!   short list of target slots (indices into the target list). About
 //!   5.5% of sets hit one of 10 IMM targets on the Epinions stand-in;
@@ -36,6 +39,11 @@
 //! the candidates of a segment keeps Theorem 4 is argued in `atpm-core`'s
 //! `policies::hatp`. The pool is scratch of one decision call: callers
 //! drop it when the segment ends.
+//!
+//! ThresholdBatch opens one pool per round that records its candidates,
+//! grows chunk 0 to the round's θ, and reads every candidate's count,
+//! conditioned on the batch admitted so far, in one pass over the chunk
+//! ([`RrPool::slot_counts`]).
 //!
 //! A pool's memory follows the rounds' θ: a chunk keeps 8 bytes per kept
 //! set plus 4 per slot the set holds, for every set it has drawn, and a
