@@ -3,8 +3,7 @@
 //! cascade workspace is per-thread scratch, not session state, so once the
 //! thread's engine is warm a session costs no `O(n)` buffer beyond the
 //! bitset. A HATP stepper between calls holds `O(k)` bytes: its RR pool is
-//! scratch of one `next_seed` call, and its RR sampler is per-thread
-//! scratch like the cascade workspace.
+//! scratch of one `next_seed` call.
 //!
 //! A counting global allocator tracks live heap bytes; the tests take one
 //! lock, so no concurrent test pollutes the counter.
@@ -128,8 +127,8 @@ fn a_hatp_stepper_holds_o_k_bytes_between_calls() {
     };
     let mut stepper = hatp.stepper();
     let mut session = AdaptiveSession::new(&inst, 7);
-    // Warm this thread's cascade engine and RR sampler on the graph (the
-    // stepper samples on one thread, this one).
+    // Warm this thread's cascade engine on the graph, and register the
+    // process-wide RIS metrics that count every RR draw.
     let _ = AdaptiveSession::new(&inst, 1).select(inst.target()[0]);
     let _ = atpm_ris::generate_batch(&inst.graph(), 1, 0, 1);
 

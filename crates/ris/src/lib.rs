@@ -38,8 +38,7 @@
 //! 2. **Zero per-query heap allocation.** All transient state lives in
 //!    reusable, epoch-stamped buffers ([`workspace::EpochMarks`]): clearing
 //!    is an O(1) epoch bump, the backing arrays are allocated once per size
-//!    and reused forever. [`RrSampler`] uses them for visit marks (one
-//!    sampler per thread, kept warm across draws),
+//!    and reused forever. [`RrSampler`] uses them for visit marks,
 //!    [`collection::CoverageScratch`] for coverage queries
 //!    ([`RrCollection::cov_set_with`]), and the decremental lazy greedy in
 //!    `atpm-im` for its gain cache. The discipline — including the RNG lane

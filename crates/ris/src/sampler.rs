@@ -11,10 +11,9 @@
 //!
 //! Both consumers of RR sets, [`generate_batch`] and the walk-segment pools
 //! of [`crate::stream`], draw through `draw_sets`: one loop with root
-//! lookahead and prefetch, on the thread's one sampler. So a pool chunk
-//! grown from empty with a batch's seed holds exactly the batch's sets.
+//! lookahead and prefetch. So a pool chunk grown from empty with a batch's
+//! seed holds exactly the batch's sets.
 
-use std::cell::RefCell;
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
@@ -25,12 +24,6 @@ use crate::collection::{RrCollection, RrShard};
 use crate::rng::CounterRng;
 use crate::rr::RrSampler;
 use crate::workspace::run_sharded;
-
-thread_local! {
-    /// The thread's RR sampler: its visit marks grow to the largest graph
-    /// the thread has sampled and stay warm across draws.
-    static SAMPLER: RefCell<RrSampler> = RefCell::new(RrSampler::new());
-}
 
 /// Expected RR-set size used only for shard pre-sizing (the truth is graph-
 /// dependent; over-estimating wastes a little reserve, under-estimating
@@ -93,7 +86,7 @@ pub fn generate_batch<V: GraphView + Sync>(
         let mut shard = RrShard::with_capacity(quota, AVG_SET_SIZE_HINT);
         // Sets are sampled straight into the shard's flat storage.
         let offsets = &mut shard.offsets;
-        draw_sets(view, quota, wseed, &mut shard.members, |members, _, _| {
+        draw_sets(view, quota, wseed, &mut shard.members, |members, _| {
             offsets.push(members.len() as u64)
         });
         shard
@@ -124,54 +117,49 @@ pub fn generate_batch<V: GraphView + Sync>(
 }
 
 /// Draws up to `quota` RR sets on `view` from the stream `seed`, the one
-/// draw loop of the crate. Each set is appended to `buf`; then
-/// `each(buf, start, sampler)` sees it at `buf[start..]`, with the
-/// sampler's visit marks still on it for
-/// [`contains_last`](RrSampler::contains_last). The caller owns `buf`: a
-/// batch worker keeps every set in it, a pool clears it after each.
-/// Returns the sets drawn: `quota`, or 0 when `view` has no alive node.
+/// draw loop of the crate. Each set is appended to `buf`, then
+/// `each(buf, sampler)` runs with the sampler's visit marks still on it
+/// for [`contains_last`](RrSampler::contains_last). The caller owns `buf`:
+/// a batch worker keeps every set in it, a pool reads the set and clears
+/// it. Returns the sets drawn: `quota`, or 0 when `view` has no alive
+/// node.
 ///
 /// Root lookahead: the next set's root is drawn one set early; its sampling
 /// record, in-edge span and visit-mark slot are prefetched while the
 /// current set samples, so the three random accesses that open every set
-/// are already resolving. The sampler is the thread's own, so a draw
-/// allocates nothing once the thread has sampled a graph this large.
+/// are already resolving.
 pub(crate) fn draw_sets<V: GraphView>(
     view: &V,
     quota: usize,
     seed: u64,
     buf: &mut Vec<Node>,
-    mut each: impl FnMut(&mut Vec<Node>, usize, &RrSampler),
+    mut each: impl FnMut(&mut Vec<Node>, &RrSampler),
 ) -> usize {
-    let drawn = SAMPLER.with(|cell| {
-        let mut sampler = cell.borrow_mut();
-        let mut rng = CounterRng::new(seed);
-        let sv = view.sample_view();
-        let mut next_root = view.sample_alive(&mut rng);
+    let mut sampler = RrSampler::new();
+    let mut rng = CounterRng::new(seed);
+    let sv = view.sample_view();
+    let mut next_root = view.sample_alive(&mut rng);
+    if let Some(r) = next_root {
+        sv.prefetch_meta(r);
+    }
+    let mut drawn = 0;
+    while drawn < quota {
+        let Some(root) = next_root else { break };
+        next_root = view.sample_alive(&mut rng);
         if let Some(r) = next_root {
             sv.prefetch_meta(r);
+            sampler.prefetch_visit(r);
         }
-        let mut drawn = 0;
-        while drawn < quota {
-            let Some(root) = next_root else { break };
-            next_root = view.sample_alive(&mut rng);
-            if let Some(r) = next_root {
-                sv.prefetch_meta(r);
-                sampler.prefetch_visit(r);
-            }
-            let start = buf.len();
-            sampler.sample_append(view, root, &mut rng, buf);
-            drawn += 1;
-            if let Some(r) = next_root {
-                // Its meta record arrived during the sample; chase it to
-                // the span now.
-                let (lo, hi, _, _) = sv.in_meta(r);
-                sv.prefetch_span(lo, hi);
-            }
-            each(buf, start, &sampler);
+        sampler.sample_append(view, root, &mut rng, buf);
+        drawn += 1;
+        if let Some(r) = next_root {
+            // Its meta record arrived during the sample; chase it to the
+            // span now.
+            let (lo, hi, _, _) = sv.in_meta(r);
+            sv.prefetch_span(lo, hi);
         }
-        drawn
-    });
+        each(buf, &sampler);
+    }
     stage_metrics().sets.add(drawn as u64);
     drawn
 }

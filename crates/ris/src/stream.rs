@@ -200,7 +200,7 @@ impl RrPool {
         let index = &self.index;
         let parts = run_sharded(need, self.threads, seed, |_tid, quota, wseed| {
             let mut part = Chunk::default();
-            draw_sets(view, quota, wseed, &mut Vec::new(), |buf, _, sampler| {
+            draw_sets(view, quota, wseed, &mut Vec::new(), |buf, sampler| {
                 part.keep(index, buf, sampler);
                 buf.clear();
             });
