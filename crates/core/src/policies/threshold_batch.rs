@@ -127,7 +127,7 @@ impl PolicyStepper for ThresholdBatchStepper {
         }
         let view = session.residual();
         let target = session.instance().target();
-        // Candidates are the slots of the alive, un-activated targets.
+        // The candidates are the slots of the un-activated targets.
         let live = NodeSet::from_iter(
             target.len(),
             (0..target.len() as u32).filter(|&s| !session.is_activated(target[s as usize])),

@@ -151,7 +151,7 @@ mod tests {
     }
 
     #[test]
-    fn rear_matches_brute_force_marginal() {
+    fn rear_matches_collection_marginal() {
         // rear_cov(u) counts the sets containing u that no other candidate
         // hits: CovR(u | Q \ {u}), here counted over every stored set.
         let c = setup();
