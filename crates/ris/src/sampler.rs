@@ -116,13 +116,12 @@ pub fn generate_batch<V: GraphView + Sync>(
     merged
 }
 
-/// Draws up to `quota` RR sets on `view` from the stream `seed`, the one
-/// draw loop of the crate. Each set is appended to `buf`, then
-/// `each(buf, sampler)` runs with the sampler's visit marks still on it
-/// for [`contains_last`](RrSampler::contains_last). The caller owns `buf`:
-/// a batch worker keeps every set in it, a pool reads the set and clears
-/// it. Returns the sets drawn: `quota`, or 0 when `view` has no alive
-/// node.
+/// Draws `quota` RR sets on `view` from the stream `seed` (none when `view`
+/// has no alive node), the one draw loop of the crate. Each set is appended
+/// to `buf`, then `each(buf, sampler)` runs with the sampler's visit marks
+/// still on it for [`contains_last`](RrSampler::contains_last). The caller
+/// owns `buf`: a batch worker keeps every set in it, a pool reads the set
+/// and clears it.
 ///
 /// Root lookahead: the next set's root is drawn one set early; its sampling
 /// record, in-edge span and visit-mark slot are prefetched while the
@@ -134,7 +133,7 @@ pub(crate) fn draw_sets<V: GraphView>(
     seed: u64,
     buf: &mut Vec<Node>,
     mut each: impl FnMut(&mut Vec<Node>, &RrSampler),
-) -> usize {
+) {
     let mut sampler = RrSampler::new();
     let mut rng = CounterRng::new(seed);
     let sv = view.sample_view();
@@ -161,7 +160,6 @@ pub(crate) fn draw_sets<V: GraphView>(
         each(buf, &sampler);
     }
     stage_metrics().sets.add(drawn as u64);
-    drawn
 }
 
 #[cfg(test)]
