@@ -431,3 +431,99 @@ fn snapshot_arc_is_shared_not_copied() {
     client.delete_session(&token).unwrap();
     assert_eq!(Arc::strong_count(&arc), 2);
 }
+
+/// `n_alive · hits / θ`, with `hits` counted by brute force over every
+/// stored set: the value `/estimate` must answer bit for bit.
+fn brute_force_spread(snapshot: &Snapshot, nodes: &[u32]) -> f64 {
+    let rr = &snapshot.rr;
+    let hits = (0..rr.len())
+        .filter(|&i| rr.set(i).iter().any(|u| nodes.contains(u)))
+        .count();
+    rr.n_alive() as f64 * hits as f64 / rr.len() as f64
+}
+
+/// Node lists covering the query shapes: empty, duplicates, every target,
+/// and targets mixed with non-targets.
+fn estimate_queries(snapshot: &Snapshot) -> Vec<Vec<u32>> {
+    let targets = snapshot.instance.target().to_vec();
+    let others: Vec<u32> = (0..snapshot.instance.graph().num_nodes() as u32)
+        .filter(|u| !targets.contains(u))
+        .take(5)
+        .collect();
+    let mut mixed = others.clone();
+    mixed.insert(1, targets[0]);
+    mixed.push(targets[targets.len() - 1]);
+    vec![
+        vec![],
+        vec![targets[0], targets[0], others[0], targets[0], others[0]],
+        targets.clone(),
+        mixed,
+    ]
+}
+
+fn estimate_via(client: &mut dyn ProtocolClient, snapshot: &str, nodes: &[u32]) -> f64 {
+    client
+        .call(
+            "POST",
+            &format!("/snapshots/{snapshot}/estimate"),
+            &atpm_serve::Json::obj([("nodes", atpm_serve::Json::nums(nodes.iter().copied()))]),
+        )
+        .unwrap_or_else(|e| panic!("estimate on {snapshot}: {e}"))
+        .get("spread")
+        .and_then(atpm_serve::Json::as_f64)
+        .expect("spread field")
+}
+
+#[test]
+fn estimate_answers_the_brute_force_count_bit_for_bit_on_both_backends() {
+    // Two snapshots with different θ, queried alternately from one client:
+    // each must keep its own answer, whatever the other was last asked.
+    let state = AppState::new();
+    let a = state
+        .store
+        .insert(Snapshot::build(&snapshot_req()).unwrap());
+    let b = state.store.insert(
+        Snapshot::build(&SnapshotReq {
+            name: "e2e_b".into(),
+            rr_theta: 3_001,
+            seed: 4,
+            ..snapshot_req()
+        })
+        .unwrap(),
+    );
+    assert_ne!(a.rr.len(), b.rr.len());
+    let mut server = Server::start(state.clone(), &ServeConfig::default()).unwrap();
+    let mut http = HttpClient::connect(server.addr()).unwrap();
+    let mut local = LocalClient::new(state);
+    let cases: Vec<(&Snapshot, Vec<u32>, f64)> = [&a, &b]
+        .into_iter()
+        .flat_map(|snap| {
+            estimate_queries(snap).into_iter().map(move |nodes| {
+                let want = brute_force_spread(snap, &nodes);
+                (&**snap, nodes, want)
+            })
+        })
+        .collect();
+    assert!(cases.iter().any(|(_, _, want)| *want > 0.0));
+    for round in 0..2 {
+        // Alternate a, b, a, b, ... by interleaving the two halves.
+        let half = cases.len() / 2;
+        for i in 0..half {
+            for (snap, nodes, want) in [&cases[i], &cases[half + i]] {
+                for (backend, client) in [
+                    ("http", &mut http as &mut dyn ProtocolClient),
+                    ("local", &mut local as &mut dyn ProtocolClient),
+                ] {
+                    let got = estimate_via(client, &snap.name, nodes);
+                    assert_eq!(
+                        got.to_bits(),
+                        want.to_bits(),
+                        "round {round}, {backend}, snapshot {}, nodes {nodes:?}: {got} vs {want}",
+                        snap.name
+                    );
+                }
+            }
+        }
+    }
+    server.shutdown();
+}
