@@ -103,7 +103,9 @@ use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use crate::json::Json;
-use crate::protocol::{nodes_field, ApiError, CreateSessionReq, ObserveBatchReq};
+use crate::protocol::{
+    field, nodes_field, str_field, u64_field, ApiError, CreateSessionReq, ObserveBatchReq,
+};
 use atpm_graph::Node;
 
 const MAGIC: &[u8; 8] = b"ATPMJNL2";
@@ -206,49 +208,26 @@ impl Record {
     /// Parses a payload. Any other op — including the retired
     /// `next`/`observe` — is an error.
     pub fn from_json(v: &Json) -> Result<Record, ApiError> {
-        let op = v
-            .get("op")
-            .and_then(Json::as_str)
-            .ok_or_else(|| ApiError::bad_request("record missing 'op'"))?;
-        let token = |v: &Json| -> Result<String, ApiError> {
-            v.get("token")
-                .and_then(Json::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| ApiError::bad_request("record missing 'token'"))
-        };
-        match op {
+        let token = || str_field(v, "token");
+        match str_field(v, "op")?.as_str() {
             "create" => Ok(Record::Create {
-                id: v
-                    .get("id")
-                    .and_then(Json::as_u64)
-                    .ok_or_else(|| ApiError::bad_request("create record missing 'id'"))?,
-                token: token(v)?,
-                req: CreateSessionReq::from_json(
-                    v.get("req")
-                        .ok_or_else(|| ApiError::bad_request("create record missing 'req'"))?,
-                )?,
+                id: u64_field(v, "id")?,
+                token: token()?,
+                req: CreateSessionReq::from_json(field(v, "req")?)?,
             }),
             "next_batch" => Ok(Record::NextBatch {
-                token: token(v)?,
+                token: token()?,
                 seeds: nodes_field(v, "seeds")?,
-                k: v.get("k")
-                    .and_then(Json::as_u64)
-                    .ok_or_else(|| ApiError::bad_request("next_batch record missing 'k'"))?
-                    as usize,
-                done: v
-                    .get("done")
-                    .and_then(Json::as_bool)
-                    .ok_or_else(|| ApiError::bad_request("next_batch record missing 'done'"))?,
+                k: u64_field(v, "k")? as usize,
+                done: field(v, "done")?
+                    .as_bool()
+                    .ok_or_else(|| ApiError::bad_request("done must be a boolean"))?,
             }),
-            "observe_batch" => {
-                Ok(Record::ObserveBatch {
-                    token: token(v)?,
-                    req: ObserveBatchReq::from_json(v.get("req").ok_or_else(|| {
-                        ApiError::bad_request("observe_batch record missing 'req'")
-                    })?)?,
-                })
-            }
-            "delete" => Ok(Record::Delete { token: token(v)? }),
+            "observe_batch" => Ok(Record::ObserveBatch {
+                token: token()?,
+                req: ObserveBatchReq::from_json(field(v, "req")?)?,
+            }),
+            "delete" => Ok(Record::Delete { token: token()? }),
             other => Err(ApiError::bad_request(format!(
                 "unknown journal op '{other}'"
             ))),
@@ -723,19 +702,14 @@ impl CkpHead {
     }
 
     fn from_json(v: &Json) -> Result<CkpHead, ApiError> {
-        let field = |key: &str| {
-            v.get(key)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| ApiError::bad_request(format!("ckp-head missing '{key}'")))
-        };
         if v.get("op").and_then(Json::as_str) != Some("ckp-head") {
             return Err(ApiError::bad_request(
                 "checkpoint does not open with a ckp-head",
             ));
         }
         Ok(CkpHead {
-            next_id: field("next_id")?,
-            records: field("records")?,
+            next_id: u64_field(v, "next_id")?,
+            records: u64_field(v, "records")?,
         })
     }
 }

@@ -66,19 +66,19 @@ impl std::fmt::Display for ApiError {
 
 impl std::error::Error for ApiError {}
 
-fn field<'a>(v: &'a Json, key: &str) -> Result<&'a Json, ApiError> {
+pub(crate) fn field<'a>(v: &'a Json, key: &str) -> Result<&'a Json, ApiError> {
     v.get(key)
         .ok_or_else(|| ApiError::bad_request(format!("missing field '{key}'")))
 }
 
-fn str_field(v: &Json, key: &str) -> Result<String, ApiError> {
+pub(crate) fn str_field(v: &Json, key: &str) -> Result<String, ApiError> {
     field(v, key)?
         .as_str()
         .map(str::to_string)
         .ok_or_else(|| ApiError::bad_request(format!("field '{key}' must be a string")))
 }
 
-fn u64_field(v: &Json, key: &str) -> Result<u64, ApiError> {
+pub(crate) fn u64_field(v: &Json, key: &str) -> Result<u64, ApiError> {
     field(v, key)?.as_u64().ok_or_else(|| {
         ApiError::bad_request(format!("field '{key}' must be a nonnegative integer"))
     })
