@@ -32,22 +32,23 @@ use atpm_im::greedy::max_coverage_greedy_rescan;
 use atpm_im::{max_coverage_greedy_with, GreedyResult, GreedyScratch};
 use atpm_ris::sampler::generate_batch;
 use atpm_ris::workspace::run_sharded;
-use atpm_ris::{CounterRng, CoverageScratch, RrCollection, RrSampler, RrShard};
+use atpm_ris::{CounterRng, RrCollection, RrSampler};
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 
 /// The pre-refactor `generate_batch`: per-coin `f32` sampling from a serial
-/// `StdRng`, worker parts stored as collections, merged by re-pushing every
-/// set through the un-frozen API. Baseline leg of
-/// `ris_engine/generate_batch`.
+/// `StdRng`, worker parts stored flat, merged by copying every set one by
+/// one ([`RrCollection::from_sets`]) and indexed on one thread. Baseline
+/// leg of `ris_engine/generate_batch`.
 fn generate_batch_repush<V: GraphView + Sync>(
     view: &V,
     count: usize,
     seed: u64,
     threads: usize,
 ) -> RrCollection {
-    let parts: Vec<RrCollection> = run_sharded(count, threads, seed, |_tid, quota, wseed| {
-        let mut local = RrCollection::new(view.num_nodes(), view.num_alive());
+    let parts = run_sharded(count, threads, seed, |_tid, quota, wseed| {
+        let mut members = Vec::new();
+        let mut offsets = vec![0];
         let mut sampler = RrSampler::new();
         let mut rng = StdRng::seed_from_u64(wseed);
         let mut buf = Vec::new();
@@ -55,18 +56,15 @@ fn generate_batch_repush<V: GraphView + Sync>(
             if !sampler.sample_into_percoin(view, &mut rng, &mut buf) {
                 break;
             }
-            local.push(&buf);
+            members.extend_from_slice(&buf);
+            offsets.push(members.len());
         }
-        local
+        (members, offsets)
     });
-    let mut merged = RrCollection::new(view.num_nodes(), view.num_alive());
-    for part in &parts {
-        for i in 0..part.len() {
-            merged.push(part.set(i));
-        }
-    }
-    merged.freeze();
-    merged
+    let sets = parts
+        .iter()
+        .flat_map(|(members, offsets)| offsets.windows(2).map(|w| &members[w[0]..w[1]]));
+    RrCollection::from_sets(view.num_nodes(), view.num_alive(), sets)
 }
 
 /// The pre-refactor allocating coverage query: fresh `vec![false; θ]` per
@@ -238,97 +236,12 @@ fn bench_ris_engine(c: &mut Criterion) {
     });
     group.throughput(Throughput::Elements(count as u64));
 
-    // ---- stage 1b: the merge in isolation (same pre-sampled sets) ----------
-    let shards: Vec<RrShard> = run_sharded(count, 4, 7, |_tid, quota, wseed| {
-        let mut shard = RrShard::new();
-        let mut sampler = RrSampler::new();
-        let mut rng = StdRng::seed_from_u64(wseed);
-        let mut buf = Vec::new();
-        for _ in 0..quota {
-            if !sampler.sample_into(&&g, &mut rng, &mut buf) {
-                break;
-            }
-            shard.push(&buf);
-        }
-        shard
-    });
-    let parts: Vec<Vec<Vec<u32>>> = run_sharded(count, 4, 7, |_tid, quota, wseed| {
-        let mut local = Vec::new();
-        let mut sampler = RrSampler::new();
-        let mut rng = StdRng::seed_from_u64(wseed);
-        let mut buf = Vec::new();
-        for _ in 0..quota {
-            if !sampler.sample_into(&&g, &mut rng, &mut buf) {
-                break;
-            }
-            local.push(buf.clone());
-        }
-        local
-    });
-    let (total_sets, total_members) = shards
-        .iter()
-        .fold((0, 0), |(s, m), sh| (s + sh.len(), m + sh.total_members()));
-    group.bench_function("merge/bulk_absorb", |b| {
-        b.iter(|| {
-            let mut merged = RrCollection::with_capacity(
-                g.num_nodes(),
-                g.num_alive(),
-                total_sets,
-                total_members,
-            );
-            for shard in &shards {
-                merged.absorb_shard(shard);
-            }
-            merged.freeze_parallel(4);
-            merged.len()
-        });
-    });
-    group.bench_function("merge/per_set_repush", |b| {
-        b.iter(|| {
-            let mut merged = RrCollection::new(g.num_nodes(), g.num_alive());
-            for part in &parts {
-                for set in part {
-                    merged.push(set);
-                }
-            }
-            merged.freeze();
-            merged.len()
-        });
-    });
-    // Fan-in isolated from the (shared) index build: this is the stage the
-    // sharded refactor actually rewrote.
-    group.bench_function("merge_nofreeze/bulk_absorb", |b| {
-        b.iter(|| {
-            let mut merged = RrCollection::with_capacity(
-                g.num_nodes(),
-                g.num_alive(),
-                total_sets,
-                total_members,
-            );
-            for shard in &shards {
-                merged.absorb_shard(shard);
-            }
-            merged.len()
-        });
-    });
-    group.bench_function("merge_nofreeze/per_set_repush", |b| {
-        b.iter(|| {
-            let mut merged = RrCollection::new(g.num_nodes(), g.num_alive());
-            for part in &parts {
-                for set in part {
-                    merged.push(set);
-                }
-            }
-            merged.len()
-        });
-    });
-
     // ---- stage 2: coverage queries -----------------------------------------
     let batch = generate_batch(&&g, 100_000, 5, 4);
     let seeds: Vec<u32> = (0..50).collect();
-    let mut scratch = CoverageScratch::new();
+    // The id predates the per-thread marks: this prices `cov_set`.
     group.bench_function("cov_set/scratch", |b| {
-        b.iter(|| batch.cov_set_with(&seeds, &mut scratch));
+        b.iter(|| batch.cov_set(&seeds));
     });
     group.bench_function("cov_set/alloc_baseline", |b| {
         b.iter(|| cov_set_alloc_baseline(&batch, &seeds));

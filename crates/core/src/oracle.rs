@@ -12,7 +12,6 @@
 use atpm_diffusion::{exact_spread, mc_spread_batched_with_engine, CascadeEngine};
 use atpm_graph::{Node, ResidualGraph};
 use atpm_ris::sampler::generate_batch;
-use atpm_ris::CoverageScratch;
 
 /// Answers expected-spread queries on residual graphs.
 pub trait SpreadOracle {
@@ -87,14 +86,14 @@ impl SpreadOracle for McOracle {
 /// quantize probabilities to the `2^-32` lattice (exact at 0 and 1), so a
 /// query's estimate carries at most `2^-32` bias per traversed edge on top
 /// of the `O(1/√θ)` sampling noise — unobservable at any practical `theta`.
+/// The coverage count marks sets in the calling thread's reusable marks
+/// ([`RrCollection::cov_set`](atpm_ris::RrCollection::cov_set)), so the
+/// oracle holds no scratch of its own.
 pub struct RisOracle {
     theta: usize,
     seed: u64,
     threads: usize,
     calls: u64,
-    /// Reused across queries: the coverage count is evaluated through the
-    /// epoch-marked scratch instead of allocating per-set flags per call.
-    scratch: CoverageScratch,
 }
 
 impl RisOracle {
@@ -106,7 +105,6 @@ impl RisOracle {
             seed,
             threads,
             calls: 0,
-            scratch: CoverageScratch::new(),
         }
     }
 }
@@ -116,7 +114,7 @@ impl SpreadOracle for RisOracle {
         self.calls += 1;
         let batch_seed = self.seed ^ self.calls.wrapping_mul(0xD6E8FEB86659FD93);
         let c = generate_batch(view, self.theta, batch_seed, self.threads);
-        c.scale(c.cov_set_with(set, &mut self.scratch))
+        c.spread_set(set)
     }
 }
 

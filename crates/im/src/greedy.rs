@@ -274,15 +274,7 @@ mod tests {
     use super::*;
 
     fn collection() -> RrCollection {
-        let mut c = RrCollection::new(6, 6);
-        c.push(&[0, 1]);
-        c.push(&[0, 2]);
-        c.push(&[0, 3]);
-        c.push(&[4]);
-        c.push(&[4, 5]);
-        c.push(&[5]);
-        c.freeze();
-        c
+        RrCollection::from_sets(6, 6, [&[0, 1][..], &[0, 2], &[0, 3], &[4], &[4, 5], &[5]])
     }
 
     #[test]
@@ -336,10 +328,7 @@ mod tests {
         max_coverage_greedy_with(&c, 3, None, &mut scratch, &mut result);
         let first = result.clone();
         // A different collection with the same scratch: no state leak.
-        let mut c2 = RrCollection::new(4, 4);
-        c2.push(&[1]);
-        c2.push(&[1, 2]);
-        c2.freeze();
+        let c2 = RrCollection::from_sets(4, 4, [&[1][..], &[1, 2]]);
         max_coverage_greedy_with(&c2, 2, None, &mut scratch, &mut result);
         assert_eq!(result.seeds, vec![1]);
         assert_eq!(result.coverage, 2);
@@ -357,15 +346,14 @@ mod tests {
         let mut result = GreedyResult::default();
         for trial in 0..40 {
             let n = 12usize;
-            let mut c = RrCollection::new(n, n);
-            for _ in 0..40 {
+            let sets = (0..40).map(|_| {
                 let size = rng.gen_range(1..5);
                 let mut s: Vec<Node> = (0..size).map(|_| rng.gen_range(0..n as Node)).collect();
                 s.sort_unstable();
                 s.dedup();
-                c.push(&s);
-            }
-            c.freeze();
+                s
+            });
+            let c = RrCollection::from_sets(n, n, sets);
 
             for k in [1usize, 2, 4, 8] {
                 let oracle = max_coverage_greedy_rescan(&c, k, None);
@@ -384,15 +372,14 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(99);
         for trial in 0..20 {
             let n = 12usize;
-            let mut c = RrCollection::new(n, n);
-            for _ in 0..40 {
+            let sets = (0..40).map(|_| {
                 let size = rng.gen_range(1..5);
                 let mut s: Vec<Node> = (0..size).map(|_| rng.gen_range(0..n as Node)).collect();
                 s.sort_unstable();
                 s.dedup();
-                c.push(&s);
-            }
-            c.freeze();
+                s
+            });
+            let c = RrCollection::from_sets(n, n, sets);
 
             let lazy = max_coverage_greedy(&c, 4, None);
 
@@ -425,8 +412,7 @@ mod tests {
 
     #[test]
     fn empty_inputs() {
-        let mut c = RrCollection::new(3, 3);
-        c.freeze();
+        let c = RrCollection::from_sets(3, 3, Vec::<Vec<Node>>::new());
         let r = max_coverage_greedy(&c, 2, None);
         assert!(r.seeds.is_empty());
         let c2 = collection();

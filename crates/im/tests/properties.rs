@@ -133,11 +133,7 @@ fn imm_estimate_is_unbiased_enough_on_fixed_graph() {
 
 #[test]
 fn greedy_ties_break_deterministically_by_node_id() {
-    let mut c = RrCollection::new(4, 4);
-    c.push(&[1]);
-    c.push(&[2]);
-    c.push(&[3]);
-    c.freeze();
+    let c = RrCollection::from_sets(4, 4, [[1], [2], [3]]);
     let r = max_coverage_greedy(&c, 2, None);
     assert_eq!(r.seeds, vec![1, 2], "equal gains resolve to smaller ids");
 }

@@ -16,7 +16,7 @@ use atpm_graph::Node;
 use crate::collection::RrCollection;
 use crate::nodeset::NodeSet;
 
-/// Incremental front/rear coverage over a frozen [`RrCollection`].
+/// Incremental front/rear coverage over an [`RrCollection`].
 pub struct DoubleGreedyCoverage<'a> {
     c: &'a RrCollection,
     covered_by_s: Vec<bool>,
@@ -25,8 +25,7 @@ pub struct DoubleGreedyCoverage<'a> {
 }
 
 impl<'a> DoubleGreedyCoverage<'a> {
-    /// Initializes with `S = ∅` and `Q = candidates`. The collection must be
-    /// frozen.
+    /// Initializes with `S = ∅` and `Q = candidates`.
     pub fn new(c: &'a RrCollection, candidates: &[Node]) -> Self {
         let mut q_count = vec![0u32; c.len()];
         let mut in_q = NodeSet::new(
@@ -87,11 +86,6 @@ impl<'a> DoubleGreedyCoverage<'a> {
             }
         }
     }
-
-    /// The underlying collection.
-    pub fn collection(&self) -> &RrCollection {
-        self.c
-    }
 }
 
 #[cfg(test)]
@@ -100,13 +94,7 @@ mod tests {
 
     /// Four sets over five nodes; candidates {0, 1, 2}.
     fn setup() -> RrCollection {
-        let mut c = RrCollection::new(5, 5);
-        c.push(&[0, 1]);
-        c.push(&[1, 2]);
-        c.push(&[2]);
-        c.push(&[0, 3]);
-        c.freeze();
-        c
+        RrCollection::from_sets(5, 5, [&[0, 1][..], &[1, 2], &[2], &[0, 3]])
     }
 
     #[test]

@@ -39,25 +39,25 @@
 //!    reusable, epoch-stamped buffers ([`workspace::EpochMarks`]): clearing
 //!    is an O(1) epoch bump, the backing arrays are allocated once per size
 //!    and reused forever. [`RrSampler`] uses them for visit marks,
-//!    [`collection::CoverageScratch`] for coverage queries
-//!    ([`RrCollection::cov_set_with`]), and the decremental lazy greedy in
-//!    `atpm-im` for its gain cache. The discipline — including the RNG lane
-//!    buffer and the skip path — is enforced by a counting-allocator test
-//!    (`tests/alloc_discipline.rs`).
+//!    [`RrCollection::cov_set`] for the sets a query touches (one set of
+//!    marks per thread, so callers hold no scratch), and the decremental
+//!    lazy greedy in `atpm-im` for its gain cache. The discipline —
+//!    including the RNG lane buffer and the skip path — is enforced by a
+//!    counting-allocator test (`tests/alloc_discipline.rs`).
 //! 3. **One draw loop, one target-coverage counter.** Every RR set is
 //!    drawn by one worker loop, with root lookahead and prefetch, fanned
 //!    out through [`workspace::run_sharded`] with pinned worker seeds
 //!    ([`workspace::worker_seed`]), so "deterministic in `(input, seed,
 //!    threads)`" is defined in one place. Its two consumers keep what they
-//!    need: [`sampler::generate_batch`] workers sample straight into
-//!    [`collection::RrShard`]s in the collection's own flat layout, merged
-//!    by two `extend_from_slice`-style copies per shard
-//!    ([`RrCollection::absorb_shard`]) and indexed node→set exactly once
-//!    ([`RrCollection::freeze`]); a [`stream::RrPool`] keeps only the sets
-//!    holding a target, as lists of target slots. Policies that count the
-//!    coverage of a target list — the sampling double greedies and
-//!    ThresholdBatch — count on a pool; a full collection serves the
-//!    queries over every node (IMM, NSG/NDG, snapshot estimates).
+//!    need: [`sampler::generate_batch`] workers sample straight into flat
+//!    parts in the collection's own layout, merged by two
+//!    `extend_from_slice`-style copies per part, and the collection indexes
+//!    them node→set as it is made — an [`RrCollection`] is never unindexed;
+//!    a [`stream::RrPool`] keeps only the sets holding a target, as lists of
+//!    target slots. Policies that count the coverage of a target list — the
+//!    sampling double greedies and ThresholdBatch — count on a pool; a full
+//!    collection serves the queries over every node (IMM, NSG/NDG, snapshot
+//!    estimates).
 //!
 //! Perf baselines for every stage live in `crates/bench/benches/micro.rs`
 //! (group `ris_engine`), which emits the committed `BENCH_ris.json`
@@ -72,9 +72,9 @@
 //!   uniform in-neighborhoods, dead nodes skipped, O(1) last-sample
 //!   membership probes);
 //! * [`rng`] — the buffered counter RNG feeding the samplers;
-//! * [`collection`] — stored batches with an inverted node→set index, shard
-//!   absorption, and the scratch-buffer set coverage used by the greedy
-//!   algorithms and the RIS oracle;
+//! * [`collection`] — stored batches, indexed node→set when they are made,
+//!   and the set coverage used by the greedy algorithms, the RIS oracle and
+//!   snapshot estimates;
 //! * [`coverage`] — incremental double-greedy coverage state (front / rear
 //!   marginals in O(sets-containing-u));
 //! * [`stream`] — the RR pool that counts target coverage: per-round
@@ -99,7 +99,7 @@ pub mod sampler;
 pub mod stream;
 pub mod workspace;
 
-pub use collection::{CoverageScratch, RrCollection, RrShard};
+pub use collection::RrCollection;
 pub use coverage::DoubleGreedyCoverage;
 pub use nodeset::NodeSet;
 pub use rng::CounterRng;

@@ -104,10 +104,9 @@ impl RrSampler {
     /// *appends* it: the new set occupies `out[len..]` where `len` is
     /// `out`'s length on entry. The batch samplers pre-draw each root one
     /// set ahead and prefetch their metadata, hiding the first random CSR
-    /// access of every set, and batch workers sample straight into a
-    /// shard's flat member storage — the set is born in its final resting
-    /// place, no per-set copy. Returns nothing; the caller records the
-    /// boundary.
+    /// access of every set, and batch workers sample straight into their
+    /// part's flat member storage, with no per-set copy. Returns nothing;
+    /// the caller records the boundary.
     #[inline]
     pub fn sample_append<V: GraphView, R: Rng + ?Sized>(
         &mut self,

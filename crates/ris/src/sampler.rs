@@ -1,10 +1,10 @@
 //! Deterministic (optionally multi-threaded) batch RR-set generation, and
 //! the one RR draw loop of the crate.
 //!
-//! Workers fill pre-sized [`RrShard`]s in the collection's own flat layout;
-//! the merge is two bulk copies per shard (`extend_from_slice` + offset
-//! rebasing) and the inverted index is built exactly once over the merged
-//! arrays. Worker seeding and fan-out/fan-in go through
+//! Workers fill pre-sized flat parts (members plus set ends); the merge
+//! is two bulk copies per part (`extend_from_slice` + offset rebasing),
+//! each part is dropped once copied, and the collection indexes the merged
+//! arrays as it is made. Worker seeding and fan-out/fan-in go through
 //! [`crate::workspace`], shared with the walk-segment pools. Each worker
 //! samples through the coin-free `SampleView` path of [`RrSampler`], fed by
 //! its own buffered [`CounterRng`] stream.
@@ -20,12 +20,12 @@ use std::time::Instant;
 use atpm_graph::{GraphView, Node};
 use atpm_obs::{tracer, Counter, Histogram};
 
-use crate::collection::{RrCollection, RrShard};
+use crate::collection::RrCollection;
 use crate::rng::CounterRng;
 use crate::rr::RrSampler;
 use crate::workspace::run_sharded;
 
-/// Expected RR-set size used only for shard pre-sizing (the truth is graph-
+/// Expected RR-set size used only for worker-part pre-sizing (the truth is graph-
 /// dependent; over-estimating wastes a little reserve, under-estimating
 /// costs one or two grows per worker).
 const AVG_SET_SIZE_HINT: usize = 8;
@@ -33,7 +33,8 @@ const AVG_SET_SIZE_HINT: usize = 8;
 /// Stage timers for [`generate_batch`] and the RR-set counter of
 /// [`draw_sets`], registered once in the process-global registry
 /// ([`atpm_obs::global`]). Each batch records one value per stage — sample
-/// (worker fan-out), merge (shard absorption), freeze (index build) — and
+/// (worker fan-out), merge (worker-part concatenation), freeze (index
+/// build) — and
 /// each draw adds its sets once, strictly *outside* the per-sample inner
 /// loop, so the instrumented cost per batch is a handful of clock reads and
 /// the `sample/skip` bench medians stay inside the regression gate.
@@ -60,13 +61,13 @@ fn stage_metrics() -> &'static StageMetrics {
     })
 }
 
-/// Generates `count` RR sets on `view` into a frozen [`RrCollection`].
+/// Generates `count` RR sets on `view` into an indexed [`RrCollection`].
 ///
 /// Work is split across `threads` workers, each with an independent seeded
-/// RNG; worker shards are merged in worker order by bulk copy, so the result
+/// RNG; worker parts are merged in worker order by bulk copy, so the result
 /// is a pure function of `(view, count, seed, threads)` — experiments stay
 /// reproducible under parallelism (though changing `threads` changes which
-/// worlds are drawn).
+/// worlds are drawn). The index is built on up to `threads` workers.
 ///
 /// If the view has no alive nodes the returned collection is empty.
 pub fn generate_batch<V: GraphView + Sync>(
@@ -75,33 +76,37 @@ pub fn generate_batch<V: GraphView + Sync>(
     seed: u64,
     threads: usize,
 ) -> RrCollection {
-    if count == 0 || view.num_alive() == 0 {
-        let mut merged = RrCollection::new(view.num_nodes(), view.num_alive());
-        merged.freeze();
-        return merged;
+    let (n, n_alive) = (view.num_nodes(), view.num_alive());
+    if count == 0 || n_alive == 0 {
+        return RrCollection::from_flat(n, n_alive, Vec::new(), vec![0], 1);
     }
     let metrics = stage_metrics();
     let t_sample = Instant::now();
-    let shards: Vec<RrShard> = run_sharded(count, threads, seed, |_tid, quota, wseed| {
-        let mut shard = RrShard::with_capacity(quota, AVG_SET_SIZE_HINT);
-        // Sets are sampled straight into the shard's flat storage.
-        let offsets = &mut shard.offsets;
-        draw_sets(view, quota, wseed, &mut shard.members, |members, _| {
-            offsets.push(members.len() as u64)
+    let parts = run_sharded(count, threads, seed, |_tid, quota, wseed| {
+        // Sets are sampled straight into the part's flat storage; `ends`
+        // holds each set's end in `members`.
+        let mut members = Vec::with_capacity(quota.saturating_mul(AVG_SET_SIZE_HINT));
+        let mut ends = Vec::with_capacity(quota);
+        draw_sets(view, quota, wseed, &mut members, |members, _| {
+            ends.push(members.len() as u64)
         });
-        shard
+        (members, ends)
     });
     let sample_d = t_sample.elapsed();
     let t_merge = Instant::now();
-    let sets: usize = shards.iter().map(RrShard::len).sum();
-    let members: usize = shards.iter().map(RrShard::total_members).sum();
-    let mut merged = RrCollection::with_capacity(view.num_nodes(), view.num_alive(), sets, members);
-    for shard in &shards {
-        merged.absorb_shard(shard);
+    let sets: usize = parts.iter().map(|(_, ends)| ends.len()).sum();
+    let total: usize = parts.iter().map(|(members, _)| members.len()).sum();
+    let mut members = Vec::with_capacity(total);
+    let mut offsets = Vec::with_capacity(sets + 1);
+    offsets.push(0);
+    for (part, ends) in parts {
+        let base = members.len() as u64;
+        members.extend_from_slice(&part);
+        offsets.extend(ends.iter().map(|&end| end + base));
     }
     let merge_d = t_merge.elapsed();
     let t_freeze = Instant::now();
-    merged.freeze_parallel(threads);
+    let merged = RrCollection::from_flat(n, n_alive, members, offsets, threads);
     let freeze_d = t_freeze.elapsed();
     metrics.sample.record_duration(sample_d);
     metrics.merge.record_duration(merge_d);
@@ -195,16 +200,14 @@ mod tests {
 
     #[test]
     fn sharded_merge_matches_per_set_repush() {
-        // The pre-refactor merge re-pushed every set of every worker part
-        // through the un-frozen API. The bulk-copy merge must produce a
-        // byte-identical collection: same worker seeds, same split, same
-        // order.
+        // The bulk-copy merge must produce the collection that copying
+        // every set of every worker part one by one produces: same worker
+        // seeds, same split, same order, same index.
         let g = chain(0.5);
         for threads in [1usize, 2, 3, 4, 8] {
             let fast = generate_batch(&&g, 999, 13, threads);
             // Reference: per-worker sampling identical to the sharded path,
             // merged set by set.
-            let mut slow = RrCollection::new(3, 3);
             let parts = crate::workspace::run_sharded(999, threads, 13, |_tid, quota, wseed| {
                 // Mirrors the production worker exactly, including the
                 // root-lookahead draw order — the merge legs must consume
@@ -223,15 +226,17 @@ mod tests {
                 }
                 local
             });
-            for part in &parts {
-                for set in part {
-                    slow.push(set);
-                }
-            }
-            slow.freeze();
+            let slow = RrCollection::from_sets(3, 3, parts.iter().flatten());
             assert_eq!(fast.len(), slow.len(), "threads {threads}");
             for i in 0..fast.len() {
                 assert_eq!(fast.set(i), slow.set(i), "threads {threads}, set {i}");
+            }
+            for u in 0..3 {
+                assert_eq!(
+                    fast.sets_containing(u),
+                    slow.sets_containing(u),
+                    "threads {threads}, node {u}"
+                );
             }
         }
     }

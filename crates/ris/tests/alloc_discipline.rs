@@ -1,5 +1,5 @@
 //! Enforces the engine's allocation discipline: after warm-up, the hot
-//! query paths (`cov_set_with` and repeated `sample_into` on a reused
+//! query paths (`cov_set` and repeated `sample_into` on a reused
 //! sampler) perform **zero heap allocation per query**.
 //!
 //! A counting global allocator wraps `System`; everything runs inside one
@@ -49,7 +49,7 @@ fn allocations_during<F: FnOnce()>(f: F) -> u64 {
 fn hot_query_paths_do_not_allocate_after_warmup() {
     use atpm_graph::GraphBuilder;
     use atpm_ris::sampler::generate_batch;
-    use atpm_ris::{CoverageScratch, RrSampler};
+    use atpm_ris::RrSampler;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -67,17 +67,16 @@ fn hot_query_paths_do_not_allocate_after_warmup() {
         .map(|q| (0..50u32).map(|i| (i * 3 + q) % 200).collect())
         .collect();
 
-    // ---- cov_set_with ------------------------------------------------------
-    let mut scratch = CoverageScratch::new();
+    // ---- cov_set -----------------------------------------------------------
     let mut blackhole = 0usize;
-    // Warm-up sizes the scratch to this collection.
-    blackhole += collection.cov_set_with(&queries[0], &mut scratch);
+    // Warm-up sizes this thread's set marks to this collection.
+    blackhole += collection.cov_set(&queries[0]);
     let allocs = allocations_during(|| {
         for q in &queries {
-            blackhole += collection.cov_set_with(q, &mut scratch);
+            blackhole += collection.cov_set(q);
         }
     });
-    assert_eq!(allocs, 0, "cov_set_with allocated after warm-up");
+    assert_eq!(allocs, 0, "cov_set allocated after warm-up");
 
     // ---- repeated sampling on a reused sampler -----------------------------
     let mut sampler = RrSampler::new();

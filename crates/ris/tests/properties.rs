@@ -19,12 +19,11 @@ fn arb_collection() -> impl Strategy<Value = (usize, RrCollection)> {
     (3usize..10).prop_flat_map(|n| {
         proptest::collection::vec(proptest::collection::btree_set(0..n as u32, 1..4), 1..40)
             .prop_map(move |sets| {
-                let mut c = RrCollection::new(n, n);
-                for s in &sets {
-                    let v: Vec<u32> = s.iter().copied().collect();
-                    c.push(&v);
-                }
-                c.freeze();
+                let c = RrCollection::from_sets(
+                    n,
+                    n,
+                    sets.iter().map(|s| s.iter().copied().collect::<Vec<u32>>()),
+                );
                 (n, c)
             })
     })
@@ -149,14 +148,13 @@ proptest! {
         }
     }
 
-    /// The scratch-based coverage oracle agrees with a from-scratch
-    /// recomputation on arbitrary collections and query sets, across reuses.
+    /// The coverage oracle, on its per-thread marks, agrees with a
+    /// from-scratch recomputation on arbitrary collections and query sets,
+    /// across reuses.
     #[test]
     fn scratch_coverage_matches_reference((n, c) in arb_collection(), seed in 0u64..500) {
-        use atpm_ris::CoverageScratch;
-        let mut scratch = CoverageScratch::new();
         let nodes: Vec<u32> = (0..n as u32).collect();
-        // Back-to-back queries on one scratch must not leak marks.
+        // Back-to-back queries on one thread's marks must not leak marks.
         for shift in 0..3u32 {
             let query: Vec<u32> = nodes.iter().copied().filter(|u| (u + shift + seed as u32).is_multiple_of(2)).collect();
             let mut reference = 0usize;
@@ -169,7 +167,7 @@ proptest! {
                     }
                 }
             }
-            prop_assert_eq!(c.cov_set_with(&query, &mut scratch), reference);
+            prop_assert_eq!(c.cov_set(&query), reference);
         }
     }
 }

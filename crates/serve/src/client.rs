@@ -11,7 +11,6 @@ use std::io::{self, BufReader, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 
 use atpm_graph::Node;
-use atpm_ris::CoverageScratch;
 
 use crate::json::Json;
 use crate::protocol::{
@@ -137,16 +136,12 @@ fn seeds_of(resp: &Json) -> Result<Option<Vec<Node>>, ApiError> {
 /// In-process client: protocol semantics without sockets.
 pub struct LocalClient {
     state: Arc<AppState>,
-    scratch: CoverageScratch,
 }
 
 impl LocalClient {
     /// A client over shared state.
     pub fn new(state: Arc<AppState>) -> Self {
-        LocalClient {
-            state,
-            scratch: CoverageScratch::new(),
-        }
+        LocalClient { state }
     }
 
     /// The shared state (e.g. to start a socket server over the same store).
@@ -157,7 +152,7 @@ impl LocalClient {
 
 impl ProtocolClient for LocalClient {
     fn call(&mut self, method: &str, path: &str, body: &Json) -> ApiResult {
-        route(&self.state, method, path, body, &mut self.scratch).map(|(_, json)| json)
+        route(&self.state, method, path, body).map(|(_, json)| json)
     }
 }
 

@@ -6,9 +6,8 @@
 //! kernel wakes one shard per connect). A reactor never executes a
 //! request — its [`HttpDriver`] frame-cuts the receive buffer with
 //! [`frame_request`](crate::http::frame_request) and posts the complete
-//! frame to the worker pool over an mpsc channel. Workers — each owning
-//! one [`CoverageScratch`] for its whole life — parse, dispatch through
-//! [`route`](crate::server::route) via [`respond`](crate::server::respond),
+//! frame to the worker pool over an mpsc channel. Workers parse, dispatch
+//! through [`route`](crate::server::route) via [`respond`](crate::server::respond),
 //! encode the response, and push it into the owning shard's
 //! [`ReplyQueue`]; the queue's eventfd waker pulls the reactor out of
 //! `epoll_wait` to write it, resuming across partial writes.
@@ -35,7 +34,6 @@ use std::thread::JoinHandle;
 use std::time::Instant;
 
 use atpm_net::{ConnId, Driver, Reactor, ReactorConfig, Reply, ReplyQueue, Sliced};
-use atpm_ris::CoverageScratch;
 
 use crate::http::{self, FrameStatus};
 use crate::json::Json;
@@ -145,9 +143,6 @@ impl Driver for HttpDriver {
 }
 
 fn run_worker(rx: &Mutex<mpsc::Receiver<Job>>, state: &AppState) {
-    // One scratch per worker for its whole life: the coverage oracle's
-    // steady state allocates nothing.
-    let mut scratch = CoverageScratch::new();
     loop {
         // Holding the lock across `recv` is the standard shared-receiver
         // idiom: idle workers queue on the mutex instead of the channel.
@@ -169,7 +164,7 @@ fn run_worker(rx: &Mutex<mpsc::Receiver<Job>>, state: &AppState) {
                 // request.
                 let rid = request_id(state, &req);
                 let t0 = Instant::now();
-                let (status, body) = respond(state, &req, &mut scratch);
+                let (status, body) = respond(state, &req);
                 m.queue_wait_seconds.record_duration(waited);
                 m.record_request(&req.method, &req.path, t0);
                 state.events.record(

@@ -13,7 +13,7 @@
 //! closed-loop benchmarking). Three layers:
 //!
 //! * [`snapshot`] — named, `Arc`-refcounted graph snapshots loaded from
-//!   presets or `ATPMGRF1`/edge-list files, each carrying a pre-frozen RR
+//!   presets or `ATPMGRF1`/edge-list files, each carrying a prebuilt RR
 //!   index so spread queries warm-start instead of resampling;
 //! * [`manager`] — concurrent adaptive sessions keyed by token, each a
 //!   [`atpm_core::PolicyStepper`] + suspended [`atpm_core::SessionState`]
@@ -24,8 +24,7 @@
 //!   loses at most the record being written;
 //! * [`server`] — the router and the [`server::Server`] transport:
 //!   reactor shards from `atpm-net` multiplexing any number of keep-alive
-//!   connections over a small worker pool, each worker with its own
-//!   reusable [`atpm_ris::CoverageScratch`], over the [`http`] framer and
+//!   connections over a small worker pool, over the [`http`] framer and
 //!   [`json`] codec. Its routes include `GET /metrics`, the Prometheus
 //!   text exposition of the server's [`metrics`] registry (latency
 //!   histograms, overload/lifecycle counters, journal timings) merged with

@@ -8,12 +8,12 @@
 //! shims (Linux x86_64/aarch64); elsewhere [`Server::start`] fails with
 //! `Unsupported`.
 //!
-//! Each worker thread owns a [`CoverageScratch`] for the lifetime of the
-//! process: estimate queries against a snapshot's pre-frozen RR index
-//! reuse it across requests, so the steady-state read path performs zero
-//! heap allocation in the coverage oracle (the same discipline the RIS
-//! engine enforces in-process). Concurrency across *sessions* comes from
-//! the per-session locks in [`SessionManager`].
+//! Estimate queries against a snapshot's RR index mark the sets they touch
+//! in the worker thread's own reusable marks inside `atpm-ris`, so the
+//! steady-state read path performs zero heap allocation in the coverage
+//! oracle (the same discipline the RIS engine enforces in-process) and no
+//! route threads a scratch buffer. Concurrency across *sessions* comes
+//! from the per-session locks in [`SessionManager`].
 
 use std::io;
 use std::net::{SocketAddr, TcpListener};
@@ -23,7 +23,6 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use atpm_obs::tracer;
-use atpm_ris::CoverageScratch;
 
 use crate::epoll::EpollBackend;
 use crate::http::Request;
@@ -119,7 +118,6 @@ pub fn route(
     method: &str,
     path: &str,
     body: &Json,
-    scratch: &mut CoverageScratch,
 ) -> Result<(u16, Json), ApiError> {
     let segments = segments(path);
     // Degraded mode (fsyncgate semantics): once a durability failure
@@ -198,7 +196,7 @@ pub fn route(
                 .get(name)
                 .ok_or_else(|| ApiError::not_found("snapshot", name))?;
             let nodes = nodes_field(body, "nodes")?;
-            let spread = snap.estimate_spread(&nodes, scratch)?;
+            let spread = snap.estimate_spread(&nodes)?;
             Ok((
                 200,
                 Json::obj([
@@ -288,11 +286,7 @@ pub(crate) enum RespBody {
 /// exposition is plain text, and rendering it inside `respond` (while
 /// request recording happens strictly after `respond` returns) is what
 /// keeps a scrape from observing itself.
-pub(crate) fn respond(
-    state: &AppState,
-    req: &Request,
-    scratch: &mut CoverageScratch,
-) -> (u16, RespBody) {
+pub(crate) fn respond(state: &AppState, req: &Request) -> (u16, RespBody) {
     match (req.method.as_str(), segments(&req.path).as_slice()) {
         ("GET", ["metrics"]) => {
             return (
@@ -329,7 +323,7 @@ pub(crate) fn respond(
             // The panicked session quarantines itself: its state was taken
             // and not restored, so later calls on it get a clean 500.
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                route(state, &req.method, &req.path, &body, scratch)
+                route(state, &req.method, &req.path, &body)
             }))
             .unwrap_or_else(|_| Err(ApiError::new(500, "internal error (handler panicked)")))
         }
@@ -686,8 +680,7 @@ mod tests {
     }
 
     fn call(state: &AppState, method: &str, path: &str, body: Json) -> (u16, Json) {
-        let mut scratch = CoverageScratch::new();
-        match route(state, method, path, &body, &mut scratch) {
+        match route(state, method, path, &body) {
             Ok(ok) => ok,
             Err(e) => (e.status, Json::obj([("error", Json::Str(e.message))])),
         }

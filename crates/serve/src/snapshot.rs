@@ -1,13 +1,13 @@
-//! The snapshot store: named, refcounted graph snapshots with a pre-frozen
+//! The snapshot store: named, refcounted graph snapshots with a prebuilt
 //! RR index.
 //!
 //! A [`Snapshot`] bundles everything a session needs to start instantly:
 //! the immutable [`TpmInstance`] (graph + IMM-selected targets + calibrated
-//! costs) and a frozen [`RrCollection`] sampled at load time. Sessions and
+//! costs) and an indexed [`RrCollection`] sampled at load time. Sessions and
 //! estimate queries share the snapshot through an `Arc`, so creating a
 //! session is O(1) in graph size — the expensive work (graph generation or
 //! file load, IMM target selection, cost calibration, RR sampling +
-//! index freeze) happens exactly once per snapshot, and concurrent readers
+//! index build) happens exactly once per snapshot, and concurrent readers
 //! never contend: the store's `RwLock` is only held to look up or swap the
 //! `Arc`, never while a query runs.
 
@@ -19,7 +19,7 @@ use atpm_core::setup::{calibrated_instance, CalibrationConfig};
 use atpm_core::{CostSplit, TpmInstance};
 use atpm_graph::gen::Dataset;
 use atpm_graph::io;
-use atpm_ris::{generate_batch, CoverageScratch, RrCollection};
+use atpm_ris::{generate_batch, RrCollection};
 
 use crate::json::Json;
 use crate::protocol::{ApiError, SnapshotReq, SnapshotSource};
@@ -30,14 +30,14 @@ pub struct Snapshot {
     pub name: String,
     /// The problem instance sessions run against.
     pub instance: TpmInstance,
-    /// Frozen RR index over the full graph, sampled at load time. Spread
+    /// Indexed RR batch over the full graph, sampled at load time. Spread
     /// estimates answer from this without resampling.
     pub rr: RrCollection,
 }
 
 impl Snapshot {
     /// Builds a snapshot from a request: loads/generates the graph, selects
-    /// the target set, calibrates costs, samples and freezes the RR index.
+    /// the target set, calibrates costs, samples and indexes the RR batch.
     pub fn build(req: &SnapshotReq) -> Result<Snapshot, ApiError> {
         let graph = match &req.source {
             SnapshotSource::Preset { dataset, scale } => {
@@ -89,7 +89,7 @@ impl Snapshot {
 
     /// Resident bytes this snapshot pins: the graph with its baked
     /// sampling view ([`Graph::heap_bytes`](atpm_graph::Graph::heap_bytes)),
-    /// the instance's per-node cost array and the frozen RR index. This is
+    /// the instance's per-node cost array and the indexed RR batch. This is
     /// what the store's LRU budget charges.
     pub fn mem_bytes(&self) -> usize {
         let graph = self.instance.graph();
@@ -110,21 +110,16 @@ impl Snapshot {
     }
 
     /// Warm-start spread estimate of a seed set: `n · CovR(S)/θ` against the
-    /// pre-frozen index, using the caller's reusable scratch (the server
-    /// keeps one per worker thread, so steady-state queries allocate
-    /// nothing).
-    pub fn estimate_spread(
-        &self,
-        nodes: &[u32],
-        scratch: &mut CoverageScratch,
-    ) -> Result<f64, ApiError> {
+    /// indexed RR batch. The coverage count marks sets in the calling
+    /// thread's reusable marks, so steady-state queries allocate nothing.
+    pub fn estimate_spread(&self, nodes: &[u32]) -> Result<f64, ApiError> {
         let n = self.instance.graph().num_nodes();
         if let Some(&bad) = nodes.iter().find(|&&u| u as usize >= n) {
             return Err(ApiError::bad_request(format!(
                 "node {bad} out of range for a {n}-node graph"
             )));
         }
-        Ok(self.rr.scale(self.rr.cov_set_with(nodes, scratch)))
+        Ok(self.rr.spread_set(nodes))
     }
 }
 
@@ -288,10 +283,9 @@ mod tests {
         let snap = Snapshot::build(&tiny_req("g")).unwrap();
         assert_eq!(snap.instance.k(), 5);
         assert_eq!(snap.rr.len(), 5_000);
-        // Frozen index answers estimates immediately.
-        let mut scratch = CoverageScratch::new();
+        // The index answers estimates immediately.
         let t = snap.instance.target().to_vec();
-        let spread = snap.estimate_spread(&t, &mut scratch).unwrap();
+        let spread = snap.estimate_spread(&t).unwrap();
         assert!(spread >= 1.0, "IMM targets must reach someone: {spread}");
         assert!(spread <= snap.instance.graph().num_nodes() as f64);
     }
@@ -412,7 +406,6 @@ mod tests {
     #[test]
     fn estimate_rejects_out_of_range_nodes() {
         let snap = Snapshot::build(&tiny_req("g")).unwrap();
-        let mut scratch = CoverageScratch::new();
-        assert!(snap.estimate_spread(&[u32::MAX], &mut scratch).is_err());
+        assert!(snap.estimate_spread(&[u32::MAX]).is_err());
     }
 }

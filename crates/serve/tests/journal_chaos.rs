@@ -300,7 +300,7 @@ fn wide_state(n: usize) -> Arc<AppState> {
     state.store.insert(Snapshot {
         name: "wide".into(),
         instance: TpmInstance::new(GraphBuilder::new(n).build(), vec![0], &[0.5]),
-        rr: RrCollection::new(n, n),
+        rr: RrCollection::from_sets(n, n, Vec::<Vec<u32>>::new()),
     });
     state
 }
