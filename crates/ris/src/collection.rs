@@ -4,12 +4,12 @@
 //! flat inverted index, and it is indexed when it is made — there is no
 //! unindexed state. [`generate_batch`](crate::sampler::generate_batch)
 //! hands its merged worker storage to the constructor, which builds the
-//! index on one thread or by node range in parallel; [`RrCollection::from_sets`]
-//! copies loose sets in and indexes on one thread. Set queries mark the
-//! sets they touch in the calling thread's [`EpochMarks`] (O(1) bulk
-//! clear), so steady-state coverage evaluation performs **zero heap
-//! allocation per query** and callers hold no scratch — see
-//! `tests/alloc_discipline.rs`.
+//! index on one thread or by node range in parallel;
+//! [`RrCollection::from_sets`] copies loose sets in and indexes on one
+//! thread. Set queries mark the sets they touch in the calling thread's
+//! [`EpochMarks`] (O(1) bulk clear), so steady-state coverage evaluation
+//! performs **zero heap allocation per query** and callers hold no scratch
+//! — see `tests/alloc_discipline.rs`.
 
 use std::cell::RefCell;
 
@@ -21,7 +21,7 @@ thread_local! {
     /// The thread's marks over set ids for [`RrCollection::cov_set`]: they
     /// grow to the largest collection the thread has queried and stay warm
     /// across queries and collections.
-    static SET_MARKS: RefCell<EpochMarks> = RefCell::new(EpochMarks::new());
+    static SET_MARKS: RefCell<EpochMarks> = const { RefCell::new(EpochMarks::new()) };
 }
 
 /// A batch of RR sets in flat storage plus an inverted node → set-id index.

@@ -25,19 +25,19 @@ use crate::rng::CounterRng;
 use crate::rr::RrSampler;
 use crate::workspace::run_sharded;
 
-/// Expected RR-set size used only for worker-part pre-sizing (the truth is graph-
-/// dependent; over-estimating wastes a little reserve, under-estimating
-/// costs one or two grows per worker).
+/// Expected RR-set size used only for worker-part pre-sizing (the truth is
+/// graph-dependent; over-estimating wastes a little reserve,
+/// under-estimating costs one or two grows per worker).
 const AVG_SET_SIZE_HINT: usize = 8;
 
 /// Stage timers for [`generate_batch`] and the RR-set counter of
 /// [`draw_sets`], registered once in the process-global registry
 /// ([`atpm_obs::global`]). Each batch records one value per stage — sample
 /// (worker fan-out), merge (worker-part concatenation), freeze (index
-/// build) — and
-/// each draw adds its sets once, strictly *outside* the per-sample inner
-/// loop, so the instrumented cost per batch is a handful of clock reads and
-/// the `sample/skip` bench medians stay inside the regression gate.
+/// build) — and each draw adds its sets once, strictly *outside* the
+/// per-sample inner loop, so the instrumented cost per batch is a handful
+/// of clock reads and the `sample/skip` bench medians stay inside the
+/// regression gate.
 struct StageMetrics {
     sample: Arc<Histogram>,
     merge: Arc<Histogram>,

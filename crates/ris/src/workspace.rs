@@ -102,7 +102,7 @@ pub struct EpochMarks {
 
 impl EpochMarks {
     /// Empty marks; the stamp array grows on first [`begin`](Self::begin).
-    pub fn new() -> Self {
+    pub const fn new() -> Self {
         EpochMarks {
             stamp: Vec::new(),
             epoch: 0,

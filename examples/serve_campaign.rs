@@ -6,7 +6,7 @@
 //! embedding the service and a living spec of the wire format. The flow is
 //! a miniature marketing campaign:
 //!
-//! 1. load a snapshot (graph + targets + costs + pre-frozen RR index),
+//! 1. load a snapshot (graph + targets + costs + prebuilt RR index),
 //! 2. ask the snapshot for a warm-start spread estimate of its target set,
 //! 3. open an adaptive HATP session, drive the serve-observe-update loop,
 //! 4. compare the realized ledger with a cheap DeployAll baseline session.
@@ -24,7 +24,7 @@ fn main() {
     let mut client = LocalClient::new(AppState::new());
 
     // 1. Load a snapshot: NetHEPT stand-in, 8 IMM-selected targets with
-    //    degree-proportional calibrated costs, 10k pre-frozen RR sets.
+    //    degree-proportional calibrated costs, 10k indexed RR sets.
     let info = client
         .create_snapshot(&SnapshotReq {
             name: "campaign".into(),
@@ -46,7 +46,7 @@ fn main() {
         info.get("total_cost").unwrap().as_f64().unwrap(),
     );
 
-    // 2. Warm-start estimate from the pre-frozen index (no resampling).
+    // 2. Warm-start estimate from the prebuilt index (no resampling).
     let targets: Vec<u32> = {
         // The protocol has no "list targets" call; estimate the first few
         // node ids just to demonstrate the endpoint.
